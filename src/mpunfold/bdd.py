@@ -11,6 +11,8 @@ No complement edges; the node-wise transforms in unfold.py rely on plain
 """
 from __future__ import annotations
 
+from . import expr as ex
+
 FALSE = 0
 TRUE = 1
 
@@ -231,8 +233,6 @@ class DiagramManager:
         yield from go(u, [])
 
     def from_expr(self, expr) -> int:
-        from . import expr as ex
-
         if isinstance(expr, ex.Var):
             return self.var_node(expr.index)
         if isinstance(expr, ex.Const):

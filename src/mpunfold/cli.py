@@ -3,7 +3,9 @@
 JSON on stdout for machine consumption (human tables behind --pretty),
 structured JSON errors on stderr.  Exit codes: 0 success, 1 reachability
 query answered "unreachable" (or verification found mismatches), 2 usage or
-input error, 3 cap exceeded.  The default exploration cap is 10^6 states;
+input error, 3 cap exceeded, 4 internal error (an unexpected exception,
+reported as an error of type "internal" naming the exception and where it
+was raised).  The default exploration cap is 10^6 states;
 the MPU_CAP environment variable overrides it, an explicit --cap wins.
 """
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .expr import BnetParseError, format_expr
 from .network import infer_regulatory_graph, parse_bnet_file, print_bnet
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -309,6 +313,14 @@ def main(argv=None) -> int:
     except OSError as err:
         _emit_error("io-error", str(err))
         return EXIT_USAGE
+    except Exception as err:  # a defect: must not read as a negative answer
+        where = traceback.extract_tb(err.__traceback__, limit=-1)[0]
+        _emit_error(
+            "internal",
+            f"{type(err).__name__}: {err} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})",
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ class BooleanNetwork:
                     )
         self._manager: DiagramManager | None = None
         self._functions: list[FunctionRep | None] = [None] * len(names)
+        self._evaluator: RuleEvaluator | None = None
 
     @property
     def n(self) -> int:
@@ -60,8 +61,71 @@ class BooleanNetwork:
             self._manager = DiagramManager(self.n)
         return self._manager
 
+    @property
+    def evaluator(self) -> "RuleEvaluator":
+        if self._evaluator is None:
+            self._evaluator = RuleEvaluator(self)
+        return self._evaluator
+
     def __repr__(self):
         return f"BooleanNetwork({', '.join(self.names)})"
+
+
+class RuleEvaluator:
+    """Every rule of a network, compiled once, evaluated on integer states.
+
+    An integer state holds component j in bit n-1-j: component 0 is the most
+    significant bit, so integer order is the order of state strings.  Rule j
+    is its diagram node from build_function, evaluated by walking the nodes
+    in a loop.  Nothing is checked here: callers validate states at the API
+    boundary."""
+
+    def __init__(self, net: BooleanNetwork):
+        n = net.n
+        m = net.manager
+        self.nodes = tuple(build_function(net, j).node for j in range(n))
+        self.masks = tuple(1 << (n - 1 - j) for j in range(n))
+        # _table[u] = (bit of u's variable, low, high) for the nodes the rules
+        # reach; 0 and 1 are the terminals
+        self._table: list = [None] * (max(self.nodes) + 1)
+        todo = list(self.nodes)
+        while todo:
+            u = todo.pop()
+            if u > 1 and self._table[u] is None:
+                var, low, high = m.triple(u)
+                self._table[u] = (self.masks[var], low, high)
+                todo += (low, high)
+        self._rules = tuple(zip(self.nodes, self.masks))
+        self._format = f"0{n}b"
+
+    @staticmethod
+    def encode(s: str) -> int:
+        return int(s, 2)
+
+    def decode(self, s: int) -> str:
+        return format(s, self._format)
+
+    def value(self, j: int, s: int) -> int:
+        """Rule j on state s."""
+        table = self._table
+        u = self.nodes[j]
+        while u > 1:
+            bit, low, high = table[u]
+            u = high if s & bit else low
+        return u
+
+    def image(self, s: int) -> int:
+        """The synchronous image f(s): every rule on s."""
+        # value's walk, inlined: this is the explorers' innermost loop
+        table = self._table
+        out = 0
+        for u, own in self._rules:
+            while u > 1:
+                bit, low, high = table[u]
+                u = high if s & bit else low
+            if u:
+                out |= own
+        return out
 
 
 def check_bool_state(net: BooleanNetwork, s: str) -> str:
@@ -75,7 +139,8 @@ def check_bool_state(net: BooleanNetwork, s: str) -> str:
 def eval_rule(net: BooleanNetwork, j: int, s: str) -> int:
     """Value of component j's rule on a Boolean state string."""
     check_bool_state(net, s)
-    return ex.evaluate(net.rules[j], [int(c) for c in s])
+    ev = net.evaluator
+    return ev.value(j, ev.encode(s))
 
 
 def build_function(net: BooleanNetwork, j: int) -> FunctionRep:

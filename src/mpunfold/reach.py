@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .network import BooleanNetwork, RegGraph, build_function, check_bool_state
 from .semantics import (
-    async_successors,
+    _async,
+    _general,
+    _mp_successors,
+    _sync,
     check_mp_state,
-    general_successors,
     is_boolean_state,
-    mp_successors,
-    sync_successor,
 )
 
 DEFAULT_CAP = 10**6
@@ -61,16 +61,36 @@ class Attractor:
     kind: str  # "stable-state" | "complex"
 
 
-def _successor_fn(net: BooleanNetwork, semantics: str):
-    if semantics == "sync":
-        return lambda s: [sync_successor(net, s)]
-    if semantics == "async":
-        return lambda s: async_successors(net, s)
-    if semantics == "general":
-        return lambda s: general_successors(net, s)
+class _Space(NamedTuple):
+    """How the explorers walk one semantics: Boolean semantics on integer
+    states (see RuleEvaluator), mp on its state strings.  encode and decode
+    convert from and to the state strings of the API; match turns a
+    checked target pattern into a test on internal states."""
+
+    successors: Callable
+    encode: Callable
+    decode: Callable
+    match: Callable
+
+
+def _space(net: BooleanNetwork, semantics: str) -> _Space:
     if semantics == "mp":
-        return lambda s: mp_successors(net, s)
-    raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
+        return _Space(partial(_mp_successors, net), str, str, _string_matcher)
+    step = {"sync": _sync, "async": _async, "general": _general}.get(semantics)
+    if step is None:
+        raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
+    ev = net.evaluator
+    return _Space(partial(step, ev), ev.encode, ev.decode, _bit_matcher)
+
+
+def _string_matcher(pattern: str):
+    return lambda x: _matches(x, pattern)
+
+
+def _bit_matcher(pattern: str):
+    care = int("".join("0" if p == "*" else "1" for p in pattern), 2)
+    value = int(pattern.replace("*", "0"), 2)
+    return lambda s: s & care == value
 
 
 def _check_state(net: BooleanNetwork, semantics: str, s: str) -> str:
@@ -101,11 +121,13 @@ def reachable_set(
     """Forward closure from one state as an explicit graph."""
     _check_cap(cap)
     _check_state(net, semantics, start)
-    succ = _successor_fn(net, semantics)
-    nodes = [start]
-    seen = {start}
-    edges: list[Edge] = []
-    queue = deque([start])
+    space = _space(net, semantics)
+    succ = space.successors
+    first = space.encode(start)
+    nodes = [first]
+    seen = {first}
+    edges = []
+    queue = deque([first])
     exceeded = False
     while queue and not exceeded:
         s = queue.popleft()
@@ -117,10 +139,11 @@ def reachable_set(
                 seen.add(t)
                 nodes.append(t)
                 queue.append(t)
-            edges.append(Edge(s, t))
+            edges.append((s, t))
+    name = {s: space.decode(s) for s in nodes}
     return Stg(
-        nodes=nodes,
-        edges=edges,
+        nodes=list(name.values()),
+        edges=[Edge(name[s], name[t]) for s, t in edges],
         semantics=semantics,
         roots=(start,),
         cap=cap,
@@ -158,19 +181,22 @@ def reaches(
     _check_cap(cap)
     _check_state(net, semantics, start)
     _check_pattern(net, semantics, target)
-    succ = _successor_fn(net, semantics)
-    parent: dict[str, str | None] = {start: None}
-    queue = deque([start])
+    space = _space(net, semantics)
+    if _matches(start, target):
+        return ReachResult("reachable", 1, [start])
+    succ = space.successors
+    hit = space.match(target)
+    first = space.encode(start)
+    parent = {first: None}
+    queue = deque([first])
     exceeded = False
 
     def path_to(s):
         path = [s]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
-        return path[::-1]
+        return [space.decode(u) for u in reversed(path)]
 
-    if _matches(start, target):
-        return ReachResult("reachable", 1, [start])
     while queue and not exceeded:
         s = queue.popleft()
         for t in succ(s):
@@ -180,7 +206,7 @@ def reaches(
                 exceeded = True
                 break
             parent[t] = s
-            if _matches(t, target):
+            if hit(t):
                 return ReachResult("reachable", len(parent), path_to(t))
             queue.append(t)
     if exceeded:
@@ -188,13 +214,13 @@ def reaches(
     return ReachResult("unreachable", len(parent), None)
 
 
-def _tarjan_terminal_sccs(nodes: list[str], succ_of: dict[str, list[str]]):
+def _tarjan_terminal_sccs(nodes: list[int], succ_of: dict[int, list[int]]):
     """Iterative Tarjan; yields the strongly connected components that no
     edge leaves, in discovery order."""
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    index_of: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
     counter = 0
     sccs = []
     for root in nodes:
@@ -257,24 +283,26 @@ def attractors(
         raise ValueError(
             "attractors are computed for sync, async or general semantics"
         )
-    succ = _successor_fn(net, semantics)
+    space = _space(net, semantics)
+    succ = space.successors
     if roots is None:
         if (1 << net.n) > cap:
             raise CapExceeded(
                 f"full state space has {1 << net.n} states, cap is {cap}; "
                 f"supply roots to restrict the search"
             )
-        nodes = ["".join(bits) for bits in product("01", repeat=net.n)]
+        nodes = list(range(1 << net.n))  # integer order: string order
     else:
-        seen: set[str] = set()
+        seen: set[int] = set()
         nodes = []
         queue = deque()
         for r in roots:
             _check_state(net, semantics, r)
-            if r not in seen:
-                seen.add(r)
-                nodes.append(r)
-                queue.append(r)
+            s = space.encode(r)
+            if s not in seen:
+                seen.add(s)
+                nodes.append(s)
+                queue.append(s)
         while queue:
             s = queue.popleft()
             for t in succ(s):
@@ -289,7 +317,7 @@ def attractors(
     succ_of = {s: succ(s) for s in nodes}
     out = []
     for component in _tarjan_terminal_sccs(nodes, succ_of):
-        states = tuple(sorted(component))
+        states = tuple(space.decode(s) for s in sorted(component))
         kind = "stable-state" if len(states) == 1 else "complex"
         out.append(Attractor(states=states, kind=kind))
     out.sort(key=lambda a: (a.kind != "stable-state", a.states[0]))
@@ -308,6 +336,7 @@ def mp_boolean_projection(
     distinct mp state explored, transients included."""
     _check_cap(cap)
     check_bool_state(net, start)
+    ev = net.evaluator
     explored: set[str] = {start}
     bool_nodes = [start]
     bool_seen = {start}
@@ -316,10 +345,10 @@ def mp_boolean_projection(
     exceeded = False
     while queue and not exceeded:
         x = queue.popleft()
-        one_step = set(general_successors(net, x))
+        one_step = set(_general(ev, ev.encode(x)))
         inner_seen: set[str] = set()
         targets: list[str] = []
-        frontier = deque(mp_successors(net, x))
+        frontier = deque(_mp_successors(net, x))
         while frontier:
             t = frontier.popleft()
             if t in inner_seen:
@@ -334,11 +363,11 @@ def mp_boolean_projection(
                 if t not in targets:
                     targets.append(t)
             else:
-                frontier.extend(mp_successors(net, t))
+                frontier.extend(_mp_successors(net, t))
         if exceeded:
             break
         for t in targets:
-            tag = "solid" if t in one_step else "dotted"
+            tag = "solid" if ev.encode(t) in one_step else "dotted"
             edges.append(Edge(x, t, tag))
             if t not in bool_seen:
                 bool_seen.add(t)

@@ -8,8 +8,8 @@ coordinates stay fixed, i/d coordinates range over both values.
 """
 from __future__ import annotations
 
-from .bdd import FALSE, TRUE
-from .network import BooleanNetwork, build_function, check_bool_state, eval_rule
+from .bdd import FALSE, TRUE, DiagramManager
+from .network import BooleanNetwork, RuleEvaluator, check_bool_state
 
 MP_LEVELS = "0id1"
 
@@ -29,24 +29,15 @@ def is_boolean_state(x: str) -> bool:
 def sync_successor(net: BooleanNetwork, s: str) -> str:
     """All components update at once: the unique successor f(s)."""
     check_bool_state(net, s)
-    bits = [int(c) for c in s]
-    from . import expr as ex
-
-    return "".join(str(ex.evaluate(rule, bits)) for rule in net.rules)
-
-
-def _unstable(net: BooleanNetwork, s: str) -> list[int]:
-    image = sync_successor(net, s)
-    return [j for j in range(net.n) if image[j] != s[j]]
+    ev = net.evaluator
+    return ev.decode(ev.image(ev.encode(s)))
 
 
 def async_successors(net: BooleanNetwork, s: str) -> list[str]:
     """One unstable component updates; declaration order; [] at fixed points."""
-    out = []
-    for j in _unstable(net, s):
-        image = str(eval_rule(net, j, s))
-        out.append(s[:j] + image + s[j + 1 :])
-    return out
+    check_bool_state(net, s)
+    ev = net.evaluator
+    return [ev.decode(t) for t in _async(ev, ev.encode(s))]
 
 
 def general_successors(net: BooleanNetwork, s: str) -> list[str]:
@@ -55,15 +46,31 @@ def general_successors(net: BooleanNetwork, s: str) -> list[str]:
     Enumerated by increasing subset bitmask, bit t of the mask selecting the
     t-th unstable component in declaration order."""
     check_bool_state(net, s)
-    unstable = _unstable(net, s)
-    out = []
-    for mask in range(1, 1 << len(unstable)):
-        chars = list(s)
-        for t, j in enumerate(unstable):
-            if mask >> t & 1:
-                chars[j] = "01"[eval_rule(net, j, s)]
-        out.append("".join(chars))
-    return out
+    ev = net.evaluator
+    return [ev.decode(t) for t in _general(ev, ev.encode(s))]
+
+
+# Unchecked forms on integer states (see RuleEvaluator), for the explorers.
+
+def _unstable(ev: RuleEvaluator, s: int) -> list[int]:
+    """Bits of the components whose rule disagrees with s, in declaration order."""
+    diff = ev.image(s) ^ s
+    return [bit for bit in ev.masks if diff & bit]
+
+
+def _sync(ev: RuleEvaluator, s: int) -> list[int]:
+    return [ev.image(s)]
+
+
+def _async(ev: RuleEvaluator, s: int) -> list[int]:
+    return [s ^ bit for bit in _unstable(ev, s)]
+
+
+def _general(ev: RuleEvaluator, s: int) -> list[int]:
+    flips = [0]  # flips[mask]: the bits of the unstable components mask selects
+    for bit in _unstable(ev, s):
+        flips += [f | bit for f in flips]
+    return [s ^ f for f in flips[1:]]
 
 
 def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:
@@ -74,9 +81,15 @@ def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:
     check_mp_state(net, x)
     if v not in (0, 1):
         raise ValueError("v must be 0 or 1")
-    fixed = {k: int(c) for k, c in enumerate(x) if c in "01"}
-    residual = net.manager.restrict(build_function(net, j).node, fixed)
-    return residual != (FALSE if v else TRUE)
+    return _can_be(net.manager, net.evaluator.nodes[j], _fixed(x), v)
+
+
+def _fixed(x: str) -> dict[int, int]:
+    return {k: int(c) for k, c in enumerate(x) if c in "01"}
+
+
+def _can_be(m: DiagramManager, node: int, fixed: dict[int, int], v: int) -> bool:
+    return m.restrict(node, fixed) != (FALSE if v else TRUE)
 
 
 def mp_successors(net: BooleanNetwork, x: str) -> list[str]:
@@ -89,14 +102,22 @@ def mp_successors(net: BooleanNetwork, x: str) -> list[str]:
       (d) x_j = d  ->  x_j := 0
     """
     check_mp_state(net, x)
+    return _mp_successors(net, x)
+
+
+def _mp_successors(net: BooleanNetwork, x: str) -> list[str]:
+    """mp_successors without the state check."""
+    m = net.manager
+    fixed = _fixed(x)
     out = []
-    for j, c in enumerate(x):
-        if c in "0d" and gamma_can_be(net, j, x, 1):
-            out.append(x[:j] + "i" + x[j + 1 :])
-        if c in "1i" and gamma_can_be(net, j, x, 0):
+    for j, (c, node) in enumerate(zip(x, net.evaluator.nodes)):
+        if c in "0d":
+            if _can_be(m, node, fixed, 1):
+                out.append(x[:j] + "i" + x[j + 1 :])
+        elif _can_be(m, node, fixed, 0):
             out.append(x[:j] + "d" + x[j + 1 :])
         if c == "i":
             out.append(x[:j] + "1" + x[j + 1 :])
-        if c == "d":
+        elif c == "d":
             out.append(x[:j] + "0" + x[j + 1 :])
     return out

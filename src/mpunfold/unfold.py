@@ -108,11 +108,15 @@ class _Unfolding:
         self.manager = DiagramManager(len(self.out_names))
         # slots[k]: tuple (a,b,c) of output indices if k unfolded, else (p,)
         self.slots: list[tuple[int, ...]] = []
+        # origin[i]: (k, letter) of output index i, letter None if k is plain
+        self.origin: list[tuple[int, str | None]] = []
         pos = 0
         for k in range(net.n):
             width = 3 if k in self.chosen else 1
             self.slots.append(tuple(range(pos, pos + width)))
             pos += width
+            letters = LETTERS if width == 3 else (None,)
+            self.origin.extend((k, letter) for letter in letters)
         m = self.manager
         self.allow1: list[int] = []
         self.allow0: list[int] = []
@@ -189,7 +193,7 @@ class _Unfolding:
 
     def rule_node(self, out_index: int) -> int:
         m = self.manager
-        k, letter = self._origin(out_index)
+        k, letter = self.origin[out_index]
         if letter is None:  # plain component: may-rise or no-must-fall
             plus = self.condition(k, "plus")
             minus = self.condition(k, "minus")
@@ -218,14 +222,6 @@ class _Unfolding:
             m.disj,
             (own("11*"), own("0*1"), m.conj(own("000"), plus)),
         )
-
-    def _origin(self, out_index: int) -> tuple[int, str | None]:
-        for k, slots in enumerate(self.slots):
-            if out_index in slots:
-                if len(slots) == 1:
-                    return k, None
-                return k, LETTERS[slots.index(out_index)]
-        raise IndexError(out_index)
 
 
 def build_condition(

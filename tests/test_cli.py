@@ -358,3 +358,18 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "usage:" in out
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    import mpunfold.cli as cli
+
+    def broken(net, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_show", broken)
+    code, out, err = run(capsys, "show", EXAMPLE_A)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert code not in (cli.EXIT_OK, cli.EXIT_NEGATIVE, cli.EXIT_USAGE, cli.EXIT_CAP)
+    info = json.loads(err)["error"]
+    assert info["type"] == "internal"
+    assert info["message"].startswith("RuntimeError: boom (at test_cli.py:")

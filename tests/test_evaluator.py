@@ -1,0 +1,236 @@
+"""Rules evaluated as diagrams on integer states, against the tree evaluator.
+
+The successor functions and the explorers run on a network's compiled
+RuleEvaluator.  Here every Boolean state of small random networks (all-zero
+states and leading zeros included) is compared with expr.evaluate on
+net.rules, and every explorer with a plain breadth-first search over state
+strings and the public successor functions.
+"""
+import random
+from collections import deque
+from itertools import product
+
+import pytest
+
+from mpunfold import (
+    CapExceeded,
+    RandomNetSpec,
+    async_successors,
+    attractors,
+    eval_rule,
+    general_successors,
+    mp_successors,
+    parse_bnet,
+    random_network,
+    reachable_set,
+    reaches,
+    sync_successor,
+)
+from mpunfold import expr as ex
+
+NETS = [(n, seed) for n in range(1, 7) for seed in range(3)]
+BOOLEAN = ("sync", "async", "general")
+
+
+def _net(n, seed):
+    return random_network(RandomNetSpec(n=n, seed=seed))
+
+
+def _states(n, alphabet="01"):
+    return ["".join(c) for c in product(alphabet, repeat=n)]
+
+
+def _pairs(stg):
+    assert all(e.tag is None for e in stg.edges)
+    return [(e.source, e.target) for e in stg.edges]
+
+
+# --- reference semantics: the tree evaluator on state strings ----------------
+
+def _tree_image(net, s):
+    bits = [int(c) for c in s]
+    return "".join(str(ex.evaluate(rule, bits)) for rule in net.rules)
+
+
+def _tree_async(net, s):
+    image = _tree_image(net, s)
+    return [s[:j] + image[j] + s[j + 1 :] for j in range(net.n) if image[j] != s[j]]
+
+
+def _tree_general(net, s):
+    image = _tree_image(net, s)
+    unstable = [j for j in range(net.n) if image[j] != s[j]]
+    out = []
+    for mask in range(1, 1 << len(unstable)):
+        chars = list(s)
+        for t, j in enumerate(unstable):
+            if mask >> t & 1:
+                chars[j] = image[j]
+        out.append("".join(chars))
+    return out
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_successors_match_tree_evaluation(n, seed):
+    net = _net(n, seed)
+    for s in _states(n):
+        bits = [int(c) for c in s]
+        for j, rule in enumerate(net.rules):
+            assert eval_rule(net, j, s) == ex.evaluate(rule, bits)
+        assert sync_successor(net, s) == _tree_image(net, s)
+        assert async_successors(net, s) == _tree_async(net, s)
+        assert general_successors(net, s) == _tree_general(net, s)
+
+
+def test_leading_zero_components():
+    # component 0 is the most significant bit: zeros in front must survive
+    net = parse_bnet("a, a\nb, a\nc, !c\nd, c & !b\n")
+    assert sync_successor(net, "0000") == "0010"
+    assert async_successors(net, "0000") == ["0010"]
+    assert general_successors(net, "0001") == ["0011", "0000", "0010"]
+    assert eval_rule(net, 3, "0010") == 1
+    result = reaches(net, "async", "0000", "0011")
+    assert result.witness == ["0000", "0010", "0011"]
+    stg = reachable_set(net, "sync", "0000")
+    assert stg.nodes == ["0000", "0010", "0001"]
+    assert _pairs(stg) == [("0000", "0010"), ("0010", "0001"), ("0001", "0010")]
+
+
+# --- reference explorers: plain string BFS over the public functions ---------
+
+def _public(net, semantics):
+    return {
+        "sync": lambda s: [sync_successor(net, s)],
+        "async": lambda s: async_successors(net, s),
+        "general": lambda s: general_successors(net, s),
+        "mp": lambda s: mp_successors(net, s),
+    }[semantics]
+
+
+def _matches(state, pattern):
+    return all(p == "*" or p == c for c, p in zip(state, pattern))
+
+
+def _bfs_reaches(succ, start, target, cap):
+    if _matches(start, target):
+        return "reachable", 1, [start]
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for t in succ(s):
+            if t in parent:
+                continue
+            if len(parent) >= cap:
+                return "cap-exceeded", len(parent), None
+            parent[t] = s
+            if _matches(t, target):
+                path = [t]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return "reachable", len(parent), path[::-1]
+            queue.append(t)
+    return "unreachable", len(parent), None
+
+
+def _bfs_graph(succ, start, cap):
+    nodes, seen, edges = [start], {start}, []
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for t in succ(s):
+            if t not in seen:
+                if len(nodes) >= cap:
+                    return nodes, edges, True
+                seen.add(t)
+                nodes.append(t)
+                queue.append(t)
+            edges.append((s, t))
+    return nodes, edges, False
+
+
+def _closure(succ, roots):
+    seen = set(roots)
+    queue = deque(roots)
+    while queue:
+        for t in succ(queue.popleft()):
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+def _terminal_sccs(succ, states):
+    """Each state whose forward closure only holds states that reach back
+    to it lies in a terminal SCC: that closure."""
+    forward = {s: _closure(succ, [s]) for s in states}
+    found = set()
+    for s in states:
+        if all(s in forward[t] for t in forward[s]):
+            found.add(tuple(sorted(forward[s])))
+    kinds = [("stable-state" if len(c) == 1 else "complex", c) for c in found]
+    return sorted(kinds, key=lambda kc: (kc[0] != "stable-state", kc[1][0]))
+
+
+def _patterns(n, rng, alphabet="01"):
+    return ["".join(rng.choice(alphabet + "**") for _ in range(n)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_reaches_matches_string_bfs(n, seed):
+    net = _net(n, seed)
+    rng = random.Random(f"reaches/{n}/{seed}")
+    for semantics in BOOLEAN:
+        succ = _public(net, semantics)
+        for start in _states(n):
+            for target in _patterns(n, rng) + [start, "0" * n]:
+                for cap in (3, 10**6):
+                    got = reaches(net, semantics, start, target, cap=cap)
+                    want = _bfs_reaches(succ, start, target, cap)
+                    assert (got.verdict, got.states_explored, got.witness) == want
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 4) for seed in range(2)])
+def test_mp_reaches_and_graph_match_string_bfs(n, seed):
+    net = _net(n, seed)
+    rng = random.Random(f"mp/{n}/{seed}")
+    succ = _public(net, "mp")
+    for start in _states(n, "0id1"):
+        for target in _patterns(n, rng, "0id1"):
+            got = reaches(net, "mp", start, target)
+            want = _bfs_reaches(succ, start, target, 10**6)
+            assert (got.verdict, got.states_explored, got.witness) == want
+        stg = reachable_set(net, "mp", start)
+        assert (stg.nodes, _pairs(stg), stg.cap_exceeded) == _bfs_graph(succ, start, 10**6)
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_reachable_set_matches_string_bfs(n, seed):
+    net = _net(n, seed)
+    for semantics in BOOLEAN:
+        succ = _public(net, semantics)
+        for start in _states(n):
+            for cap in (1, 2, 5, 10**6):
+                stg = reachable_set(net, semantics, start, cap=cap)
+                want = _bfs_graph(succ, start, cap)
+                assert (stg.nodes, _pairs(stg), stg.cap_exceeded) == want
+                assert stg.roots == (start,)
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_attractors_match_string_bfs(n, seed):
+    net = _net(n, seed)
+    rng = random.Random(f"attractors/{n}/{seed}")
+    everything = _states(n)
+    for semantics in BOOLEAN:
+        succ = _public(net, semantics)
+        got = [(a.kind, a.states) for a in attractors(net, semantics)]
+        assert got == _terminal_sccs(succ, everything)
+        for _ in range(3):
+            roots = rng.sample(everything, min(3, len(everything)))
+            closure = _closure(succ, roots)
+            got = [(a.kind, a.states) for a in attractors(net, semantics, roots=roots)]
+            assert got == _terminal_sccs(succ, sorted(closure))
+            if len(closure) > len(set(roots)):  # roots never count against the cap
+                with pytest.raises(CapExceeded):
+                    attractors(net, semantics, cap=len(closure) - 1, roots=roots)
