@@ -30,9 +30,6 @@ class DiagramManager:
     def triple(self, u: int) -> tuple[int, int, int]:
         return self._triples[u - 2]
 
-    def is_terminal(self, u: int) -> bool:
-        return u < 2
-
     def mk(self, var: int, low: int, high: int) -> int:
         if low == high:
             return low

@@ -29,12 +29,7 @@ from .reach import (
     reachable_set,
     reaches,
 )
-from .semantics import (
-    async_successors,
-    general_successors,
-    mp_successors,
-    sync_successor,
-)
+from .semantics import BOOLEAN_SEMANTICS, SEMANTICS, _successors
 from .unfold import MODES, UnfoldSpec, unfold
 
 EXIT_OK = 0
@@ -122,16 +117,8 @@ def _cmd_fixpoints(net, args) -> int:
     return EXIT_OK
 
 
-_SUCCESSORS = {
-    "sync": lambda net, s: [sync_successor(net, s)],
-    "async": async_successors,
-    "general": general_successors,
-    "mp": mp_successors,
-}
-
-
 def _cmd_succ(net, args) -> int:
-    _emit(_SUCCESSORS[args.semantics](net, args.state))
+    _emit(_successors(net, args.semantics, args.state))
     return EXIT_OK
 
 
@@ -245,9 +232,7 @@ def _build_parser() -> _Parser:
 
     p = add("succ", _cmd_succ, "successors of one state")
     p.add_argument("--state", required=True)
-    p.add_argument(
-        "--semantics", required=True, choices=("sync", "async", "general", "mp")
-    )
+    p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
 
     p = add("unfold", _cmd_unfold, "emit the unfolded network as .bnet")
     p.add_argument("--components", help="comma-separated names (default: all)")
@@ -257,23 +242,19 @@ def _build_parser() -> _Parser:
     p = add("reach", _cmd_reach, "decide reachability of a target pattern")
     p.add_argument("--from", dest="from_state", required=True)
     p.add_argument("--to", required=True, help="target pattern, * wildcards allowed")
-    p.add_argument(
-        "--semantics", required=True, choices=("sync", "async", "general", "mp")
-    )
+    p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
     p.add_argument("--cap", type=int)
 
     p = add("stg", _cmd_stg, "explicit state transition graph from a state")
     p.add_argument("--from", dest="from_state", required=True)
-    p.add_argument(
-        "--semantics", required=True, choices=("sync", "async", "general", "mp")
-    )
+    p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
     p.add_argument("--project-boolean", action="store_true")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--cap", type=int)
     p.add_argument("-o", "--output")
 
     p = add("attractors", _cmd_attractors, "terminal SCCs of the explicit graph")
-    p.add_argument("--semantics", required=True, choices=("sync", "async", "general"))
+    p.add_argument("--semantics", required=True, choices=BOOLEAN_SEMANTICS)
     p.add_argument("--roots", help="comma-separated start states (default: all states)")
     p.add_argument("--cap", type=int)
 

@@ -5,6 +5,12 @@ are already deterministic), so node lists, edge lists and DOT output are
 byte-stable across runs.  Every explorer takes a cap on the number of
 states; hitting the cap is reported, never silently truncated into a wrong
 answer.
+
+reaches, reachable_set and the root closure of attractors run one search,
+_bfs, over the semantics table of the semantics module.
+mp_boolean_projection keeps its own loops: its cap counts the distinct mp
+states of all its inner searches together, which one search from a set of
+start states cannot count.
 """
 from __future__ import annotations
 
@@ -15,17 +21,15 @@ from typing import Callable, NamedTuple
 
 from .network import BooleanNetwork, RegGraph, build_function, check_bool_state
 from .semantics import (
-    _async,
+    BOOLEAN_SEMANTICS,
     _general,
     _mp_successors,
-    _sync,
+    _step,
     check_mp_state,
     is_boolean_state,
 )
 
 DEFAULT_CAP = 10**6
-
-SEMANTICS = ("sync", "async", "general", "mp")
 
 
 class CapExceeded(RuntimeError):
@@ -63,24 +67,31 @@ class Attractor:
 
 class _Space(NamedTuple):
     """How the explorers walk one semantics: Boolean semantics on integer
-    states (see RuleEvaluator), mp on its state strings.  encode and decode
-    convert from and to the state strings of the API; match turns a
+    states (see RuleEvaluator), mp on its state strings.  check validates
+    a state string of the API and alphabet is that of target patterns;
+    encode and decode convert from and to the state strings; match turns a
     checked target pattern into a test on internal states."""
 
     successors: Callable
     encode: Callable
     decode: Callable
     match: Callable
+    check: Callable
+    alphabet: str
 
 
 def _space(net: BooleanNetwork, semantics: str) -> _Space:
-    if semantics == "mp":
-        return _Space(partial(_mp_successors, net), str, str, _string_matcher)
-    step = {"sync": _sync, "async": _async, "general": _general}.get(semantics)
+    step = _step(semantics)
     if step is None:
-        raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
+        return _Space(
+            partial(_mp_successors, net), str, str, _string_matcher,
+            partial(check_mp_state, net), "01id*",
+        )
     ev = net.evaluator
-    return _Space(partial(step, ev), ev.encode, ev.decode, _bit_matcher)
+    return _Space(
+        partial(step, ev), ev.encode, ev.decode, _bit_matcher,
+        partial(check_bool_state, net), "01*",
+    )
 
 
 def _string_matcher(pattern: str):
@@ -91,12 +102,6 @@ def _bit_matcher(pattern: str):
     care = int("".join("0" if p == "*" else "1" for p in pattern), 2)
     value = int(pattern.replace("*", "0"), 2)
     return lambda s: s & care == value
-
-
-def _check_state(net: BooleanNetwork, semantics: str, s: str) -> str:
-    if semantics == "mp":
-        return check_mp_state(net, s)
-    return check_bool_state(net, s)
 
 
 def _check_cap(cap: int) -> int:
@@ -120,27 +125,12 @@ def reachable_set(
 ) -> Stg:
     """Forward closure from one state as an explicit graph."""
     _check_cap(cap)
-    _check_state(net, semantics, start)
     space = _space(net, semantics)
-    succ = space.successors
-    first = space.encode(start)
-    nodes = [first]
-    seen = {first}
     edges = []
-    queue = deque([first])
-    exceeded = False
-    while queue and not exceeded:
-        s = queue.popleft()
-        for t in succ(s):
-            if t not in seen:
-                if len(nodes) >= cap:
-                    exceeded = True
-                    break
-                seen.add(t)
-                nodes.append(t)
-                queue.append(t)
-            edges.append((s, t))
-    name = {s: space.decode(s) for s in nodes}
+    parent, _, exceeded = _bfs(
+        space.successors, [space.encode(space.check(start))], cap, edges=edges
+    )
+    name = {s: space.decode(s) for s in parent}
     return Stg(
         nodes=list(name.values()),
         edges=[Edge(name[s], name[t]) for s, t in edges],
@@ -151,8 +141,7 @@ def reachable_set(
     )
 
 
-def _check_pattern(net: BooleanNetwork, semantics: str, pattern: str) -> str:
-    alphabet = "01id*" if semantics == "mp" else "01*"
+def _check_pattern(net: BooleanNetwork, alphabet: str, pattern: str) -> str:
     if (
         not isinstance(pattern, str)
         or len(pattern) != net.n
@@ -179,39 +168,46 @@ def reaches(
     """Can any state matching target (with * wildcards) be reached from
     start?  The witness is a shortest path found by the BFS."""
     _check_cap(cap)
-    _check_state(net, semantics, start)
-    _check_pattern(net, semantics, target)
     space = _space(net, semantics)
+    space.check(start)
+    _check_pattern(net, space.alphabet, target)
     if _matches(start, target):
         return ReachResult("reachable", 1, [start])
-    succ = space.successors
-    hit = space.match(target)
-    first = space.encode(start)
-    parent = {first: None}
-    queue = deque([first])
-    exceeded = False
-
-    def path_to(s):
-        path = [s]
+    parent, found, exceeded = _bfs(
+        space.successors, [space.encode(start)], cap, stop=space.match(target)
+    )
+    if found is not None:
+        path = [found]
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
-        return [space.decode(u) for u in reversed(path)]
+        witness = [space.decode(u) for u in reversed(path)]
+        return ReachResult("reachable", len(parent), witness)
+    verdict = "cap-exceeded" if exceeded else "unreachable"
+    return ReachResult(verdict, len(parent), None)
 
-    while queue and not exceeded:
+
+def _bfs(succ, starts, cap, stop=None, edges=None):
+    """Breadth-first search from starts, in successor order.
+
+    Returns the parent map in discovery order (starts map to None), the
+    first new state stop accepts (or None), and whether the cap was hit: a
+    new state that would pass cap states ends the search, while starts are
+    all admitted.  When edges is a list, every pair seen is appended to it."""
+    parent = dict.fromkeys(starts)
+    queue = deque(parent)
+    while queue:
         s = queue.popleft()
         for t in succ(s):
-            if t in parent:
-                continue
-            if len(parent) >= cap:
-                exceeded = True
-                break
-            parent[t] = s
-            if hit(t):
-                return ReachResult("reachable", len(parent), path_to(t))
-            queue.append(t)
-    if exceeded:
-        return ReachResult("cap-exceeded", len(parent), None)
-    return ReachResult("unreachable", len(parent), None)
+            if t not in parent:
+                if len(parent) >= cap:
+                    return parent, None, True
+                parent[t] = s
+                if stop is not None and stop(t):
+                    return parent, t, False
+                queue.append(t)
+            if edges is not None:
+                edges.append((s, t))
+    return parent, None, False
 
 
 def _tarjan_terminal_sccs(nodes: list[int], succ_of: dict[int, list[int]]):
@@ -279,7 +275,7 @@ def attractors(
     semantics is excluded: its transient levels make terminal SCCs the
     wrong notion there."""
     _check_cap(cap)
-    if semantics not in ("sync", "async", "general"):
+    if semantics not in BOOLEAN_SEMANTICS:
         raise ValueError(
             "attractors are computed for sync, async or general semantics"
         )
@@ -293,27 +289,13 @@ def attractors(
             )
         nodes = list(range(1 << net.n))  # integer order: string order
     else:
-        seen: set[int] = set()
-        nodes = []
-        queue = deque()
-        for r in roots:
-            _check_state(net, semantics, r)
-            s = space.encode(r)
-            if s not in seen:
-                seen.add(s)
-                nodes.append(s)
-                queue.append(s)
-        while queue:
-            s = queue.popleft()
-            for t in succ(s):
-                if t not in seen:
-                    if len(nodes) >= cap:
-                        raise CapExceeded(
-                            f"closure of the root set passed the cap of {cap} states"
-                        )
-                    seen.add(t)
-                    nodes.append(t)
-                    queue.append(t)
+        starts = [space.encode(space.check(r)) for r in roots]
+        closure, _, exceeded = _bfs(succ, starts, cap)
+        if exceeded:
+            raise CapExceeded(
+                f"closure of the root set passed the cap of {cap} states"
+            )
+        nodes = list(closure)
     succ_of = {s: succ(s) for s in nodes}
     out = []
     for component in _tarjan_terminal_sccs(nodes, succ_of):

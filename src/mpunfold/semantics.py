@@ -28,16 +28,12 @@ def is_boolean_state(x: str) -> bool:
 
 def sync_successor(net: BooleanNetwork, s: str) -> str:
     """All components update at once: the unique successor f(s)."""
-    check_bool_state(net, s)
-    ev = net.evaluator
-    return ev.decode(ev.image(ev.encode(s)))
+    return _checked(_sync, net, s)[0]
 
 
 def async_successors(net: BooleanNetwork, s: str) -> list[str]:
     """One unstable component updates; declaration order; [] at fixed points."""
-    check_bool_state(net, s)
-    ev = net.evaluator
-    return [ev.decode(t) for t in _async(ev, ev.encode(s))]
+    return _checked(_async, net, s)
 
 
 def general_successors(net: BooleanNetwork, s: str) -> list[str]:
@@ -45,9 +41,14 @@ def general_successors(net: BooleanNetwork, s: str) -> list[str]:
 
     Enumerated by increasing subset bitmask, bit t of the mask selecting the
     t-th unstable component in declaration order."""
+    return _checked(_general, net, s)
+
+
+def _checked(step, net: BooleanNetwork, s: str) -> list[str]:
+    """A Boolean step at the API edge: check s, step on its integer, decode."""
     check_bool_state(net, s)
     ev = net.evaluator
-    return [ev.decode(t) for t in _general(ev, ev.encode(s))]
+    return [ev.decode(t) for t in step(ev, ev.encode(s))]
 
 
 # Unchecked forms on integer states (see RuleEvaluator), for the explorers.
@@ -71,6 +72,28 @@ def _general(ev: RuleEvaluator, s: int) -> list[int]:
     for bit in _unstable(ev, s):
         flips += [f | bit for f in flips]
     return [s ^ f for f in flips[1:]]
+
+
+# Every semantics by name, in the order the API lists them.  A Boolean
+# semantics maps to its unchecked step on integer states; mp (None) steps on
+# its state strings through _mp_successors.
+SEMANTICS = {"sync": _sync, "async": _async, "general": _general, "mp": None}
+BOOLEAN_SEMANTICS = tuple(name for name, step in SEMANTICS.items() if step)
+
+
+def _step(semantics: str):
+    """The table entry of a semantics name; ValueError for any other name."""
+    if semantics not in SEMANTICS:
+        raise ValueError(
+            f"semantics must be one of {tuple(SEMANTICS)}, got {semantics!r}"
+        )
+    return SEMANTICS[semantics]
+
+
+def _successors(net: BooleanNetwork, semantics: str, s: str) -> list[str]:
+    """Checked successors of one state under a named semantics."""
+    step = _step(semantics)
+    return mp_successors(net, s) if step is None else _checked(step, net, s)
 
 
 def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:

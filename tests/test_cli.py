@@ -1,15 +1,24 @@
 """End-to-end CLI behavior through main(argv): outputs and exit codes."""
 import json
+import re
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from mpunfold import (
+    RandomNetSpec,
     UnfoldSpec,
+    async_successors,
     example_a,
     export_dot,
+    general_successors,
+    mp_successors,
+    parse_bnet,
     print_bnet,
+    random_network,
     reachable_set,
+    sync_successor,
     unfold,
 )
 from mpunfold.cli import main
@@ -83,6 +92,50 @@ def test_succ_invalid_state_is_exit_2(capsys):
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "invalid-input"
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 4) for seed in range(2)])
+def test_succ_prints_the_public_successors(capsys, tmp_path, n, seed):
+    text = print_bnet(random_network(RandomNetSpec(n=n, seed=seed)))
+    model = tmp_path / "net.bnet"
+    model.write_text(text)
+    net = parse_bnet(text)
+    public = {
+        "sync": (lambda s: [sync_successor(net, s)], "01"),
+        "async": (lambda s: async_successors(net, s), "01"),
+        "general": (lambda s: general_successors(net, s), "01"),
+        "mp": (lambda s: mp_successors(net, s), "0id1"),
+    }
+    for semantics, (succ, alphabet) in public.items():
+        for state in map("".join, product(alphabet, repeat=n)):
+            code, out, err = run(
+                capsys, "succ", str(model), "--state", state, "--semantics", semantics
+            )
+            assert (code, err) == (0, "")
+            assert out == json.dumps(succ(state), separators=(",", ":")) + "\n"
+
+
+ALL_SEMANTICS = ["sync", "async", "general", "mp"]
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["succ", EXAMPLE_A, "--state", "111"], ALL_SEMANTICS),
+        (["reach", EXAMPLE_A, "--from", "111", "--to", "001"], ALL_SEMANTICS),
+        (["stg", EXAMPLE_A, "--from", "111"], ALL_SEMANTICS),
+        (["attractors", EXAMPLE_A], ALL_SEMANTICS[:3]),
+    ],
+    ids=["succ", "reach", "stg", "attractors"],
+)
+def test_unknown_semantics_is_a_usage_error(capsys, argv, names):
+    code, out, err = run(capsys, *argv, "--semantics", "fast")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert "'fast'" in error["message"]
+    listed = error["message"].split("choose from", 1)[1]
+    assert re.findall(r"\w+", listed) == names
 
 
 # --- unfold --------------------------------------------------------------------

@@ -19,6 +19,7 @@ from mpunfold import (
     attractors,
     eval_rule,
     general_successors,
+    mp_boolean_projection,
     mp_successors,
     parse_bnet,
     random_network,
@@ -234,3 +235,48 @@ def test_attractors_match_string_bfs(n, seed):
             if len(closure) > len(set(roots)):  # roots never count against the cap
                 with pytest.raises(CapExceeded):
                     attractors(net, semantics, cap=len(closure) - 1, roots=roots)
+
+
+def _projection(net, start, cap):
+    """mp_boolean_projection over state strings: per Boolean node, a BFS
+    through non-Boolean states to its Boolean exits; the cap counts every
+    distinct mp state met, across all these searches."""
+    explored = {start}
+    nodes, edges = [start], []
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        exits, seen = [], set()
+        frontier = deque(mp_successors(net, x))
+        while frontier:
+            t = frontier.popleft()
+            if t in seen:
+                continue
+            seen.add(t)
+            if t not in explored:
+                if len(explored) >= cap:
+                    return nodes, edges, True
+                explored.add(t)
+            if set(t) <= set("01"):
+                if t not in exits:
+                    exits.append(t)
+            else:
+                frontier.extend(mp_successors(net, t))
+        one_step = general_successors(net, x)
+        for t in exits:
+            edges.append((x, t, "solid" if t in one_step else "dotted"))
+            if t not in nodes:
+                nodes.append(t)
+                queue.append(t)
+    return nodes, edges, False
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 4) for seed in range(3)])
+def test_projection_matches_string_reference(n, seed):
+    net = _net(n, seed)
+    for start in _states(n):
+        for cap in (1, 2, 3, 5, 10**6):
+            proj = mp_boolean_projection(net, start, cap=cap)
+            tagged = [(e.source, e.target, e.tag) for e in proj.edges]
+            got = (proj.nodes, tagged, proj.cap_exceeded)
+            assert got == _projection(net, start, cap)

@@ -93,6 +93,24 @@ def test_reachable_set_validates_inputs():
     assert "11d" in stg.nodes
 
 
+@pytest.mark.parametrize(
+    "explore,args",
+    [
+        (reachable_set, ("fast", "11i")),
+        (reaches, ("fast", "0i1", "***")),
+        (reaches, ("MP", "111", "1*d")),
+    ],
+    ids=["reachable_set-fast", "reaches-fast", "reaches-MP"],
+)
+def test_semantics_name_is_checked_before_states(explore, args):
+    expected = (
+        r"semantics must be one of \('sync', 'async', 'general', 'mp'\), "
+        f"got '{args[0]}'"
+    )
+    with pytest.raises(ValueError, match=expected):
+        explore(example_a(), *args)
+
+
 # --- reaches -----------------------------------------------------------------
 
 def test_reaches_start_match_short_circuits():
