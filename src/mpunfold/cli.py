@@ -11,6 +11,7 @@ the MPU_CAP environment variable overrides it, an explicit --cap wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -214,38 +215,40 @@ def _cmd_verify(net, args) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_NEGATIVE
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged.
+    It names no handlers; main looks up _cmd_<command> when it runs."""
     parser = _Parser(prog="mpunfold", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a .bnet file")
-        p.set_defaults(func=func)
         return p
 
-    p = add("show", _cmd_show, "print the parsed network")
+    p = add("show", "print the parsed network")
     p.add_argument("--pretty", action="store_true")
 
-    p = add("fixpoints", _cmd_fixpoints, "list all fixed points")
+    p = add("fixpoints", "list all fixed points")
     p.add_argument("--pretty", action="store_true")
 
-    p = add("succ", _cmd_succ, "successors of one state")
+    p = add("succ", "successors of one state")
     p.add_argument("--state", required=True)
     p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
 
-    p = add("unfold", _cmd_unfold, "emit the unfolded network as .bnet")
+    p = add("unfold", "emit the unfolded network as .bnet")
     p.add_argument("--components", help="comma-separated names (default: all)")
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("-o", "--output")
 
-    p = add("reach", _cmd_reach, "decide reachability of a target pattern")
+    p = add("reach", "decide reachability of a target pattern")
     p.add_argument("--from", dest="from_state", required=True)
     p.add_argument("--to", required=True, help="target pattern, * wildcards allowed")
     p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
     p.add_argument("--cap", type=int)
 
-    p = add("stg", _cmd_stg, "explicit state transition graph from a state")
+    p = add("stg", "explicit state transition graph from a state")
     p.add_argument("--from", dest="from_state", required=True)
     p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
     p.add_argument("--project-boolean", action="store_true")
@@ -253,16 +256,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int)
     p.add_argument("-o", "--output")
 
-    p = add("attractors", _cmd_attractors, "terminal SCCs of the explicit graph")
+    p = add("attractors", "terminal SCCs of the explicit graph")
     p.add_argument("--semantics", required=True, choices=BOOLEAN_SEMANTICS)
     p.add_argument("--roots", help="comma-separated start states (default: all states)")
     p.add_argument("--cap", type=int)
 
-    p = add("reggraph", _cmd_reggraph, "signed regulatory graph")
+    p = add("reggraph", "signed regulatory graph")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("-o", "--output")
 
-    p = add("verify", _cmd_verify, "check mp vs unfolded-async reachability")
+    p = add("verify", "check mp vs unfolded-async reachability")
     p.add_argument("--seeds", type=int, default=0, help="also check K random nets")
     p.add_argument("--n", type=int, default=3, help="size of the random nets")
     p.add_argument("--mode", choices=MODES, default="exact")
@@ -281,7 +284,7 @@ def main(argv=None) -> int:
         return 0 if err.code in (0, None) else EXIT_USAGE
     try:
         net = parse_bnet_file(args.model)
-        return args.func(net, args)
+        return globals()[f"_cmd_{args.command}"](net, args)
     except BnetParseError as err:
         _emit_error("parse-error", f"{args.model}: {err}")
         return EXIT_USAGE

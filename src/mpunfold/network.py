@@ -75,27 +75,36 @@ class RuleEvaluator:
     """Every rule of a network, compiled once, evaluated on integer states.
 
     An integer state holds component j in bit n-1-j: component 0 is the most
-    significant bit, so integer order is the order of state strings.  Rule j
-    is its diagram node from build_function, evaluated by walking the nodes
-    in a loop.  Nothing is checked here: callers validate states at the API
-    boundary."""
+    significant bit, so integer order is the order of state strings.  A most
+    permissive state is one integer (val << n) | free in the encoding the
+    semantics module describes.  Rule j is its diagram node from
+    build_function, evaluated by walking the nodes in a loop.  Nothing is
+    checked here: callers validate states at the API boundary."""
 
     def __init__(self, net: BooleanNetwork):
-        n = net.n
+        n = self.n = net.n
         m = net.manager
         self.nodes = tuple(build_function(net, j).node for j in range(n))
-        self.masks = tuple(1 << (n - 1 - j) for j in range(n))
+        self.masks = masks = tuple(1 << (n - 1 - j) for j in range(n))
         # _table[u] = (bit of u's variable, low, high) for the nodes the rules
         # reach; 0 and 1 are the terminals
-        self._table: list = [None] * (max(self.nodes) + 1)
-        todo = list(self.nodes)
-        while todo:
-            u = todo.pop()
-            if u > 1 and self._table[u] is None:
-                var, low, high = m.triple(u)
-                self._table[u] = (self.masks[var], low, high)
-                todo += (low, high)
-        self._rules = tuple(zip(self.nodes, self.masks))
+        table: list = [None] * (max(self.nodes) + 1)
+        keys = []  # per rule: its support's bits in both halves of an mp state
+        for node in self.nodes:
+            support, todo, seen = 0, [node], set()
+            while todo:
+                u = todo.pop()
+                if u > 1 and u not in seen:
+                    seen.add(u)
+                    var, low, high = m.triple(u)
+                    table[u] = (masks[var], low, high)
+                    support |= masks[var]
+                    todo += (low, high)
+            keys.append(support << n | support)
+        self._table = table
+        self._rules = tuple(zip(self.nodes, masks))
+        self._mp_keys = tuple(keys)
+        self._mp_memo = tuple({} for _ in range(n))
         self._format = f"0{n}b"
 
     @staticmethod
@@ -104,6 +113,14 @@ class RuleEvaluator:
 
     def decode(self, s: int) -> str:
         return format(s, self._format)
+
+    def mp_encode(self, x: str) -> int:
+        return int(x.translate(_MP_VAL), 2) << self.n | int(x.translate(_MP_FREE), 2)
+
+    def mp_decode(self, x: int) -> str:
+        val = format(x >> self.n, self._format)
+        free = format(x & ~(-1 << self.n), self._format)
+        return "".join([_MP_LEVEL[v + f] for v, f in zip(val, free)])
 
     def value(self, j: int, s: int) -> int:
         """Rule j on state s."""
@@ -126,6 +143,40 @@ class RuleEvaluator:
             if u:
                 out |= own
         return out
+
+    def mp_values(self, j: int, x: int) -> int:
+        """The values rule j takes on gamma(x), the Boolean readings of the
+        most permissive state x, as a bit set: bit v is set iff some reading
+        gives v.  The walk follows both branches at free levels and creates
+        no diagram node; its result depends on x only through rule j's
+        support, which keys the memo."""
+        memo = self._mp_memo[j]
+        key = x & self._mp_keys[j]
+        found = memo.get(key)
+        if found is None:
+            table = self._table
+            val = x >> self.n
+            found, todo, seen = 0, [self.nodes[j]], set()
+            while todo:
+                u = todo.pop()
+                while u > 1 and u not in seen:
+                    seen.add(u)
+                    bit, low, high = table[u]
+                    if x & bit:  # free: both readings
+                        todo.append(high)
+                        u = low
+                    else:
+                        u = high if val & bit else low
+                if u < 2:
+                    found |= 1 << u
+            memo[key] = found
+        return found
+
+
+# most permissive levels <-> (val, free) bits
+_MP_VAL = str.maketrans("0id1", "0101")
+_MP_FREE = str.maketrans("0id1", "0110")
+_MP_LEVEL = {"00": "0", "01": "d", "10": "1", "11": "i"}
 
 
 def check_bool_state(net: BooleanNetwork, s: str) -> str:

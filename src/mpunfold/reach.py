@@ -20,14 +20,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .network import BooleanNetwork, RegGraph, build_function, check_bool_state
-from .semantics import (
-    BOOLEAN_SEMANTICS,
-    _general,
-    _mp_successors,
-    _step,
-    check_mp_state,
-    is_boolean_state,
-)
+from .semantics import BOOLEAN_SEMANTICS, _general, _mp, _step, check_mp_state
 
 DEFAULT_CAP = 10**6
 
@@ -66,11 +59,11 @@ class Attractor:
 
 
 class _Space(NamedTuple):
-    """How the explorers walk one semantics: Boolean semantics on integer
-    states (see RuleEvaluator), mp on its state strings.  check validates
-    a state string of the API and alphabet is that of target patterns;
-    encode and decode convert from and to the state strings; match turns a
-    checked target pattern into a test on internal states."""
+    """How the explorers walk one semantics, on integer states (see the
+    semantics module).  check validates a state string of the API and
+    alphabet is that of target patterns; encode and decode convert from and
+    to the state strings; match turns a checked target pattern into a test
+    on integer states."""
 
     successors: Callable
     encode: Callable
@@ -82,25 +75,22 @@ class _Space(NamedTuple):
 
 def _space(net: BooleanNetwork, semantics: str) -> _Space:
     step = _step(semantics)
-    if step is None:
-        return _Space(
-            partial(_mp_successors, net), str, str, _string_matcher,
-            partial(check_mp_state, net), "01id*",
-        )
     ev = net.evaluator
+    # top: the level coded with every bit of its component set
+    if step is _mp:
+        codec = ev.mp_encode, ev.mp_decode, check_mp_state, "01id*", "i"
+    else:
+        codec = ev.encode, ev.decode, check_bool_state, "01*", "1"
+    encode, decode, check, alphabet, top = codec
     return _Space(
-        partial(step, ev), ev.encode, ev.decode, _bit_matcher,
-        partial(check_bool_state, net), "01*",
+        partial(step, ev), encode, decode, partial(_matcher, encode, top),
+        partial(check, net), alphabet,
     )
 
 
-def _string_matcher(pattern: str):
-    return lambda x: _matches(x, pattern)
-
-
-def _bit_matcher(pattern: str):
-    care = int("".join("0" if p == "*" else "1" for p in pattern), 2)
-    value = int(pattern.replace("*", "0"), 2)
+def _matcher(encode: Callable, top: str, pattern: str):
+    care = encode("".join("0" if p == "*" else top for p in pattern))
+    value = encode(pattern.replace("*", "0"))
     return lambda s: s & care == value
 
 
@@ -154,10 +144,6 @@ def _check_pattern(net: BooleanNetwork, alphabet: str, pattern: str) -> str:
     return pattern
 
 
-def _matches(state: str, pattern: str) -> bool:
-    return all(p == "*" or p == c for c, p in zip(state, pattern))
-
-
 def reaches(
     net: BooleanNetwork,
     semantics: str,
@@ -171,11 +157,10 @@ def reaches(
     space = _space(net, semantics)
     space.check(start)
     _check_pattern(net, space.alphabet, target)
-    if _matches(start, target):
+    origin, match = space.encode(start), space.match(target)
+    if match(origin):
         return ReachResult("reachable", 1, [start])
-    parent, found, exceeded = _bfs(
-        space.successors, [space.encode(start)], cap, stop=space.match(target)
-    )
+    parent, found, exceeded = _bfs(space.successors, [origin], cap, stop=match)
     if found is not None:
         path = [found]
         while parent[path[-1]] is not None:
@@ -288,15 +273,19 @@ def attractors(
                 f"supply roots to restrict the search"
             )
         nodes = list(range(1 << net.n))  # integer order: string order
+        succ_of = {s: succ(s) for s in nodes}
     else:
         starts = [space.encode(space.check(r)) for r in roots]
-        closure, _, exceeded = _bfs(succ, starts, cap)
+        edges = []
+        closure, _, exceeded = _bfs(succ, starts, cap, edges=edges)
         if exceeded:
             raise CapExceeded(
                 f"closure of the root set passed the cap of {cap} states"
             )
         nodes = list(closure)
-    succ_of = {s: succ(s) for s in nodes}
+        succ_of = {s: [] for s in nodes}  # the search stepped each state once
+        for s, t in edges:
+            succ_of[s].append(t)
     out = []
     for component in _tarjan_terminal_sccs(nodes, succ_of):
         states = tuple(space.decode(s) for s in sorted(component))
@@ -319,18 +308,21 @@ def mp_boolean_projection(
     _check_cap(cap)
     check_bool_state(net, start)
     ev = net.evaluator
-    explored: set[str] = {start}
-    bool_nodes = [start]
-    bool_seen = {start}
-    edges: list[Edge] = []
-    queue = deque([start])
+    n = net.n
+    free = ~(-1 << n)  # the free half of an mp state: 0 iff it is Boolean
+    x0 = ev.encode(start) << n
+    explored = {x0}
+    bool_nodes = [x0]
+    bool_seen = {x0}
+    edges: list[tuple[int, int, str]] = []
+    queue = deque([x0])
     exceeded = False
     while queue and not exceeded:
         x = queue.popleft()
-        one_step = set(_general(ev, ev.encode(x)))
-        inner_seen: set[str] = set()
-        targets: list[str] = []
-        frontier = deque(_mp_successors(net, x))
+        one_step = set(_general(ev, x >> n))
+        inner_seen: set[int] = set()
+        targets: list[int] = []
+        frontier = deque(_mp(ev, x))
         while frontier:
             t = frontier.popleft()
             if t in inner_seen:
@@ -341,23 +333,22 @@ def mp_boolean_projection(
                     exceeded = True
                     break
                 explored.add(t)
-            if is_boolean_state(t):
-                if t not in targets:
-                    targets.append(t)
-            else:
-                frontier.extend(_mp_successors(net, t))
+            if t & free:
+                frontier.extend(_mp(ev, t))
+            elif t not in targets:
+                targets.append(t)
         if exceeded:
             break
         for t in targets:
-            tag = "solid" if ev.encode(t) in one_step else "dotted"
-            edges.append(Edge(x, t, tag))
+            edges.append((x, t, "solid" if t >> n in one_step else "dotted"))
             if t not in bool_seen:
                 bool_seen.add(t)
                 bool_nodes.append(t)
                 queue.append(t)
+    name = {x: ev.decode(x >> n) for x in bool_nodes}
     return Stg(
-        nodes=bool_nodes,
-        edges=edges,
+        nodes=list(name.values()),
+        edges=[Edge(name[x], name[t], tag) for x, t, tag in edges],
         semantics="mp-projection",
         roots=(start,),
         cap=cap,

@@ -5,10 +5,20 @@ Boolean states are strings over 0/1; most permissive states are strings over
 the four levels 0 < i/d < 1, where i marks a component increasing and d one
 decreasing.  gamma(x) is the set of Boolean completions of x: Boolean
 coordinates stay fixed, i/d coordinates range over both values.
+
+Inside, states are integers (see RuleEvaluator): a Boolean state holds
+component j in bit n-1-j, so component 0 is the most significant bit.  A
+most permissive state is one integer (val << n) | free, component j in bit
+n-1-j of each half:
+
+    level   0  d  1  i
+    val     0  0  1  1     val selects the {1, i} branch
+    free    0  1  0  1     free marks a level read both ways in gamma(x)
+
+so x is Boolean iff x & ((1 << n) - 1) == 0.
 """
 from __future__ import annotations
 
-from .bdd import FALSE, TRUE, DiagramManager
 from .network import BooleanNetwork, RuleEvaluator, check_bool_state
 
 MP_LEVELS = "0id1"
@@ -74,11 +84,25 @@ def _general(ev: RuleEvaluator, s: int) -> list[int]:
     return [s ^ f for f in flips[1:]]
 
 
-# Every semantics by name, in the order the API lists them.  A Boolean
-# semantics maps to its unchecked step on integer states; mp (None) steps on
-# its state strings through _mp_successors.
-SEMANTICS = {"sync": _sync, "async": _async, "general": _general, "mp": None}
-BOOLEAN_SEMANTICS = tuple(name for name, step in SEMANTICS.items() if step)
+def _mp(ev: RuleEvaluator, x: int) -> list[int]:
+    """mp_successors on an encoded state, in the same order."""
+    n = ev.n
+    values = ev.mp_values
+    out = []
+    for j, bit in enumerate(ev.masks):
+        up = bit << n
+        # (a)/(b): f_j can take the value the level does not hold
+        if values(j, x) & (1 if x & up else 2):
+            out.append((x ^ up) | bit)
+        if x & bit:  # (c)/(d): an i or d level settles
+            out.append(x ^ bit)
+    return out
+
+
+# Every semantics by name, in the order the API lists them, with its
+# unchecked step on integer states.
+SEMANTICS = {"sync": _sync, "async": _async, "general": _general, "mp": _mp}
+BOOLEAN_SEMANTICS = tuple(name for name in SEMANTICS if name != "mp")
 
 
 def _step(semantics: str):
@@ -93,26 +117,20 @@ def _step(semantics: str):
 def _successors(net: BooleanNetwork, semantics: str, s: str) -> list[str]:
     """Checked successors of one state under a named semantics."""
     step = _step(semantics)
-    return mp_successors(net, s) if step is None else _checked(step, net, s)
+    return mp_successors(net, s) if step is _mp else _checked(step, net, s)
 
 
 def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:
     """Whether some Boolean completion x' in gamma(x) has f_j(x') = v.
 
-    Exact: restrict rule j's diagram on the Boolean coordinates of x; the
-    residual can attain v iff it is not the constant 1-v."""
+    Exact: rule j's diagram is walked on the Boolean coordinates of x,
+    taking both branches at the i/d coordinates; v is attainable iff the
+    walk reaches the terminal v."""
     check_mp_state(net, x)
     if v not in (0, 1):
         raise ValueError("v must be 0 or 1")
-    return _can_be(net.manager, net.evaluator.nodes[j], _fixed(x), v)
-
-
-def _fixed(x: str) -> dict[int, int]:
-    return {k: int(c) for k, c in enumerate(x) if c in "01"}
-
-
-def _can_be(m: DiagramManager, node: int, fixed: dict[int, int], v: int) -> bool:
-    return m.restrict(node, fixed) != (FALSE if v else TRUE)
+    ev = net.evaluator
+    return bool(ev.mp_values(j, ev.mp_encode(x)) >> v & 1)
 
 
 def mp_successors(net: BooleanNetwork, x: str) -> list[str]:
@@ -125,22 +143,5 @@ def mp_successors(net: BooleanNetwork, x: str) -> list[str]:
       (d) x_j = d  ->  x_j := 0
     """
     check_mp_state(net, x)
-    return _mp_successors(net, x)
-
-
-def _mp_successors(net: BooleanNetwork, x: str) -> list[str]:
-    """mp_successors without the state check."""
-    m = net.manager
-    fixed = _fixed(x)
-    out = []
-    for j, (c, node) in enumerate(zip(x, net.evaluator.nodes)):
-        if c in "0d":
-            if _can_be(m, node, fixed, 1):
-                out.append(x[:j] + "i" + x[j + 1 :])
-        elif _can_be(m, node, fixed, 0):
-            out.append(x[:j] + "d" + x[j + 1 :])
-        if c == "i":
-            out.append(x[:j] + "1" + x[j + 1 :])
-        elif c == "d":
-            out.append(x[:j] + "0" + x[j + 1 :])
-    return out
+    ev = net.evaluator
+    return [ev.mp_decode(t) for t in _mp(ev, ev.mp_encode(x))]

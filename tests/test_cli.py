@@ -426,3 +426,27 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     info = json.loads(err)["error"]
     assert info["type"] == "internal"
     assert info["message"].startswith("RuntimeError: boom (at test_cli.py:")
+
+
+def test_parser_built_once_gives_the_same_bytes(capsys):
+    import mpunfold.cli as cli
+
+    calls = [
+        ("show", EXAMPLE_A),
+        ("reach", EXAMPLE_A, "--semantics", "mp", "--from", "000", "--to", "1**"),
+        ("succ", SIGNAL, "--state", "0id1", "--semantics", "mp"),
+        ("stg", EXAMPLE_A, "--from", "000", "--semantics", "fast"),  # usage error
+        ("reach", EXAMPLE_A),  # missing arguments
+        ("--help",),
+        ("reach", "--help"),
+        ("fixpoints", SIGNAL, "--pretty"),
+        ("attractors", SIGNAL, "--semantics", "async", "--roots", "0000"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    consecutive = [run(capsys, *argv) for argv in calls + calls]
+    assert consecutive == fresh + fresh
+    assert cli._build_parser() is cli._build_parser()

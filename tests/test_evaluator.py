@@ -3,8 +3,9 @@
 The successor functions and the explorers run on a network's compiled
 RuleEvaluator.  Here every Boolean state of small random networks (all-zero
 states and leading zeros included) is compared with expr.evaluate on
-net.rules, and every explorer with a plain breadth-first search over state
-strings and the public successor functions.
+net.rules, every most permissive state with a string reference built on
+brute force over gamma(x), and every explorer with a plain breadth-first
+search over state strings and the public successor functions.
 """
 import random
 from collections import deque
@@ -28,8 +29,12 @@ from mpunfold import (
     sync_successor,
 )
 from mpunfold import expr as ex
+from mpunfold import semantics
+from mpunfold.oracle import naive_mp_successors
+from mpunfold.reach import _space
 
 NETS = [(n, seed) for n in range(1, 7) for seed in range(3)]
+MP_NETS = [(n, seed) for n in range(1, 5) for seed in range(3)]
 BOOLEAN = ("sync", "async", "general")
 
 
@@ -95,6 +100,74 @@ def test_leading_zero_components():
     stg = reachable_set(net, "sync", "0000")
     assert stg.nodes == ["0000", "0010", "0001"]
     assert _pairs(stg) == [("0000", "0010"), ("0010", "0001"), ("0001", "0010")]
+
+
+# --- most permissive states as integers ---------------------------------------
+
+def _gamma(x):
+    """Every Boolean reading of a most permissive state string."""
+    return ["".join(t) for t in product(*("01" if c in "id" else c for c in x))]
+
+
+def _string_mp(net, x):
+    """mp_successors over state strings, by brute force over gamma(x)."""
+    values = [{ex.evaluate(rule, [int(c) for c in y]) for y in _gamma(x)} for rule in net.rules]
+    out = []
+    for j, c in enumerate(x):
+        if c in "0d" and 1 in values[j]:
+            out.append(x[:j] + "i" + x[j + 1 :])
+        elif c in "1i" and 0 in values[j]:
+            out.append(x[:j] + "d" + x[j + 1 :])
+        if c in "id":
+            out.append(x[:j] + "01"[c == "i"] + x[j + 1 :])
+    return out
+
+
+@pytest.mark.parametrize("n,seed", MP_NETS)
+def test_mp_encoding_round_trips(n, seed):
+    ev = _net(n, seed).evaluator
+    codes = set()
+    for x in _states(n, "0id1"):
+        code = ev.mp_encode(x)
+        assert ev.mp_decode(code) == x
+        for j, c in enumerate(x):  # component 0 is the top bit of each half
+            bit = 1 << (n - 1 - j)
+            assert (bool(code >> n & bit), bool(code & bit)) == (c in "1i", c in "id")
+        codes.add(code)
+    assert codes == set(range(4**n))
+
+
+@pytest.mark.parametrize("n,seed", MP_NETS)
+def test_mp_step_matches_string_reference(n, seed):
+    net = _net(n, seed)
+    ev = net.evaluator
+    step = semantics.SEMANTICS["mp"]
+    for x in _states(n, "0id1"):
+        want = _string_mp(net, x)
+        assert [ev.mp_decode(t) for t in step(ev, ev.mp_encode(x))] == want
+        assert mp_successors(net, x) == want
+        assert set(want) == naive_mp_successors(net, x)
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 4) for seed in range(3)])
+def test_mp_pattern_matcher(n, seed):
+    space = _space(_net(n, seed), "mp")
+    states = _states(n, "0id1")
+    for pattern in _states(n, "01id*"):
+        match = space.match(pattern)
+        for x in states:
+            assert match(space.encode(x)) == _matches(x, pattern), (pattern, x)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (6, 1)])
+def test_mp_exploration_builds_no_diagram_nodes(n, seed):
+    net = _net(n, seed)
+    net.evaluator  # compiling the rules builds their diagrams
+    before = len(net.manager._triples)
+    for x in _states(n):
+        reaches(net, "mp", x, "1" * n)
+    mp_boolean_projection(net, "0" * n)
+    assert len(net.manager._triples) == before
 
 
 # --- reference explorers: plain string BFS over the public functions ---------
@@ -203,6 +276,22 @@ def test_mp_reaches_and_graph_match_string_bfs(n, seed):
             assert (got.verdict, got.states_explored, got.witness) == want
         stg = reachable_set(net, "mp", start)
         assert (stg.nodes, _pairs(stg), stg.cap_exceeded) == _bfs_graph(succ, start, 10**6)
+
+
+def test_rooted_attractors_step_each_state_once(monkeypatch):
+    net = _net(8, 1)
+    closure = reachable_set(net, "async", "00000000").nodes
+    stepped = []
+    step = semantics.SEMANTICS["async"]
+
+    def counted(ev, s):
+        stepped.append(ev.decode(s))
+        return step(ev, s)
+
+    monkeypatch.setitem(semantics.SEMANTICS, "async", counted)
+    attractors(net, "async", roots=["00000000"])
+    assert sorted(stepped) == sorted(closure)
+    assert len(closure) == 3
 
 
 @pytest.mark.parametrize("n,seed", NETS)
