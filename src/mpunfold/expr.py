@@ -1,8 +1,8 @@
 """Boolean expression trees and the .bnet expression grammar.
 
-Expressions are immutable trees over component indices.  The parser works on
-a single rule's right-hand side; file-level structure (targets, comments,
-header) is handled in network.py.
+Expressions are immutable trees over component indices.  The parser reads
+one rule's right-hand side into a tree and, given a manager, its diagram;
+file-level structure (targets, comments, header) is handled in network.py.
 
 Grammar:
     expr := conj {"|" conj}
@@ -123,89 +123,135 @@ def format_expr(expr: BooleanExpr, names) -> str:
     return go(expr, None)
 
 
-# tokens: (kind, text, col)
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<const>[01])"
-    r"|(?P<op>[&|!()]))"
-)
+# One scan per rule body: findall gives every token as a string (an
+# identifier, "0", "1", an operator, or any other non-blank character, which
+# is bad); the parser appends "" as the end.  Columns are recovered only to
+# report an error.
+_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[01&|!()]|\S)")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_GOOD_START = _IDENT_START | frozenset("01&|!()")
+_CONST = (Const(0), Const(1))
 
 
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
+def _found(tok: str) -> str:
+    return f"{tok!r}" if tok else "end of line"
+
+
+def parse_rule(text: str, name_to_index: dict[str, int], manager=None, line: int = 1):
+    """Parse one rule body into (tree, node).  With a DiagramManager, node
+    is the rule's diagram in it, built while parsing: each "&" chain is a
+    cube made bottom-up when its operands are literals on distinct
+    variables (see _conjoin) and folded with apply otherwise, each "|"
+    chain is folded with apply.  Without one, node is None."""
+    p = _RuleParser(text, name_to_index, manager, line)
+    e, u = p.parse_or()
+    if p.tokens[p.pos]:
+        p.fail(f"trailing input {p.tokens[p.pos]!r}", p.pos)
+    return e, u
+
+
+class _RuleParser:
+    """The grammar's three levels as methods over one body's tokens.  (A
+    class rather than nested functions: those would form a reference cycle
+    that keeps the tokens and the manager alive until the next garbage
+    collection.)"""
+
+    __slots__ = ("text", "tokens", "pos", "names", "m", "line")
+
+    def __init__(self, text, names, manager, line):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
+        self.pos = 0
+        self.names = names
+        self.m = manager
+        self.line = line
+
+    def fail(self, message: str, at: int):
+        """Raise message at token `at`, unless some token is a bad
+        character: that one is reported instead, as scanning before
+        parsing would."""
+        for i, tok in enumerate(self.tokens):
+            if tok and tok[0] not in _GOOD_START:
+                at, message = i, f"unexpected character {tok!r}"
                 break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise BnetParseError(f"unexpected character {stripped[0]!r}", line, col)
-        if m.group("ident"):
-            tokens.append(("ident", m.group("ident"), m.start("ident") + 1))
-        elif m.group("const"):
-            tokens.append(("const", m.group("const"), m.start("const") + 1))
-        else:
-            tokens.append((m.group("op"), m.group("op"), m.start("op") + 1))
-        pos = m.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        col = starts[at] + 1 if at < len(starts) else len(self.text) + 1
+        raise BnetParseError(message, self.line, col)
+
+    def parse_or(self):
+        e, u = self.parse_and()
+        tokens, m = self.tokens, self.m
+        while tokens[self.pos] == "|":
+            self.pos += 1
+            f, v = self.parse_and()
+            e = Or(e, f)
+            if m is not None:
+                u = m.apply("or", u, v)
+        return e, u
+
+    def parse_and(self):
+        e, u = self.parse_lit()
+        tokens = self.tokens
+        if tokens[self.pos] != "&":
+            return e, u
+        nodes = [u]
+        while tokens[self.pos] == "&":
+            self.pos += 1
+            f, v = self.parse_lit()
+            e = And(e, f)
+            nodes.append(v)
+        return e, (None if self.m is None else _conjoin(self.m, nodes))
+
+    def parse_lit(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        m = self.m
+        k = self.names.get(tok)
+        if k is not None:
+            return Var(k), (None if m is None else m.mk(k, 0, 1))
+        if tok == "!":
+            e, u = self.parse_lit()
+            return Not(e), (None if m is None else m.neg(u))
+        if tok == "(":
+            inner = self.parse_or()
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if tok != ")":
+                self.fail(f"expected ')', found {_found(tok)}", self.pos - 1)
+            return inner
+        if tok == "0" or tok == "1":
+            c = tok == "1"
+            return _CONST[c], (None if m is None else int(c))
+        if tok and tok[0] in _IDENT_START:
+            self.fail(f"undeclared identifier {tok!r}", self.pos - 1)
+        self.fail(f"expected a literal, found {_found(tok)}", self.pos - 1)
+
+
+def _conjoin(m, nodes: list[int]) -> int:
+    """Conjunction of diagram nodes.  When every node is a literal (one
+    test on a variable, leading to both terminals) and no variable repeats,
+    the result is their cube: one node per literal, built with mk from the
+    deepest variable up, with no apply."""
+    lits = {}
+    for u in nodes:
+        if u < 2:
+            break
+        var, low, high = m.triple(u)
+        if low + high != 1 or var in lits:
+            break
+        lits[var] = high
+    else:
+        u = 1
+        for var in sorted(lits, reverse=True):
+            u = m.mk(var, 0, u) if lits[var] else m.mk(var, u, 0)
+        return u
+    u = nodes[0]
+    for v in nodes[1:]:
+        u = m.apply("and", u, v)
+    return u
 
 
 def parse_expression(text: str, name_to_index: dict[str, int], line: int = 1) -> BooleanExpr:
     """Parse one rule body; identifiers resolve through name_to_index."""
-    tokens = _tokenize(text, line)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect(kind):
-        tok = take()
-        if tok[0] != kind:
-            what = f"{tok[1]!r}" if tok[0] != "end" else "end of line"
-            raise BnetParseError(f"expected {kind!r}, found {what}", line, tok[2])
-        return tok
-
-    def parse_or():
-        e = parse_and()
-        while peek()[0] == "|":
-            take()
-            e = Or(e, parse_and())
-        return e
-
-    def parse_and():
-        e = parse_lit()
-        while peek()[0] == "&":
-            take()
-            e = And(e, parse_lit())
-        return e
-
-    def parse_lit():
-        kind, value, col = take()
-        if kind == "!":
-            return Not(parse_lit())
-        if kind == "(":
-            e = parse_or()
-            expect(")")
-            return e
-        if kind == "ident":
-            if value not in name_to_index:
-                raise BnetParseError(f"undeclared identifier {value!r}", line, col)
-            return Var(name_to_index[value])
-        if kind == "const":
-            return Const(int(value))
-        what = f"{value!r}" if kind != "end" else "end of line"
-        raise BnetParseError(f"expected a literal, found {what}", line, col)
-
-    e = parse_or()
-    kind, value, col = peek()
-    if kind != "end":
-        raise BnetParseError(f"trailing input {value!r}", line, col)
-    return e
+    return parse_rule(text, name_to_index, line=line)[0]

@@ -3,6 +3,12 @@
 A BooleanNetwork is an ordered list of (name, rule) pairs.  Declaration
 order is the variable order everywhere: state strings, diagram variable
 order, successor enumeration.
+
+Each rule is a tree and a diagram node in the network's DiagramManager.
+The diagram is built once, where the rule is made: parse_bnet builds it
+while it reads the rule, and unfold hands over the nodes it built for its
+output.  Only a network built from trees (random_network, BooleanNetwork
+called directly) builds its diagrams from them, lazily, in build_function.
 """
 from __future__ import annotations
 
@@ -66,6 +72,16 @@ class BooleanNetwork:
         if self._evaluator is None:
             self._evaluator = RuleEvaluator(self)
         return self._evaluator
+
+    def _adopt(self, manager: DiagramManager, nodes) -> None:
+        """Take rule j's diagram to be nodes[j] in manager, built by whoever
+        made the rules (the .bnet reader, unfold)."""
+        if manager.nvars != self.n:
+            raise ValueError(
+                f"manager has {manager.nvars} variables, the network {self.n}"
+            )
+        self._manager = manager
+        self._functions = [FunctionRep(manager, u) for u in nodes]
 
     def __repr__(self):
         return f"BooleanNetwork({', '.join(self.names)})"
@@ -195,7 +211,9 @@ def eval_rule(net: BooleanNetwork, j: int, s: str) -> int:
 
 
 def build_function(net: BooleanNetwork, j: int) -> FunctionRep:
-    """Canonical diagram of rule j in the network's shared manager."""
+    """Canonical diagram of rule j in the network's shared manager: the node
+    the reader or unfold built, or, for a network built from trees, the
+    rule's tree converted once by from_expr."""
     if net._functions[j] is None:
         net._functions[j] = FunctionRep(net.manager, net.manager.from_expr(net.rules[j]))
     return net._functions[j]
@@ -241,11 +259,16 @@ def parse_bnet(text: str) -> BooleanNetwork:
     if not entries:
         raise BnetParseError("no rules found", 1, 1)
     name_to_index = {name: j for j, (name, _, _) in enumerate(entries)}
+    manager = DiagramManager(len(entries))
     components = []
+    nodes = []
     for name, expr_text, line_no in entries:
-        rule = ex.parse_expression(expr_text, name_to_index, line=line_no)
+        rule, node = ex.parse_rule(expr_text, name_to_index, manager, line_no)
         components.append((name, rule))
-    return BooleanNetwork(components)
+        nodes.append(node)
+    net = BooleanNetwork(components)
+    net._adopt(manager, nodes)
+    return net
 
 
 def parse_bnet_file(path: str) -> BooleanNetwork:
@@ -329,10 +352,10 @@ def sign_witness(net: BooleanNetwork, source: str, target: str, direction: str) 
     moves target's rule in the claimed direction; None if no witness."""
     k = net.index_of(source)
     j = net.index_of(target)
-    pos, neg = _sign_nodes(net, k, j)
-    node = pos if direction == "positive" else neg
     if direction not in ("positive", "negative"):
         raise ValueError("direction must be 'positive' or 'negative'")
+    pos, neg = _sign_nodes(net, k, j)
+    node = pos if direction == "positive" else neg
     for model in net.manager.iter_models(node):
         bits = list(model)
         bits[k] = 0

@@ -255,14 +255,20 @@ def unfold(net: BooleanNetwork, spec: UnfoldSpec | None = None) -> BooleanNetwor
     conditions; components left plain get (not x and plus) or (x and not
     minus), which degenerates to the original rule when no regulator is
     unfolded.  Asynchronous runs of the result simulate the most permissive
-    runs of the input (exactly, in exact mode, on encoded states)."""
+    runs of the input (exactly, in exact mode, on encoded states).
+
+    The result's rule diagrams are the nodes built here, in this
+    construction's manager; its rule trees are their sums of products."""
     spec = spec or UnfoldSpec()
     ctx = _Unfolding(net, spec)
-    components = []
-    for out_index, name in enumerate(ctx.out_names):
-        rule = _node_to_expr(ctx.manager, ctx.rule_node(out_index))
-        components.append((name, rule))
-    return BooleanNetwork(components)
+    nodes = [ctx.rule_node(out_index) for out_index in range(len(ctx.out_names))]
+    components = [
+        (name, _node_to_expr(ctx.manager, node))
+        for name, node in zip(ctx.out_names, nodes)
+    ]
+    ext = BooleanNetwork(components)
+    ext._adopt(ctx.manager, nodes)
+    return ext
 
 
 def encode_state(net: BooleanNetwork, x: str, spec: UnfoldSpec | None = None) -> str:

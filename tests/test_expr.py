@@ -1,7 +1,18 @@
 """Expression and .bnet parsing."""
+from pathlib import Path
+
 import pytest
 
-from mpunfold import BnetParseError, parse_bnet, print_bnet
+from mpunfold import (
+    BnetParseError,
+    RandomNetSpec,
+    build_function,
+    parse_bnet,
+    parse_bnet_file,
+    print_bnet,
+    random_network,
+)
+from mpunfold.bdd import DiagramManager, FunctionRep
 from mpunfold.expr import (
     And,
     Const,
@@ -11,6 +22,7 @@ from mpunfold.expr import (
     evaluate,
     format_expr,
     parse_expression,
+    parse_rule,
     to_nnf,
     variables,
 )
@@ -176,3 +188,138 @@ def test_print_parse_round_trip_preserves_functions():
             assert build_function(again, j).truth_table() == build_function(
                 net, j
             ).truth_table()
+
+
+# --- diagrams built by the reader --------------------------------------------
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def assert_diagrams_match_trees(net):
+    """Every rule diagram the network holds is the function from_expr
+    builds from the rule's own tree, in a fresh manager."""
+    fresh = DiagramManager(net.n)
+    for j, rule in enumerate(net.rules):
+        assert build_function(net, j).equivalent(
+            FunctionRep(fresh, fresh.from_expr(rule))
+        ), (net.names[j], rule)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reader_diagrams_match_from_expr_on_printed_nets(n):
+    for seed in range(3):
+        net = random_network(RandomNetSpec(n=n, seed=seed))
+        assert_diagrams_match_trees(parse_bnet(print_bnet(net)))
+        # the trees as `show` writes them: negations, nested parentheses
+        shown = "".join(
+            f"{name}, {format_expr(rule, net.names)}\n" for name, rule in net.components()
+        )
+        again = parse_bnet(shown)
+        assert_diagrams_match_trees(again)
+        for j in range(net.n):
+            assert build_function(again, j).truth_table() == build_function(
+                net, j
+            ).truth_table()
+
+
+@pytest.mark.parametrize("name", ["example_a", "signal"])
+def test_reader_diagrams_match_from_expr_on_bundled_models(name):
+    assert_diagrams_match_trees(parse_bnet_file(str(MODELS / f"{name}.bnet")))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "a & a",
+        "a & !a",
+        "!a & a",
+        "a & b & a",
+        "a & 1",
+        "1 & a & b",
+        "a & 0 & b",
+        "0",
+        "1",
+        "!!a",
+        "!!a & b",
+        "!(a | b)",
+        "!(a & !b) & c",
+        "((a))",
+        "(((a | (b & !c))))",
+        "(a) & !(b) & c",
+        "c & a & !b",
+        "!c & !b & !a",
+        "(a & b) & (b & c)",
+        "a | !a",
+        "a & !b | !a & b | c & !c",
+    ],
+)
+def test_parse_rule_diagram_is_from_expr_of_its_tree(body):
+    m = DiagramManager(3)
+    tree, node = parse_rule(body, NAMES, m)
+    assert tree == parse_expression(body, NAMES)
+    fresh = DiagramManager(3)
+    assert FunctionRep(m, node).equivalent(FunctionRep(fresh, fresh.from_expr(tree)))
+
+
+def test_parse_rule_without_manager_builds_no_diagram():
+    tree, node = parse_rule("a & !b | c", NAMES)
+    assert node is None
+    assert tree == Or(And(Var(0), Not(Var(1))), Var(2))
+
+
+def test_reader_networks_rebuild_no_diagram():
+    net = parse_bnet("a, a & !b | c\nb, !(a | c)\nc, 1\n")
+    before = len(net.manager._triples)
+    assert before > 0
+    print_bnet(net)
+    net.evaluator
+    assert len(net.manager._triples) == before
+
+
+# Messages, lines and columns as the reader has always reported them.  The
+# column counts from the start of the rule body (after the comma), and a
+# bad character anywhere in the body is reported before any other error.
+MALFORMED = [
+    ("a, b @ c", "unexpected character '@'", 1, 4),
+    ("a, a @", "unexpected character '@'", 1, 4),
+    ("a, 2a", "unexpected character '2'", 1, 2),
+    ("a, é", "unexpected character 'é'", 1, 2),
+    ("a, a, b", "unexpected character ','", 1, 3),
+    ("a, z", "undeclared identifier 'z'", 1, 2),
+    ("a, a & !(b | c)", "undeclared identifier 'b'", 1, 8),
+    ("a, (a | a", "expected ')', found end of line", 1, 8),
+    ("a, ((a)", "expected ')', found end of line", 1, 6),
+    ("a, !(a | a", "expected ')', found end of line", 1, 9),
+    ("a, (a & a b", "expected ')', found 'b'", 1, 9),
+    ("a, a b", "trailing input 'b'", 1, 4),
+    ("a, a )", "trailing input ')'", 1, 4),
+    ("a, 0x1", "trailing input 'x1'", 1, 3),
+    ("a, (((a)))) ", "trailing input ')'", 1, 9),
+    ("a, 1 1", "trailing input '1'", 1, 4),
+    ("a, ", "expected a literal, found end of line", 1, 2),
+    ("a,", "expected a literal, found end of line", 1, 1),
+    ("a, # only a comment", "expected a literal, found end of line", 1, 2),
+    ("a, a &", "expected a literal, found end of line", 1, 5),
+    ("a, a & a & ", "expected a literal, found end of line", 1, 10),
+    ("a, a |", "expected a literal, found end of line", 1, 5),
+    ("a, a\t|\t", "expected a literal, found end of line", 1, 6),
+    ("a, !", "expected a literal, found end of line", 1, 3),
+    ("a, !!", "expected a literal, found end of line", 1, 4),
+    ("a, a & !", "expected a literal, found end of line", 1, 7),
+    ("a, & a", "expected a literal, found '&'", 1, 2),
+    ("a, | a", "expected a literal, found '|'", 1, 2),
+    ("a, ()", "expected a literal, found ')'", 1, 3),
+    ("a, a & | b", "expected a literal, found '|'", 1, 6),
+    ("a, a&&a", "expected a literal, found '&'", 1, 4),
+    ("a, a||a", "expected a literal, found '|'", 1, 4),
+    ("a, a\nb, a & #c", "expected a literal, found end of line", 2, 6),
+    ("b, a\na, (b | !)", "expected a literal, found ')'", 2, 8),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", MALFORMED)
+def test_malformed_bodies_report_message_line_and_column(text, message, line, col):
+    with pytest.raises(BnetParseError) as err:
+        parse_bnet(text + "\n")
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)

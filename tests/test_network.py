@@ -110,3 +110,14 @@ def test_rules_keep_tree_shape():
     net = example_a()
     assert net.rules[0] == And(Var(0), Not(Var(2)))
     assert net.components()[1] == ("x2", Var(0))
+
+
+def test_sign_witness_checks_direction_before_building_diagrams():
+    net = parse_bnet("a, a & b | c\nb, b\nc, c\n")
+    before = len(net.manager._triples)
+    with pytest.raises(ValueError, match="direction must be 'positive' or 'negative'"):
+        sign_witness(net, "a", "a", "up")
+    assert len(net.manager._triples) == before
+    # a valid direction does build the sign diagrams of a -> a
+    assert sign_witness(net, "a", "a", "positive") == "010"
+    assert len(net.manager._triples) > before

@@ -5,6 +5,7 @@ import pytest
 
 from mpunfold import (
     ARTIFACT_TRIPLETS,
+    RandomNetSpec,
     UnfoldSpec,
     VALID_TRIPLETS,
     async_successors,
@@ -16,14 +17,18 @@ from mpunfold import (
     example_a,
     fixed_points,
     parse_bnet,
+    print_bnet,
+    random_network,
     signal_model,
     translate_trajectory,
     triplet_step,
     unfold,
     unfolded_names,
 )
+from mpunfold.bdd import DiagramManager, FunctionRep
 from mpunfold.expr import And, Const, Not, Or, Var
 from mpunfold.network import BooleanNetwork
+from mpunfold.unfold import MODES
 
 EXACT = UnfoldSpec(mode="exact")
 SYNTACTIC = UnfoldSpec(mode="syntactic")
@@ -415,3 +420,25 @@ def test_translate_trajectory_rejects_bad_paths():
         translate_trajectory(net, ["000", "010"])
     with pytest.raises(ValueError, match="most permissive state"):
         translate_trajectory(net, ["00x"])
+
+
+# --- hand-over: the unfolding keeps the diagrams unfold built ------------------
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_unfold_hands_over_its_diagrams(mode, partial):
+    for n in range(1, 7):
+        for seed in range(3):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            components = net.names[::2] if partial else None
+            ext = unfold(net, UnfoldSpec(components=components, mode=mode))
+            m = ext.manager
+            before = len(m._triples)
+            print_bnet(ext)
+            ext.evaluator
+            assert len(m._triples) == before, (n, seed)
+            fresh = DiagramManager(ext.n)
+            for j, rule in enumerate(ext.rules):
+                assert build_function(ext, j).equivalent(
+                    FunctionRep(fresh, fresh.from_expr(rule))
+                ), (n, seed, ext.names[j])
