@@ -213,21 +213,21 @@ class DiagramManager:
     def iter_cubes(self, u: int):
         """Paths to the 1-terminal as lists of (var, bit), variables in
         order along each path, low branch explored first."""
-
-        def go(w, prefix):
-            if w == FALSE:
-                return
+        path: list[tuple[int, int]] = []
+        # (node, length of the path above it, the edge into it)
+        stack = [(u, 0, None)]
+        while stack:
+            w, depth, edge = stack.pop()
+            del path[depth:]
+            if edge is not None:
+                path.append(edge)
             if w == TRUE:
-                yield list(prefix)
-                return
-            var, low, high = self.triple(w)
-            prefix.append((var, 0))
-            yield from go(low, prefix)
-            prefix[-1] = (var, 1)
-            yield from go(high, prefix)
-            prefix.pop()
-
-        yield from go(u, [])
+                yield list(path)
+            elif w != FALSE:
+                var, low, high = self.triple(w)
+                depth = len(path)
+                stack.append((high, depth, (var, 1)))
+                stack.append((low, depth, (var, 0)))
 
     def from_expr(self, expr) -> int:
         if isinstance(expr, ex.Var):

@@ -1,7 +1,7 @@
 """Boolean expression trees and the .bnet expression grammar.
 
-Expressions are immutable trees over component indices.  The parser reads
-one rule's right-hand side into a tree and, given a manager, its diagram;
+Expressions are immutable trees over component indices.  One parser reads a
+rule's right-hand side either into a tree or straight into its diagram;
 file-level structure (targets, comments, header) is handled in network.py.
 
 Grammar:
@@ -137,35 +137,31 @@ def _found(tok: str) -> str:
     return f"{tok!r}" if tok else "end of line"
 
 
-def parse_rule(text: str, name_to_index: dict[str, int], manager=None, line: int = 1):
-    """Parse one rule body into (tree, node).  With a DiagramManager, node
-    is the rule's diagram in it, built while parsing: each "&" chain is a
-    cube made bottom-up when its operands are literals on distinct
-    variables (see _conjoin) and folded with apply otherwise, each "|"
-    chain is folded with apply.  Without one, node is None."""
-    p = _RuleParser(text, name_to_index, manager, line)
-    e, u = p.parse_or()
-    if p.tokens[p.pos]:
-        p.fail(f"trailing input {p.tokens[p.pos]!r}", p.pos)
-    return e, u
+class _Grammar:
+    """The grammar's three levels as methods over one body's tokens.  A
+    subclass makes the values with five builder methods: lit(k, bit) for a
+    literal x (bit 1) or !x (bit 0), const(c), neg(u), disj(u, v), and
+    conj(ops) for an "&" chain, given its operands in order, each a built
+    value or, for a literal, its (k, bit) pair.  (A class rather than nested
+    functions: those would form a reference cycle that keeps the tokens and
+    the manager alive until the next garbage collection.)"""
 
+    __slots__ = ("text", "tokens", "pos", "names", "line", "col")
 
-class _RuleParser:
-    """The grammar's three levels as methods over one body's tokens.  (A
-    class rather than nested functions: those would form a reference cycle
-    that keeps the tokens and the manager alive until the next garbage
-    collection.)"""
-
-    __slots__ = ("text", "tokens", "pos", "names", "m", "line")
-
-    def __init__(self, text, names, manager, line):
+    def __init__(self, text, names, line, col):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
         self.tokens.append("")
         self.pos = 0
         self.names = names
-        self.m = manager
         self.line = line
+        self.col = col
+
+    def parse(self):
+        u = self.parse_or()
+        if self.tokens[self.pos]:
+            self.fail(f"trailing input {self.tokens[self.pos]!r}", self.pos)
+        return u
 
     def fail(self, message: str, at: int):
         """Raise message at token `at`, unless some token is a bad
@@ -176,63 +172,133 @@ class _RuleParser:
                 at, message = i, f"unexpected character {tok!r}"
                 break
         starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
-        col = starts[at] + 1 if at < len(starts) else len(self.text) + 1
-        raise BnetParseError(message, self.line, col)
+        offset = starts[at] if at < len(starts) else len(self.text)
+        raise BnetParseError(message, self.line, self.col + offset)
+
+    def value(self, op):
+        return self.lit(*op) if type(op) is tuple else op
 
     def parse_or(self):
-        e, u = self.parse_and()
-        tokens, m = self.tokens, self.m
+        u = self.parse_and()
+        tokens = self.tokens
         while tokens[self.pos] == "|":
             self.pos += 1
-            f, v = self.parse_and()
-            e = Or(e, f)
-            if m is not None:
-                u = m.apply("or", u, v)
-        return e, u
+            u = self.disj(u, self.parse_and())
+        return u
 
     def parse_and(self):
-        e, u = self.parse_lit()
+        op = self.parse_operand()
         tokens = self.tokens
         if tokens[self.pos] != "&":
-            return e, u
-        nodes = [u]
+            return self.value(op)
+        ops = [op]
         while tokens[self.pos] == "&":
             self.pos += 1
-            f, v = self.parse_lit()
-            e = And(e, f)
-            nodes.append(v)
-        return e, (None if self.m is None else _conjoin(self.m, nodes))
+            ops.append(self.parse_operand())
+        return self.conj(ops)
 
-    def parse_lit(self):
-        tok = self.tokens[self.pos]
+    def parse_operand(self):
+        """One lit of the grammar: (k, bit) for x or !x, a value otherwise."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
         self.pos += 1
-        m = self.m
         k = self.names.get(tok)
         if k is not None:
-            return Var(k), (None if m is None else m.mk(k, 0, 1))
+            return (k, 1)
         if tok == "!":
-            e, u = self.parse_lit()
-            return Not(e), (None if m is None else m.neg(u))
+            k = self.names.get(tokens[self.pos])
+            if k is not None:
+                self.pos += 1
+                return (k, 0)
+            return self.neg(self.value(self.parse_operand()))
         if tok == "(":
             inner = self.parse_or()
-            tok = self.tokens[self.pos]
+            tok = tokens[self.pos]
             self.pos += 1
             if tok != ")":
                 self.fail(f"expected ')', found {_found(tok)}", self.pos - 1)
             return inner
         if tok == "0" or tok == "1":
-            c = tok == "1"
-            return _CONST[c], (None if m is None else int(c))
+            return self.const(tok == "1")
         if tok and tok[0] in _IDENT_START:
             self.fail(f"undeclared identifier {tok!r}", self.pos - 1)
         self.fail(f"expected a literal, found {_found(tok)}", self.pos - 1)
 
 
+class _TreeReader(_Grammar):
+    """Builds the rule's tree, "&" and "|" chains nested to the left."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def lit(k, bit):
+        return Var(k) if bit else Not(Var(k))
+
+    @staticmethod
+    def const(c):
+        return _CONST[c]
+
+    @staticmethod
+    def neg(e):
+        return Not(e)
+
+    @staticmethod
+    def disj(e, f):
+        return Or(e, f)
+
+    def conj(self, ops):
+        e = self.value(ops[0])
+        for op in ops[1:]:
+            e = And(e, self.value(op))
+        return e
+
+
+class _DiagramReader(_Grammar):
+    """Builds the rule's diagram in a DiagramManager, and no tree.  An "&"
+    chain of literals on distinct variables becomes its cube directly;
+    any other chain goes through _conjoin.  "|" chains fold with apply."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, text, names, line, col, manager):
+        super().__init__(text, names, line, col)
+        self.m = manager
+
+    def lit(self, k, bit):
+        return self.m.mk(k, 1 - bit, bit)
+
+    @staticmethod
+    def const(c):
+        return int(c)
+
+    def neg(self, u):
+        return self.m.neg(u)
+
+    def disj(self, u, v):
+        return self.m.apply("or", u, v)
+
+    def conj(self, ops):
+        lits = {}
+        for op in ops:
+            if type(op) is not tuple or op[0] in lits:
+                return _conjoin(self.m, [self.value(op) for op in ops])
+            lits[op[0]] = op[1]
+        return _cube(self.m, lits)
+
+
+def _cube(m, lits: dict[int, int]) -> int:
+    """The conjunction of literals {var: bit} on distinct variables: one node
+    per literal, built with mk from the deepest variable up."""
+    u = 1
+    for var in sorted(lits, reverse=True):
+        u = m.mk(var, 0, u) if lits[var] else m.mk(var, u, 0)
+    return u
+
+
 def _conjoin(m, nodes: list[int]) -> int:
-    """Conjunction of diagram nodes.  When every node is a literal (one
-    test on a variable, leading to both terminals) and no variable repeats,
-    the result is their cube: one node per literal, built with mk from the
-    deepest variable up, with no apply."""
+    """Conjunction of diagram nodes: their cube when every node is a literal
+    (one test on a variable, leading to both terminals) and no variable
+    repeats, a fold with apply otherwise."""
     lits = {}
     for u in nodes:
         if u < 2:
@@ -242,16 +308,36 @@ def _conjoin(m, nodes: list[int]) -> int:
             break
         lits[var] = high
     else:
-        u = 1
-        for var in sorted(lits, reverse=True):
-            u = m.mk(var, 0, u) if lits[var] else m.mk(var, u, 0)
-        return u
+        return _cube(m, lits)
     u = nodes[0]
     for v in nodes[1:]:
         u = m.apply("and", u, v)
     return u
 
 
-def parse_expression(text: str, name_to_index: dict[str, int], line: int = 1) -> BooleanExpr:
-    """Parse one rule body; identifiers resolve through name_to_index."""
-    return parse_rule(text, name_to_index, line=line)[0]
+def parse_expression(
+    text: str, name_to_index: dict[str, int], line: int = 1, col: int = 1
+) -> BooleanExpr:
+    """Parse one rule body into its tree; identifiers resolve through
+    name_to_index.  An error reports `line` and its column, counted from
+    `col`, the column where the body starts."""
+    return _TreeReader(text, name_to_index, line, col).parse()
+
+
+def parse_diagram(
+    text: str, name_to_index: dict[str, int], manager, line: int = 1, col: int = 1
+) -> int:
+    """Parse one rule body straight into its diagram node in manager, with
+    the grammar and the errors of parse_expression, building no tree."""
+    return _DiagramReader(text, name_to_index, line, col, manager).parse()
+
+
+def parse_rule(
+    text: str, name_to_index: dict[str, int], manager=None, line: int = 1, col: int = 1
+):
+    """Parse one rule body into (tree, node): parse_expression's tree and,
+    with a DiagramManager, parse_diagram's node in it (None without)."""
+    tree = parse_expression(text, name_to_index, line, col)
+    if manager is None:
+        return tree, None
+    return tree, parse_diagram(text, name_to_index, manager, line, col)

@@ -4,11 +4,15 @@ A BooleanNetwork is an ordered list of (name, rule) pairs.  Declaration
 order is the variable order everywhere: state strings, diagram variable
 order, successor enumeration.
 
-Each rule is a tree and a diagram node in the network's DiagramManager.
-The diagram is built once, where the rule is made: parse_bnet builds it
-while it reads the rule, and unfold hands over the nodes it built for its
-output.  Only a network built from trees (random_network, BooleanNetwork
-called directly) builds its diagrams from them, lazily, in build_function.
+Each rule is a diagram node in the network's DiagramManager, and an
+expression tree.  The diagram is built once, where the rule is made:
+parse_bnet reads each rule body straight into its diagram, and unfold hands
+over the nodes it built for its output.  Only a network built from trees
+(random_network, BooleanNetwork called directly) builds its diagrams from
+them, lazily, in build_function.  The trees of a read network are parsed
+from the kept rule bodies on the first access to `rules` (show, syntactic
+unfolding, the oracle); exploration, fixpoints, regulatory graphs and
+exact unfolding never build them.
 """
 from __future__ import annotations
 
@@ -24,29 +28,52 @@ class BooleanNetwork:
         components = list(components)
         if not components:
             raise ValueError("a network needs at least one component")
-        names = []
-        rules = []
-        for name, rule in components:
+        names = [name for name, _ in components]
+        for name in names:
             if not IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid component name {name!r}")
-            names.append(name)
-            rules.append(rule)
         dupes = sorted({n for n in names if names.count(n) > 1})
         if dupes:
             raise ValueError(f"duplicate component names: {', '.join(dupes)}")
-        self.names: tuple[str, ...] = tuple(names)
-        self.rules: tuple[BooleanExpr, ...] = tuple(rules)
-        self._index = {name: j for j, name in enumerate(names)}
-        for j, rule in enumerate(self.rules):
+        self._set_names(names)
+        self._rules: tuple[BooleanExpr, ...] | None = tuple(r for _, r in components)
+        for j, rule in enumerate(self._rules):
             for k in ex.variables(rule):
                 if not 0 <= k < len(names):
                     raise ValueError(
                         f"rule of {names[j]!r} references variable index {k}, "
                         f"but the network has {len(names)} components"
                     )
+
+    @classmethod
+    def _read(cls, names, bodies, manager: DiagramManager, nodes) -> "BooleanNetwork":
+        """A network read from .bnet text, with names checked by the reader:
+        rule j's diagram is nodes[j] in manager, and its tree is parsed from
+        bodies[j] = (text, line, col) when `rules` is first read.  Every name
+        in a body went through the name table, so no index needs a check."""
+        net = cls.__new__(cls)
+        net._set_names(names)
+        net._rules = None
+        net._bodies = bodies
+        net._adopt(manager, nodes)
+        return net
+
+    def _set_names(self, names) -> None:
+        self.names: tuple[str, ...] = tuple(names)
+        self._index = {name: j for j, name in enumerate(names)}
         self._manager: DiagramManager | None = None
         self._functions: list[FunctionRep | None] = [None] * len(names)
         self._evaluator: RuleEvaluator | None = None
+
+    @property
+    def rules(self) -> tuple[BooleanExpr, ...]:
+        if self._rules is None:
+            self._rules = tuple(
+                ex.parse_expression(text, self._index, line, col)
+                for text, line, col in self._bodies
+            )
+            del self._bodies
+        return self._rules
 
     @property
     def n(self) -> int:
@@ -228,9 +255,11 @@ def support(fr: FunctionRep) -> set[int]:
 
 def parse_bnet(text: str) -> BooleanNetwork:
     """Parse .bnet text: one "target, expression" per line, '#' comments,
-    an optional case-insensitive "targets, factors" header."""
-    entries = []  # (name, expr_text, line_no, name_col)
-    seen: dict[str, int] = {}
+    an optional case-insensitive "targets, factors" header.  Each rule body
+    is read straight into its diagram; its tree is parsed only when the
+    network's `rules` are first read.  Error columns count within the line."""
+    bodies = []  # (text, line_no, column of the text's first character)
+    seen: dict[str, int] = {}  # name -> line_no, in declaration order
     first_content = True
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -255,20 +284,16 @@ def parse_bnet(text: str) -> BooleanNetwork:
                 name_col,
             )
         seen[name] = line_no
-        entries.append((name, expr_text, line_no))
-    if not entries:
+        bodies.append((expr_text, line_no, len(target) + 2))
+    if not bodies:
         raise BnetParseError("no rules found", 1, 1)
-    name_to_index = {name: j for j, (name, _, _) in enumerate(entries)}
-    manager = DiagramManager(len(entries))
-    components = []
-    nodes = []
-    for name, expr_text, line_no in entries:
-        rule, node = ex.parse_rule(expr_text, name_to_index, manager, line_no)
-        components.append((name, rule))
-        nodes.append(node)
-    net = BooleanNetwork(components)
-    net._adopt(manager, nodes)
-    return net
+    name_to_index = {name: j for j, name in enumerate(seen)}
+    manager = DiagramManager(len(seen))
+    nodes = [
+        ex.parse_diagram(text, name_to_index, manager, line, col)
+        for text, line, col in bodies
+    ]
+    return BooleanNetwork._read(list(seen), bodies, manager, nodes)
 
 
 def parse_bnet_file(path: str) -> BooleanNetwork:

@@ -149,19 +149,29 @@ class _Unfolding:
         m = self.manager
         hit, miss = (TRUE, FALSE) if target == 1 else (FALSE, TRUE)
         memo: dict[int, int] = {TRUE: hit, FALSE: miss}
-
-        def go(u):
-            r = memo.get(u)
-            if r is None:
-                k, low, high = src.triple(u)
-                r = m.disj(
-                    m.conj(self.allow1[k], go(high)),
-                    m.conj(self.allow0[k], go(low)),
-                )
-                memo[u] = r
-            return r
-
-        return go(build_function(self.net, j).node)
+        # u -> (allow1 of u's variable) & image of u's high child.  It is
+        # made before the low child is visited, so the output manager
+        # numbers its nodes as a depth-first walk, high child first, would.
+        half: dict[int, int] = {}
+        root = build_function(self.net, j).node
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            k, low, high = src.triple(u)
+            if u not in half:
+                if high not in memo:
+                    stack.append(high)
+                    continue
+                half[u] = m.conj(self.allow1[k], memo[high])
+            if low not in memo:
+                stack.append(low)
+                continue
+            memo[u] = m.disj(half.pop(u), m.conj(self.allow0[k], memo[low]))
+            stack.pop()
+        return memo[root]
 
     def _syntactic(self, j: int, target: int) -> int:
         m = self.manager

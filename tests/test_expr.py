@@ -12,6 +12,7 @@ from mpunfold import (
     print_bnet,
     random_network,
 )
+from mpunfold import expr as ex
 from mpunfold.bdd import DiagramManager, FunctionRep
 from mpunfold.expr import (
     And,
@@ -21,12 +22,16 @@ from mpunfold.expr import (
     Var,
     evaluate,
     format_expr,
+    parse_diagram,
     parse_expression,
     parse_rule,
     to_nnf,
     variables,
 )
 from mpunfold.models import EXAMPLE_A_BNET
+from mpunfold.network import infer_regulatory_graph
+from mpunfold.reach import fixed_points, reaches
+from mpunfold.unfold import UnfoldSpec, _Unfolding, unfold
 
 NAMES = {"a": 0, "b": 1, "c": 2}
 
@@ -227,32 +232,34 @@ def test_reader_diagrams_match_from_expr_on_bundled_models(name):
     assert_diagrams_match_trees(parse_bnet_file(str(MODELS / f"{name}.bnet")))
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "a & a",
-        "a & !a",
-        "!a & a",
-        "a & b & a",
-        "a & 1",
-        "1 & a & b",
-        "a & 0 & b",
-        "0",
-        "1",
-        "!!a",
-        "!!a & b",
-        "!(a | b)",
-        "!(a & !b) & c",
-        "((a))",
-        "(((a | (b & !c))))",
-        "(a) & !(b) & c",
-        "c & a & !b",
-        "!c & !b & !a",
-        "(a & b) & (b & c)",
-        "a | !a",
-        "a & !b | !a & b | c & !c",
-    ],
-)
+# Rule bodies on the reader's edges: repeated variables, constants inside
+# "&" chains, double negations, parentheses around literals.
+EDGE_SHAPES = [
+    "a & a",
+    "a & !a",
+    "!a & a",
+    "a & b & a",
+    "a & 1",
+    "1 & a & b",
+    "a & 0 & b",
+    "0",
+    "1",
+    "!!a",
+    "!!a & b",
+    "!(a | b)",
+    "!(a & !b) & c",
+    "((a))",
+    "(((a | (b & !c))))",
+    "(a) & !(b) & c",
+    "c & a & !b",
+    "!c & !b & !a",
+    "(a & b) & (b & c)",
+    "a | !a",
+    "a & !b | !a & b | c & !c",
+]
+
+
+@pytest.mark.parametrize("body", EDGE_SHAPES)
 def test_parse_rule_diagram_is_from_expr_of_its_tree(body):
     m = DiagramManager(3)
     tree, node = parse_rule(body, NAMES, m)
@@ -276,44 +283,44 @@ def test_reader_networks_rebuild_no_diagram():
     assert len(net.manager._triples) == before
 
 
-# Messages, lines and columns as the reader has always reported them.  The
-# column counts from the start of the rule body (after the comma), and a
-# bad character anywhere in the body is reported before any other error.
+# Messages, lines and columns as the reader reports them.  The column counts
+# within the whole line, as editors do, and a bad character anywhere in the
+# body is reported before any other error.
 MALFORMED = [
-    ("a, b @ c", "unexpected character '@'", 1, 4),
-    ("a, a @", "unexpected character '@'", 1, 4),
-    ("a, 2a", "unexpected character '2'", 1, 2),
-    ("a, é", "unexpected character 'é'", 1, 2),
-    ("a, a, b", "unexpected character ','", 1, 3),
-    ("a, z", "undeclared identifier 'z'", 1, 2),
-    ("a, a & !(b | c)", "undeclared identifier 'b'", 1, 8),
-    ("a, (a | a", "expected ')', found end of line", 1, 8),
-    ("a, ((a)", "expected ')', found end of line", 1, 6),
-    ("a, !(a | a", "expected ')', found end of line", 1, 9),
-    ("a, (a & a b", "expected ')', found 'b'", 1, 9),
-    ("a, a b", "trailing input 'b'", 1, 4),
-    ("a, a )", "trailing input ')'", 1, 4),
-    ("a, 0x1", "trailing input 'x1'", 1, 3),
-    ("a, (((a)))) ", "trailing input ')'", 1, 9),
-    ("a, 1 1", "trailing input '1'", 1, 4),
-    ("a, ", "expected a literal, found end of line", 1, 2),
-    ("a,", "expected a literal, found end of line", 1, 1),
-    ("a, # only a comment", "expected a literal, found end of line", 1, 2),
-    ("a, a &", "expected a literal, found end of line", 1, 5),
-    ("a, a & a & ", "expected a literal, found end of line", 1, 10),
-    ("a, a |", "expected a literal, found end of line", 1, 5),
-    ("a, a\t|\t", "expected a literal, found end of line", 1, 6),
-    ("a, !", "expected a literal, found end of line", 1, 3),
-    ("a, !!", "expected a literal, found end of line", 1, 4),
-    ("a, a & !", "expected a literal, found end of line", 1, 7),
-    ("a, & a", "expected a literal, found '&'", 1, 2),
-    ("a, | a", "expected a literal, found '|'", 1, 2),
-    ("a, ()", "expected a literal, found ')'", 1, 3),
-    ("a, a & | b", "expected a literal, found '|'", 1, 6),
-    ("a, a&&a", "expected a literal, found '&'", 1, 4),
-    ("a, a||a", "expected a literal, found '|'", 1, 4),
-    ("a, a\nb, a & #c", "expected a literal, found end of line", 2, 6),
-    ("b, a\na, (b | !)", "expected a literal, found ')'", 2, 8),
+    ("a, b @ c", "unexpected character '@'", 1, 6),
+    ("a, a @", "unexpected character '@'", 1, 6),
+    ("a, 2a", "unexpected character '2'", 1, 4),
+    ("a, é", "unexpected character 'é'", 1, 4),
+    ("a, a, b", "unexpected character ','", 1, 5),
+    ("a, z", "undeclared identifier 'z'", 1, 4),
+    ("a, a & !(b | c)", "undeclared identifier 'b'", 1, 10),
+    ("a, (a | a", "expected ')', found end of line", 1, 10),
+    ("a, ((a)", "expected ')', found end of line", 1, 8),
+    ("a, !(a | a", "expected ')', found end of line", 1, 11),
+    ("a, (a & a b", "expected ')', found 'b'", 1, 11),
+    ("a, a b", "trailing input 'b'", 1, 6),
+    ("a, a )", "trailing input ')'", 1, 6),
+    ("a, 0x1", "trailing input 'x1'", 1, 5),
+    ("a, (((a)))) ", "trailing input ')'", 1, 11),
+    ("a, 1 1", "trailing input '1'", 1, 6),
+    ("a, ", "expected a literal, found end of line", 1, 4),
+    ("a,", "expected a literal, found end of line", 1, 3),
+    ("a, # only a comment", "expected a literal, found end of line", 1, 4),
+    ("a, a &", "expected a literal, found end of line", 1, 7),
+    ("a, a & a & ", "expected a literal, found end of line", 1, 12),
+    ("a, a |", "expected a literal, found end of line", 1, 7),
+    ("a, a\t|\t", "expected a literal, found end of line", 1, 8),
+    ("a, !", "expected a literal, found end of line", 1, 5),
+    ("a, !!", "expected a literal, found end of line", 1, 6),
+    ("a, a & !", "expected a literal, found end of line", 1, 9),
+    ("a, & a", "expected a literal, found '&'", 1, 4),
+    ("a, | a", "expected a literal, found '|'", 1, 4),
+    ("a, ()", "expected a literal, found ')'", 1, 5),
+    ("a, a & | b", "expected a literal, found '|'", 1, 8),
+    ("a, a&&a", "expected a literal, found '&'", 1, 6),
+    ("a, a||a", "expected a literal, found '|'", 1, 6),
+    ("a, a\nb, a & #c", "expected a literal, found end of line", 2, 8),
+    ("b, a\na, (b | !)", "expected a literal, found ')'", 2, 10),
 ]
 
 
@@ -323,3 +330,74 @@ def test_malformed_bodies_report_message_line_and_column(text, message, line, co
         parse_bnet(text + "\n")
     assert str(err.value) == f"line {line}, column {col}: {message}"
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text,message,line,col", MALFORMED)
+def test_diagram_reader_errors_match_tree_reader(text, message, line, col):
+    lines = text.split("\n")
+    names = {ln.split(",", 1)[0].strip(): j for j, ln in enumerate(lines)}
+    target, body = lines[line - 1].split("#", 1)[0].split(",", 1)
+    where = (line, len(target) + 2)
+    with pytest.raises(BnetParseError) as tree_err:
+        parse_expression(body, names, *where)
+    with pytest.raises(BnetParseError) as node_err:
+        parse_diagram(body, names, DiagramManager(len(names)), *where)
+    for err in (tree_err.value, node_err.value):
+        assert str(err) == f"line {line}, column {col}: {message}"
+        assert (err.line, err.col) == (line, col)
+
+
+# --- rule trees only on demand -------------------------------------------------
+
+
+def _bodies(text):
+    """The rule bodies of .bnet text with one rule per line and no comments."""
+    return [ln.split(",", 1)[1] for ln in text.splitlines()[1:] if ln.strip()]
+
+
+def _reader_inputs():
+    for name in ("example_a", "signal"):
+        yield (MODELS / f"{name}.bnet").read_text()
+    for n in range(1, 9):
+        for seed in range(3):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            yield print_bnet(net)
+            yield "targets, factors\n" + "".join(
+                f"{name}, {format_expr(rule, net.names)}\n"
+                for name, rule in net.components()
+            )
+    yield "targets, factors\n" + "".join(
+        f"{name}, {body}\n" for name, body in zip("abc", EDGE_SHAPES)
+    ) + "".join(f"x{i}, {body}\n" for i, body in enumerate(EDGE_SHAPES[3:]))
+
+
+def test_lazy_rules_are_the_trees_of_their_bodies():
+    for text in _reader_inputs():
+        net = parse_bnet(text)
+        names = {name: j for j, name in enumerate(net.names)}
+        assert net.rules == tuple(parse_expression(b, names) for b in _bodies(text))
+
+
+def test_read_networks_explore_and_unfold_exactly_without_trees(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("an expression tree was built")
+
+    texts = list(_reader_inputs())
+    for cls in ("Var", "Not", "And", "Or"):
+        monkeypatch.setattr(ex, cls, no_tree)
+    nets = []
+    for text in texts:
+        net = parse_bnet(text)
+        fixed_points(net)
+        infer_regulatory_graph(net)
+        for semantics in ("async", "mp"):
+            reaches(net, semantics, "0" * net.n, "1" * net.n)
+        ctx = _Unfolding(net, UnfoldSpec(mode="exact"))
+        for out_index in range(len(ctx.out_names)):
+            ctx.rule_node(out_index)
+        nets.append(net)
+    monkeypatch.undo()
+    # unfold writes its output's trees, but reads no tree of its input
+    for net in nets:
+        unfold(net)
+        assert net._rules is None
