@@ -8,9 +8,10 @@ encoding of x in the plain asynchronous dynamics of the full unfolding.
 
 check_equivalence verifies this exhaustively at desk scale (n <= 4): the
 most permissive side is recomputed by a brute-force oracle that shares no
-code with the main implementation, the unfolded side by explicit BFS over
-all 2^(3n) states.  It also confirms that ordinary asynchronous
-reachability is subsumed by most permissive reachability.
+code with the main implementation, the unfolded side by explicit BFS from
+the encoded Boolean states, over the unfolded states they reach.  It also
+confirms that ordinary asynchronous reachability is subsumed by most
+permissive reachability.
 """
 import time
 

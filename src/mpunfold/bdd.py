@@ -118,23 +118,37 @@ class DiagramManager:
 
     def restrict(self, u: int, assignment: dict[int, int]) -> int:
         """Cofactor: fix the given variables to 0/1."""
-        memo: dict[int, int] = {}
-
-        def go(w):
-            if w < 2:
-                return w
-            r = memo.get(w)
-            if r is not None:
-                return r
-            var, low, high = self.triple(w)
-            if var in assignment:
-                r = go(high) if assignment[var] else go(low)
+        # depth-first, low child before high, as a recursive walk would:
+        # the new nodes are made in that walk's order.  Below the last
+        # fixed variable a node is its own cofactor.
+        last = max(assignment, default=-1)
+        memo: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        triples = self._triples
+        stack = [] if u in memo else [u]  # a path from u, none of it in memo
+        while stack:
+            w = stack[-1]
+            var, low, high = triples[w - 2]
+            if var > last:
+                r = w
+            elif var in assignment:
+                child = high if assignment[var] else low
+                r = memo.get(child)
+                if r is None:
+                    stack.append(child)
+                    continue
             else:
-                r = self.mk(var, go(low), go(high))
+                r_low = memo.get(low)
+                if r_low is None:
+                    stack.append(low)
+                    continue
+                r_high = memo.get(high)
+                if r_high is None:
+                    stack.append(high)
+                    continue
+                r = self.mk(var, r_low, r_high)
             memo[w] = r
-            return r
-
-        return go(u)
+            stack.pop()
+        return memo[u]
 
     def support(self, u: int) -> set[int]:
         seen = set()
@@ -174,41 +188,45 @@ class DiagramManager:
                 mask |= unit << offset
             var_masks.append(mask)
         memo: dict[int, int] = {FALSE: 0, TRUE: full}
-
-        def go(w):
-            r = memo.get(w)
-            if r is not None:
-                return r
-            var, low, high = self.triple(w)
+        triples = self._triples
+        stack = [] if u in memo else [u]  # a path from u, none of it in memo
+        while stack:
+            w = stack[-1]
+            var, low, high = triples[w - 2]
+            r_low = memo.get(low)
+            if r_low is None:
+                stack.append(low)
+                continue
+            r_high = memo.get(high)
+            if r_high is None:
+                stack.append(high)
+                continue
             m = var_masks[var]
-            r = (m & go(high)) | (~m & full & go(low))
-            memo[w] = r
-            return r
-
-        return go(u)
+            memo[w] = (m & r_high) | (~m & full & r_low)
+            stack.pop()
+        return memo[u]
 
     def iter_models(self, u: int):
         """Satisfying assignments as 0/1 tuples over all variables, in
         lexicographic order (variable 0 first, 0 before 1)."""
         n = self.nvars
-
-        def go(w, var):
+        # (node, the values of the variables above it)
+        stack = [(u, ())]
+        while stack:
+            w, prefix = stack.pop()
+            var = len(prefix)
             if var == n:
                 if w == TRUE:
-                    yield ()
-                return
+                    yield prefix
+                continue
             if w == FALSE:
-                return
+                continue
             if w >= 2 and self.triple(w)[0] == var:
                 _, low, high = self.triple(w)
             else:
                 low = high = w
-            for rest in go(low, var + 1):
-                yield (0,) + rest
-            for rest in go(high, var + 1):
-                yield (1,) + rest
-
-        yield from go(u, 0)
+            stack.append((high, prefix + (1,)))
+            stack.append((low, prefix + (0,)))
 
     def iter_cubes(self, u: int):
         """Paths to the 1-terminal as lists of (var, bit), variables in
@@ -291,18 +309,24 @@ class FunctionRep:
             return self.node == other.node
         if self.manager.nvars != other.manager.nvars:
             return False
-        memo: dict[tuple[int, int], bool] = {}
-
-        def go(a, b):
+        # every pair of nodes reached by walking both diagrams in step must
+        # test the same variable, and every pair with a terminal must match
+        seen: set[tuple[int, int]] = set()
+        stack = [(self.node, other.node)]
+        while stack:
+            pair = stack.pop()
+            a, b = pair
             if a < 2 or b < 2:
-                return a == b
-            key = (a, b)
-            r = memo.get(key)
-            if r is None:
-                avar, alow, ahigh = self.manager.triple(a)
-                bvar, blow, bhigh = other.manager.triple(b)
-                r = avar == bvar and go(alow, blow) and go(ahigh, bhigh)
-                memo[key] = r
-            return r
-
-        return go(self.node, other.node)
+                if a != b:
+                    return False
+                continue
+            if pair in seen:
+                continue
+            seen.add(pair)
+            avar, alow, ahigh = self.manager.triple(a)
+            bvar, blow, bhigh = other.manager.triple(b)
+            if avar != bvar:
+                return False
+            stack.append((ahigh, bhigh))
+            stack.append((alow, blow))
+        return True

@@ -87,19 +87,28 @@ def variables(expr: BooleanExpr) -> set[int]:
 
 def to_nnf(expr: BooleanExpr, negate: bool = False) -> BooleanExpr:
     """Negation normal form: Not only applies to Var."""
-    if isinstance(expr, Var):
-        return Not(expr) if negate else expr
-    if isinstance(expr, Const):
-        return Const(1 - expr.value) if negate else expr
-    if isinstance(expr, Not):
-        return to_nnf(expr.operand, not negate)
-    if isinstance(expr, And):
-        a, b = to_nnf(expr.left, negate), to_nnf(expr.right, negate)
-        return Or(a, b) if negate else And(a, b)
-    if isinstance(expr, Or):
-        a, b = to_nnf(expr.left, negate), to_nnf(expr.right, negate)
-        return And(a, b) if negate else Or(a, b)
-    raise TypeError(f"not a BooleanExpr: {expr!r}")
+    # a loop with an explicit stack; an And or Or class on it marks a node
+    # whose two operands are done, left first
+    todo: list = [(expr, bool(negate))]
+    done: list[BooleanExpr] = []
+    while todo:
+        e, negate = todo.pop()
+        if isinstance(e, Var):
+            done.append(Not(e) if negate else e)
+        elif isinstance(e, Const):
+            done.append(Const(1 - e.value) if negate else e)
+        elif isinstance(e, Not):
+            todo.append((e.operand, not negate))
+        elif isinstance(e, (And, Or)):
+            todo.append((Or if isinstance(e, And) == negate else And, None))
+            todo.append((e.right, negate))
+            todo.append((e.left, negate))
+        elif e is And or e is Or:
+            right = done.pop()
+            done[-1] = e(done[-1], right)
+        else:
+            raise TypeError(f"not a BooleanExpr: {e!r}")
+    return done[0]
 
 
 def format_expr(expr: BooleanExpr, names) -> str:

@@ -8,7 +8,20 @@ tautology.
 
 check_equivalence is the desk-scale theorem check: most permissive
 reachability between Boolean states coincides with asynchronous
-reachability between their encodings in the fully unfolded network.
+reachability between their encodings in the fully unfolded network.  Each
+side is a graph whose successors are computed on first lookup, so a
+breadth-first search from each Boolean source expands only the states it
+reaches:
+
+    mp side        the naive definition above, with every rule's value on
+                   a Boolean reading computed once per check and looked up
+                   afterwards (at most 2^n readings);
+    unfolded side  the asynchronous step that reach --semantics async runs,
+                   on the unfolded network's integer states, from the
+                   encodings of the 2^n Boolean states.
+
+The mp side stays on rule trees and the oracle's own evaluator, so a fault
+in the diagrams or in semantics.py cannot hide on both sides at once.
 """
 from __future__ import annotations
 
@@ -18,7 +31,7 @@ from itertools import product
 
 from . import expr as ex
 from .network import BooleanNetwork, build_function
-from .semantics import async_successors
+from .semantics import _async, async_successors
 from .unfold import UnfoldSpec, encode_state, unfold
 
 MAX_NAIVE_N = 10
@@ -27,17 +40,40 @@ MAX_EQUIV_N = 4
 _LEVEL_ORDER = {c: k for k, c in enumerate("0id1")}
 
 
+_NEGATE = object()  # on _eval's stack: negate the last value
+
+
 def _eval(e, bits) -> int:
-    # local evaluator on purpose; see module docstring
-    if isinstance(e, ex.Var):
-        return bits[e.index]
-    if isinstance(e, ex.Const):
-        return e.value
-    if isinstance(e, ex.Not):
-        return 1 - _eval(e.operand, bits)
-    if isinstance(e, ex.And):
-        return _eval(e.left, bits) and _eval(e.right, bits)
-    return _eval(e.left, bits) or _eval(e.right, bits)
+    # local evaluator on purpose (see the module docstring); a loop with an
+    # explicit stack, so a rule's depth is not bounded by Python's stack
+    todo = [e]
+    done: list[int] = []  # values of the operands evaluated so far
+    while todo:
+        e = todo.pop()
+        if isinstance(e, ex.Var):
+            done.append(bits[e.index])
+        elif isinstance(e, ex.Const):
+            done.append(e.value)
+        elif isinstance(e, ex.Not):
+            todo.append(_NEGATE)
+            todo.append(e.operand)
+        elif e is _NEGATE:
+            done[-1] = 1 - done[-1]
+        elif isinstance(e, tuple):  # (right operand, value deciding without it)
+            right, decisive = e
+            if done[-1] != decisive:
+                done.pop()
+                todo.append(right)
+        else:
+            todo.append((e.right, 0 if isinstance(e, ex.And) else 1))
+            todo.append(e.left)
+    return done[0]
+
+
+def _rule_values(net: BooleanNetwork):
+    """values(bits): every rule's value on the Boolean reading bits, by _eval."""
+    rules = net.rules
+    return lambda bits: [_eval(rule, bits) for rule in rules]
 
 
 def naive_mp_successors(net: BooleanNetwork, x: str) -> set[str]:
@@ -46,14 +82,20 @@ def naive_mp_successors(net: BooleanNetwork, x: str) -> set[str]:
         raise ValueError(f"naive enumeration is limited to n <= {MAX_NAIVE_N}")
     if len(x) != net.n or any(c not in "0id1" for c in x):
         raise ValueError(f"not a most permissive state of size {net.n}: {x!r}")
+    return _naive_mp_step(x, _rule_values(net))
+
+
+def _naive_mp_step(x: str, values) -> set[str]:
+    """naive_mp_successors of a checked state x, where values(bits) gives
+    every rule's value on the Boolean reading bits (a tuple of 0/1)."""
     free = [k for k, c in enumerate(x) if c in "id"]
-    can: list[set[int]] = [set() for _ in range(net.n)]
+    can: list[set[int]] = [set() for _ in x]
     for choice in product((0, 1), repeat=len(free)):
         bits = [int(c) if c in "01" else 0 for c in x]
         for k, b in zip(free, choice):
             bits[k] = b
-        for j, rule in enumerate(net.rules):
-            can[j].add(_eval(rule, bits))
+        for j, value in enumerate(values(tuple(bits))):
+            can[j].add(value)
     out = set()
     for j, c in enumerate(x):
         if c in "0d" and 1 in can[j]:
@@ -159,6 +201,20 @@ class EquivalenceReport:
         }
 
 
+class _Lazy(dict):
+    """A map that computes a missing value on first lookup, as fn(key)."""
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
+
+
 def _bfs(adjacency, start):
     parent = {start: None}
     queue = [start]
@@ -186,31 +242,24 @@ def check_equivalence(
     asynchronous reachability is subsumed by most permissive reachability."""
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
-    # most permissive side, via the naive oracle
-    mp_states = ["".join(t) for t in product("0id1", repeat=net.n)]
+    # most permissive side, via the naive oracle; each rule is evaluated
+    # once per Boolean reading, each state expanded when first reached
+    readings = _Lazy(_rule_values(net))
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
-    mp_adj = {x: sorted(naive_mp_successors(net, x), key=order) for x in mp_states}
+    mp_adj = _Lazy(
+        lambda x: sorted(_naive_mp_step(x, readings.__getitem__), key=order)
+    )
     bool_states = ["".join(t) for t in product("01", repeat=net.n)]
     mp_parents = {x: _bfs(mp_adj, x) for x in bool_states}
     mp_reach = {
         x: {y for y in bool_states if y in mp_parents[x]} for x in bool_states
     }
-    # unfolded side, explicit asynchronous graph over all 2^(3n) states
+    # unfolded side: the asynchronous graph, expanded from the encoded
+    # Boolean states only as far as they reach
     ext = unfold(net, UnfoldSpec(components=None, mode=mode))
     m = ext.n
-    size = 1 << m
-    tables = [
-        build_function(ext, j).truth_table().to_bytes(size // 8, "little")
-        for j in range(m)
-    ]
-    adjacency: list[list[int]] = []
-    for idx in range(size):
-        succ = []
-        for j in range(m):
-            value = tables[j][idx >> 3] >> (idx & 7) & 1
-            if value != (idx >> (m - 1 - j) & 1):
-                succ.append(idx ^ (1 << (m - 1 - j)))
-        adjacency.append(succ)
+    ev = ext.evaluator
+    adjacency = _Lazy(lambda s: _async(ev, s))
     enc = {x: int(encode_state(net, x), 2) for x in bool_states}
     unf_parents = {x: _bfs(adjacency, enc[x]) for x in bool_states}
     unf_reach = {

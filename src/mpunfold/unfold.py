@@ -175,20 +175,24 @@ class _Unfolding:
 
     def _syntactic(self, j: int, target: int) -> int:
         m = self.manager
-        nnf = ex.to_nnf(self.net.rules[j], negate=(target == 0))
-
-        def go(e):
+        todo: list = [ex.to_nnf(self.net.rules[j], negate=(target == 0))]
+        done: list[int] = []  # nodes of the operands built so far
+        while todo:
+            e = todo.pop()
             if isinstance(e, ex.Var):
-                return self.allow1[e.index]
-            if isinstance(e, ex.Not):  # NNF: operand is a Var
-                return self.allow0[e.operand.index]
-            if isinstance(e, ex.Const):
-                return TRUE if e.value else FALSE
-            if isinstance(e, ex.And):
-                return m.conj(go(e.left), go(e.right))
-            return m.disj(go(e.left), go(e.right))
-
-        return go(nnf)
+                done.append(self.allow1[e.index])
+            elif isinstance(e, ex.Not):  # NNF: operand is a Var
+                done.append(self.allow0[e.operand.index])
+            elif isinstance(e, ex.Const):
+                done.append(TRUE if e.value else FALSE)
+            elif isinstance(e, (ex.And, ex.Or)):
+                todo.append(m.conj if isinstance(e, ex.And) else m.disj)
+                todo.append(e.right)
+                todo.append(e.left)
+            else:  # conj or disj of the two operands just built, left first
+                right = done.pop()
+                done[-1] = e(done[-1], right)
+        return done[0]
 
     def _own(self, k: int, pattern: str) -> int:
         """Conjunction fixing component k's own triplet to a 0/1/* pattern."""

@@ -187,3 +187,135 @@ def test_equivalence_guard():
     big = parse_bnet("".join(f"a{k}, a{k}\n" for k in range(5)))
     with pytest.raises(ValueError, match="n <= 4"):
         check_equivalence(big)
+
+
+# --- the check explores only what the encoded states reach -------------------
+
+def _all_states_report(net, mode, label=""):
+    """check_equivalence as first written, kept as a reference: the mp graph
+    over all 4^n states from naive_mp_successors, and the async graph of the
+    unfolding over all 2^(3n) states from its rules' truth tables."""
+    from itertools import product
+
+    from mpunfold.oracle import (
+        EquivalenceReport,
+        Mismatch,
+        _LEVEL_ORDER,
+        _bfs,
+        _path,
+        naive_mp_successors,
+    )
+
+    order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
+    mp_adj = {
+        x: sorted(naive_mp_successors(net, x), key=order)
+        for x in ("".join(t) for t in product("0id1", repeat=net.n))
+    }
+    bool_states = ["".join(t) for t in product("01", repeat=net.n)]
+    mp_parents = {x: _bfs(mp_adj, x) for x in bool_states}
+    ext = unfold(net, UnfoldSpec(components=None, mode=mode))
+    m = ext.n
+    size = 1 << m
+    tables = [
+        build_function(ext, j).truth_table().to_bytes(size // 8, "little")
+        for j in range(m)
+    ]
+    adjacency = []
+    for idx in range(size):
+        adjacency.append(
+            [
+                idx ^ (1 << (m - 1 - j))
+                for j in range(m)
+                if tables[j][idx >> 3] >> (idx & 7) & 1 != (idx >> (m - 1 - j) & 1)
+            ]
+        )
+    enc = {x: int(encode_state(net, x), 2) for x in bool_states}
+    unf_parents = {x: _bfs(adjacency, enc[x]) for x in bool_states}
+    report = EquivalenceReport(
+        label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
+    )
+    for x in bool_states:
+        for y in bool_states:
+            a, b = y in mp_parents[x], enc[y] in unf_parents[x]
+            if a != b:
+                if a:
+                    witness = _path(mp_parents[x], y)
+                else:
+                    path = _path(unf_parents[x], enc[y])
+                    witness = [format(i, f"0{m}b") for i in path]
+                report.mismatches.append(Mismatch(x, y, a, b, witness))
+    async_adj = {x: async_successors(net, x) for x in bool_states}
+    for x in bool_states:
+        for y in _bfs(async_adj, x):
+            if y not in mp_parents[x]:
+                report.subsumption_violations.append((x, y))
+    return report
+
+
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_equivalence_equals_the_all_states_reference_on_random_nets(n, mode):
+    for seed in range(6):
+        net = random_network(RandomNetSpec(n=n, seed=seed))
+        label = f"seed-{seed}"
+        assert (
+            check_equivalence(net, mode=mode, label=label).as_dict()
+            == _all_states_report(net, mode, label).as_dict()
+        ), seed
+
+
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+@pytest.mark.parametrize("model", [example_a, signal_model, lambda: parse_bnet(DIVERGENT)])
+def test_equivalence_equals_the_all_states_reference_on_models(model, mode):
+    net = model()
+    assert check_equivalence(net, mode=mode).as_dict() == _all_states_report(net, mode).as_dict()
+
+
+def test_memoised_step_equals_naive_mp_successors():
+    from itertools import product
+
+    from mpunfold.oracle import _Lazy, _naive_mp_step, _rule_values, naive_mp_successors
+
+    for n in (1, 2, 3, 4):
+        for seed in range(4):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            values, calls = _rule_values(net), []
+            readings = _Lazy(lambda bits: calls.append(bits) or values(bits))
+            for levels in product("0id1", repeat=n):
+                x = "".join(levels)
+                assert _naive_mp_step(x, readings.__getitem__) == (
+                    naive_mp_successors(net, x)
+                ), (n, seed, x)
+            # every Boolean reading was evaluated exactly once
+            assert sorted(calls) == list(product((0, 1), repeat=n))
+
+
+def _long_rule_text(terms=1500):
+    """Four components; the first rule is a flat sum of `terms` products of
+    two literals, each regulator read with one sign only, so the syntactic
+    unfolding is exact on it too."""
+    import random
+
+    rng = random.Random(0)
+    literals = ["!t1", "t2", "t3", "!t4"]
+    products = [" & ".join(rng.sample(literals, 2)) for _ in range(terms)]
+    body = " | ".join(f"({p})" for p in products)
+    return f"t1, {body}\nt2, t1\nt3, !t2\nt4, t3\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+def test_verify_answers_on_a_long_rule(tmp_path, capsys, mode):
+    import json
+
+    from mpunfold.cli import main
+
+    text = _long_rule_text()
+    net = parse_bnet(text)
+    assert check_equivalence(net, mode=mode).ok
+    path = tmp_path / "long.bnet"
+    path.write_text(text)
+    code = main(["verify", str(path), "--mode", mode])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    (report,) = json.loads(out)
+    assert report["ok"] and report["pairs_checked"] == 256
