@@ -248,17 +248,14 @@ class DiagramManager:
                 stack.append((low, depth, (var, 0)))
 
     def from_expr(self, expr) -> int:
-        if isinstance(expr, ex.Var):
-            return self.var_node(expr.index)
-        if isinstance(expr, ex.Const):
-            return TRUE if expr.value else FALSE
-        if isinstance(expr, ex.Not):
-            return self.neg(self.from_expr(expr.operand))
-        if isinstance(expr, ex.And):
-            return self.conj(self.from_expr(expr.left), self.from_expr(expr.right))
-        if isinstance(expr, ex.Or):
-            return self.disj(self.from_expr(expr.left), self.from_expr(expr.right))
-        raise TypeError(f"not a BooleanExpr: {expr!r}")
+        return ex.fold(
+            expr,
+            self.var_node,
+            lambda c: TRUE if c else FALSE,
+            self.neg,
+            self.conj,
+            self.disj,
+        )
 
 
 class FunctionRep:

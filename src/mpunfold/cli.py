@@ -292,7 +292,9 @@ def main(argv=None) -> int:
         _emit_error("cap-exceeded", str(err))
         return EXIT_CAP
     except (ValueError, KeyError) as err:
-        _emit_error("invalid-input", str(err))
+        # str() of a KeyError is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        _emit_error("invalid-input", str(message))
         return EXIT_USAGE
     except OSError as err:
         _emit_error("io-error", str(err))

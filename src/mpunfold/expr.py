@@ -57,19 +57,53 @@ class BnetParseError(ValueError):
         self.col = col
 
 
+# markers on fold's stack: apply neg, conj or disj to the values just made
+_NEG, _CONJ, _DISJ = object(), object(), object()
+
+
+def fold(expr: BooleanExpr, var, const, neg, conj, disj):
+    """One bottom-up walk of a tree, in a loop with an explicit stack: a Var
+    gives var(index), a Const const(value), and Not, And and Or give
+    neg(v), conj(v, w) and disj(v, w) of their operands' values, the left
+    operand's made first."""
+    todo: list = [expr]
+    done: list = []
+    while todo:
+        e = todo.pop()
+        if e is _CONJ:
+            right = done.pop()
+            done[-1] = conj(done[-1], right)
+        elif e is _DISJ:
+            right = done.pop()
+            done[-1] = disj(done[-1], right)
+        elif e is _NEG:
+            done[-1] = neg(done[-1])
+        elif isinstance(e, Var):
+            done.append(var(e.index))
+        elif isinstance(e, (And, Or)):
+            todo.append(_CONJ if isinstance(e, And) else _DISJ)
+            todo.append(e.right)
+            todo.append(e.left)
+        elif isinstance(e, Not):
+            todo.append(_NEG)
+            todo.append(e.operand)
+        elif isinstance(e, Const):
+            done.append(const(e.value))
+        else:
+            raise TypeError(f"not a BooleanExpr: {e!r}")
+    return done[0]
+
+
 def evaluate(expr: BooleanExpr, bits) -> int:
     """Evaluate over a sequence of 0/1 values indexed by component."""
-    if isinstance(expr, Var):
-        return bits[expr.index]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Not):
-        return 1 - evaluate(expr.operand, bits)
-    if isinstance(expr, And):
-        return evaluate(expr.left, bits) and evaluate(expr.right, bits)
-    if isinstance(expr, Or):
-        return evaluate(expr.left, bits) or evaluate(expr.right, bits)
-    raise TypeError(f"not a BooleanExpr: {expr!r}")
+    return fold(
+        expr,
+        lambda k: bits[k],
+        lambda c: c,
+        lambda v: 1 - v,
+        lambda v, w: v and w,
+        lambda v, w: v or w,
+    )
 
 
 def variables(expr: BooleanExpr) -> set[int]:
@@ -87,49 +121,33 @@ def variables(expr: BooleanExpr) -> set[int]:
 
 def to_nnf(expr: BooleanExpr, negate: bool = False) -> BooleanExpr:
     """Negation normal form: Not only applies to Var."""
-    # a loop with an explicit stack; an And or Or class on it marks a node
-    # whose two operands are done, left first
-    todo: list = [(expr, bool(negate))]
-    done: list[BooleanExpr] = []
-    while todo:
-        e, negate = todo.pop()
-        if isinstance(e, Var):
-            done.append(Not(e) if negate else e)
-        elif isinstance(e, Const):
-            done.append(Const(1 - e.value) if negate else e)
-        elif isinstance(e, Not):
-            todo.append((e.operand, not negate))
-        elif isinstance(e, (And, Or)):
-            todo.append((Or if isinstance(e, And) == negate else And, None))
-            todo.append((e.right, negate))
-            todo.append((e.left, negate))
-        elif e is And or e is Or:
-            right = done.pop()
-            done[-1] = e(done[-1], right)
-        else:
-            raise TypeError(f"not a BooleanExpr: {e!r}")
-    return done[0]
+    # each value is the pair (normal form, normal form of the negation)
+    forms = fold(
+        expr,
+        lambda k: (Var(k), Not(Var(k))),
+        lambda c: (Const(c), Const(1 - c)),
+        lambda v: (v[1], v[0]),
+        lambda v, w: (And(v[0], w[0]), Or(v[1], w[1])),
+        lambda v, w: (Or(v[0], w[0]), And(v[1], w[1])),
+    )
+    return forms[bool(negate)]
 
 
 def format_expr(expr: BooleanExpr, names) -> str:
     """Render with minimal parentheses under the grammar's precedence."""
+    # each value is (text, level): 1 for "|", 2 for "&", 3 for the rest; an
+    # operand below its operator's level is parenthesised
+    def wrap(v, level):
+        return v[0] if v[1] >= level else f"({v[0]})"
 
-    def go(e, parent):
-        if isinstance(e, Var):
-            return names[e.index]
-        if isinstance(e, Const):
-            return str(e.value)
-        if isinstance(e, Not):
-            return "!" + go(e.operand, "not")
-        if isinstance(e, And):
-            s = go(e.left, "and") + " & " + go(e.right, "and")
-            return f"({s})" if parent == "not" else s
-        if isinstance(e, Or):
-            s = go(e.left, "or") + " | " + go(e.right, "or")
-            return f"({s})" if parent in ("and", "not") else s
-        raise TypeError(f"not a BooleanExpr: {e!r}")
-
-    return go(expr, None)
+    return fold(
+        expr,
+        lambda k: (names[k], 3),
+        lambda c: (str(c), 3),
+        lambda v: ("!" + wrap(v, 3), 3),
+        lambda v, w: (wrap(v, 2) + " & " + wrap(w, 2), 2),
+        lambda v, w: (v[0] + " | " + w[0], 1),
+    )[0]
 
 
 # One scan per rule body: findall gives every token as a string (an
@@ -305,19 +323,7 @@ def _cube(m, lits: dict[int, int]) -> int:
 
 
 def _conjoin(m, nodes: list[int]) -> int:
-    """Conjunction of diagram nodes: their cube when every node is a literal
-    (one test on a variable, leading to both terminals) and no variable
-    repeats, a fold with apply otherwise."""
-    lits = {}
-    for u in nodes:
-        if u < 2:
-            break
-        var, low, high = m.triple(u)
-        if low + high != 1 or var in lits:
-            break
-        lits[var] = high
-    else:
-        return _cube(m, lits)
+    """Conjunction of diagram nodes, folded with apply."""
     u = nodes[0]
     for v in nodes[1:]:
         u = m.apply("and", u, v)

@@ -28,7 +28,9 @@ construction modes are provided:
                identical on valid states when every regulator occurs with a
                single polarity, an over-approximation otherwise.
 
-Negated conditions are the complements of the built ones in both modes.
+Either mode builds plus_j and minus_j together, in one walk of rule j's
+diagram or tree; syntactic mode builds no normal-form tree, since a
+negation just swaps the pair.  Negated conditions are the complements of the built ones in both modes.
 """
 from __future__ import annotations
 
@@ -49,14 +51,6 @@ ARTIFACT_TRIPLETS = ("010", "110")
 LETTERS = ("a", "b", "c")
 
 MODES = ("exact", "syntactic")
-
-
-def triplet_is_active(triplet: str) -> bool:
-    return triplet[2] == "1"
-
-
-def triplet_is_inactive(triplet: str) -> bool:
-    return triplet[1] == "0"
 
 
 @dataclass(frozen=True)
@@ -129,30 +123,22 @@ class _Unfolding:
                 (p,) = self.slots[k]
                 self.allow1.append(m.var_node(p))
                 self.allow0.append(m.neg(m.var_node(p)))
-        self._conditions: dict[tuple[int, str], int] = {}
+        self._conditions: dict[int, tuple[int, int]] = {}
 
-    def condition(self, j: int, polarity: str) -> int:
-        if polarity not in ("plus", "minus"):
-            raise ValueError(f"polarity must be 'plus' or 'minus', got {polarity!r}")
-        key = (j, polarity)
-        if key not in self._conditions:
-            target = 1 if polarity == "plus" else 0
+    def conditions(self, j: int) -> tuple[int, int]:
+        """(plus_j, minus_j), built together once."""
+        if j not in self._conditions:
             if self.spec.mode == "exact":
-                node = self._exact(j, target)
+                self._conditions[j] = self._exact(j)
             else:
-                node = self._syntactic(j, target)
-            self._conditions[key] = node
-        return self._conditions[key]
+                self._conditions[j] = self._syntactic(j)
+        return self._conditions[j]
 
-    def _exact(self, j: int, target: int) -> int:
+    def _exact(self, j: int) -> tuple[int, int]:
         src = self.net.manager
         m = self.manager
-        hit, miss = (TRUE, FALSE) if target == 1 else (FALSE, TRUE)
-        memo: dict[int, int] = {TRUE: hit, FALSE: miss}
-        # u -> (allow1 of u's variable) & image of u's high child.  It is
-        # made before the low child is visited, so the output manager
-        # numbers its nodes as a depth-first walk, high child first, would.
-        half: dict[int, int] = {}
+        # u -> (image of u for target 1, image for target 0)
+        memo: dict[int, tuple[int, int]] = {TRUE: (TRUE, FALSE), FALSE: (FALSE, TRUE)}
         root = build_function(self.net, j).node
         stack = [root]
         while stack:
@@ -161,38 +147,28 @@ class _Unfolding:
                 stack.pop()
                 continue
             k, low, high = src.triple(u)
-            if u not in half:
-                if high not in memo:
-                    stack.append(high)
-                    continue
-                half[u] = m.conj(self.allow1[k], memo[high])
-            if low not in memo:
-                stack.append(low)
+            missing = [w for w in (low, high) if w not in memo]
+            if missing:
+                stack.extend(missing)
                 continue
-            memo[u] = m.disj(half.pop(u), m.conj(self.allow0[k], memo[low]))
+            allow1, allow0 = self.allow1[k], self.allow0[k]
+            memo[u] = tuple(
+                m.disj(m.conj(allow1, hi), m.conj(allow0, lo))
+                for hi, lo in zip(memo[high], memo[low])
+            )
             stack.pop()
         return memo[root]
 
-    def _syntactic(self, j: int, target: int) -> int:
+    def _syntactic(self, j: int) -> tuple[int, int]:
         m = self.manager
-        todo: list = [ex.to_nnf(self.net.rules[j], negate=(target == 0))]
-        done: list[int] = []  # nodes of the operands built so far
-        while todo:
-            e = todo.pop()
-            if isinstance(e, ex.Var):
-                done.append(self.allow1[e.index])
-            elif isinstance(e, ex.Not):  # NNF: operand is a Var
-                done.append(self.allow0[e.operand.index])
-            elif isinstance(e, ex.Const):
-                done.append(TRUE if e.value else FALSE)
-            elif isinstance(e, (ex.And, ex.Or)):
-                todo.append(m.conj if isinstance(e, ex.And) else m.disj)
-                todo.append(e.right)
-                todo.append(e.left)
-            else:  # conj or disj of the two operands just built, left first
-                right = done.pop()
-                done[-1] = e(done[-1], right)
-        return done[0]
+        return ex.fold(
+            self.net.rules[j],
+            lambda k: (self.allow1[k], self.allow0[k]),
+            lambda c: (TRUE, FALSE) if c else (FALSE, TRUE),
+            lambda v: (v[1], v[0]),
+            lambda v, w: (m.conj(v[0], w[0]), m.disj(v[1], w[1])),
+            lambda v, w: (m.disj(v[0], w[0]), m.conj(v[1], w[1])),
+        )
 
     def _own(self, k: int, pattern: str) -> int:
         """Conjunction fixing component k's own triplet to a 0/1/* pattern."""
@@ -208,13 +184,10 @@ class _Unfolding:
     def rule_node(self, out_index: int) -> int:
         m = self.manager
         k, letter = self.origin[out_index]
+        plus, minus = self.conditions(k)
         if letter is None:  # plain component: may-rise or no-must-fall
-            plus = self.condition(k, "plus")
-            minus = self.condition(k, "minus")
             x = m.var_node(out_index)
             return m.disj(m.conj(m.neg(x), plus), m.conj(x, m.neg(minus)))
-        plus = self.condition(k, "plus")
-        minus = self.condition(k, "minus")
         own = lambda pattern: self._own(k, pattern)
         if letter == "a":
             return reduce(
@@ -247,7 +220,9 @@ def build_condition(
     """The plus/minus condition of component j over the unfolded variables
     (variable order = unfolded_names order)."""
     ctx = _Unfolding(net, spec or UnfoldSpec())
-    return FunctionRep(ctx.manager, ctx.condition(j, polarity))
+    if polarity not in ("plus", "minus"):
+        raise ValueError(f"polarity must be 'plus' or 'minus', got {polarity!r}")
+    return FunctionRep(ctx.manager, ctx.conditions(j)[polarity == "minus"])
 
 
 def _node_to_expr(manager: DiagramManager, node: int) -> ex.BooleanExpr:

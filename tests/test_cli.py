@@ -10,6 +10,7 @@ from mpunfold import (
     RandomNetSpec,
     UnfoldSpec,
     async_successors,
+    build_function,
     example_a,
     export_dot,
     general_successors,
@@ -59,6 +60,25 @@ def test_show_pretty(capsys):
         "x2  <-  x1",
         "x3  <-  !x1",
     ]
+
+
+def test_show_answers_on_a_1500_term_rule(capsys, tmp_path):
+    import random
+
+    rng = random.Random(0)
+    literals = ["t1", "!t1", "t2", "!t2", "t3", "!t3", "t4", "!t4"]
+    body = " | ".join(" & ".join(rng.sample(literals, 2)) for _ in range(1500))
+    path = tmp_path / "long.bnet"
+    path.write_text(f"t1, {body}\nt2, t1\nt3, !t2\nt4, t3\n")
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, err) == (0, "")
+    shown = json.loads(out)["components"]
+    again = parse_bnet("".join(f"{c['name']}, {c['rule']}\n" for c in shown))
+    net = parse_bnet(path.read_text())
+    for j in range(net.n):
+        assert build_function(again, j).truth_table() == build_function(
+            net, j
+        ).truth_table()
 
 
 def test_fixpoints_compact_and_pretty(capsys):
@@ -159,6 +179,14 @@ def test_unfold_partial_and_output_file(capsys, tmp_path):
     assert text == expected
     for name in ("x1,", "x2_a,", "x2_b,", "x2_c,", "x3,"):
         assert name in text
+
+
+def test_unknown_component_message_is_not_quoted(capsys):
+    code, out, err = run(capsys, "unfold", EXAMPLE_A, "--components", "zz")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": {"type": "invalid-input", "message": "no component named 'zz'"}
+    }
 
 
 def test_unfold_mode_choice_is_validated(capsys):

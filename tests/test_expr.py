@@ -1,4 +1,5 @@
 """Expression and .bnet parsing."""
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -401,3 +402,76 @@ def test_read_networks_explore_and_unfold_exactly_without_trees(monkeypatch):
     for net in nets:
         unfold(net)
         assert net._rules is None
+
+
+# --- walkers on deep trees ---------------------------------------------------
+
+
+def _chain(terms=5000):
+    """A flat sum of `terms` products `a & !b` over a, b, c, as the reader
+    makes it: a left chain `terms` deep.  Returns (tree, body, the terms'
+    (positive, negative) variable pairs)."""
+    pairs = [(i % 3, (i + 1 + i // 3 % 2) % 3) for i in range(terms)]
+    tree = And(Var(pairs[0][0]), Not(Var(pairs[0][1])))
+    for p, q in pairs[1:]:
+        tree = Or(tree, And(Var(p), Not(Var(q))))
+    body = " | ".join(f"{'abc'[p]} & !{'abc'[q]}" for p, q in pairs)
+    return tree, body, pairs
+
+
+def test_format_expr_on_a_5000_deep_chain():
+    tree, body, _ = _chain()
+    assert format_expr(tree, "abc") == body
+
+
+def test_evaluate_on_a_5000_deep_chain():
+    tree, _, pairs = _chain()
+    for bits in product((0, 1), repeat=3):
+        assert evaluate(tree, bits) == int(any(bits[p] and not bits[q] for p, q in pairs))
+
+
+def test_from_expr_on_a_5000_deep_chain():
+    tree, body, _ = _chain()
+    m = DiagramManager(3)
+    fresh = DiagramManager(3)
+    assert FunctionRep(m, m.from_expr(tree)).equivalent(
+        FunctionRep(fresh, parse_diagram(body, NAMES, fresh))
+    )
+
+
+def test_to_nnf_on_a_5000_deep_chain():
+    tree, body, pairs = _chain()
+    assert format_expr(to_nnf(tree), "abc") == body
+    assert format_expr(to_nnf(tree, negate=True), "abc") == " & ".join(
+        f"(!{'abc'[p]} | {'abc'[q]})" for p, q in pairs
+    )
+
+
+def test_fold_visits_left_operands_first():
+    tree = parse_expression("!(a & b) | c & !a", NAMES)
+    seen = []
+    value = ex.fold(
+        tree,
+        lambda k: seen.append(k) or f"x{k}",
+        str,
+        lambda v: f"!{v}",
+        lambda v, w: f"({v}&{w})",
+        lambda v, w: f"({v}|{w})",
+    )
+    assert seen == [0, 1, 2, 0]
+    assert value == "(!(x0&x1)|(x2&!x0))"
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda e: evaluate(e, (0, 1, 1)),
+        to_nnf,
+        lambda e: format_expr(e, "abc"),
+        lambda e: DiagramManager(3).from_expr(e),
+    ],
+    ids=["evaluate", "to_nnf", "format_expr", "from_expr"],
+)
+def test_walkers_reject_what_is_not_a_tree(walk):
+    with pytest.raises(TypeError, match=r"not a BooleanExpr: 'x'"):
+        walk(Or(Var(0), And(Var(1), "x")))

@@ -26,7 +26,7 @@ from mpunfold import (
     unfolded_names,
 )
 from mpunfold.bdd import DiagramManager, FunctionRep
-from mpunfold.expr import And, Const, Not, Or, Var
+from mpunfold.expr import And, Const, Not, Or, Var, to_nnf
 from mpunfold.network import BooleanNetwork
 from mpunfold.unfold import MODES
 
@@ -207,6 +207,59 @@ def test_exact_conditions_invariant_under_component_permutation():
                 state_a = "".join(triplets)
                 state_b = "".join(triplets[k] for k in order)
                 assert fa.evaluate(bits_of(state_a)) == fb.evaluate(bits_of(state_b))
+
+
+def _substituted_nnf(net, j, spec, polarity):
+    """Reference syntactic condition: the negation normal form of rule j
+    (of its negation for minus), each literal on k replaced by what k may
+    read as: x_kc for x_k, !x_kb for !x_k, the plain x_k when k is not
+    unfolded."""
+    names = unfolded_names(net, spec)
+    chosen = spec.resolve(net)
+
+    def slot(k, letter):
+        name = net.names[k]
+        return names.index(f"{name}_{letter}" if k in chosen else name)
+
+    def subst(e):
+        if isinstance(e, Var):
+            return Var(slot(e.index, "c"))
+        if isinstance(e, Not):
+            return Not(Var(slot(e.operand.index, "b")))
+        if isinstance(e, Const):
+            return e
+        return type(e)(subst(e.left), subst(e.right))
+
+    m = DiagramManager(len(names))
+    nnf = to_nnf(net.rules[j], negate=(polarity == "minus"))
+    return FunctionRep(m, m.from_expr(subst(nnf)))
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_syntactic_conditions_are_the_substituted_normal_forms(partial):
+    mixed = 0
+    for n in range(1, 6):
+        for seed in range(6):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            components = tuple(net.names[::2]) if partial else None
+            spec = UnfoldSpec(components=components, mode="syntactic")
+            for j, rule in enumerate(net.rules):
+                signs = {}
+                for e in _literals(to_nnf(rule)):
+                    k = e.index if isinstance(e, Var) else e.operand.index
+                    signs.setdefault(k, set()).add(isinstance(e, Var))
+                mixed += any(len(s) == 2 for s in signs.values())
+                for polarity in ("plus", "minus"):
+                    assert build_condition(net, j, spec, polarity).equivalent(
+                        _substituted_nnf(net, j, spec, polarity)
+                    ), (n, seed, j, polarity)
+    assert mixed > 0  # some rules read a regulator both ways
+
+
+def _literals(e):
+    if isinstance(e, (And, Or)):
+        return _literals(e.left) + _literals(e.right)
+    return [] if isinstance(e, Const) else [e]
 
 
 # --- unfolded networks -------------------------------------------------------
