@@ -297,9 +297,6 @@ class FunctionRep:
     def truth_table(self) -> int:
         return self.manager.truth_table(self.node)
 
-    def negate(self) -> "FunctionRep":
-        return FunctionRep(self.manager, self.manager.neg(self.node))
-
     def equivalent(self, other: "FunctionRep") -> bool:
         """Same function, possibly across managers with one variable order."""
         if self.manager is other.manager:

@@ -21,16 +21,20 @@ reaches:
                    encodings of the 2^n Boolean states.
 
 The mp side stays on rule trees and the oracle's own evaluator, so a fault
-in the diagrams or in semantics.py cannot hide on both sides at once.
+in the diagrams or in semantics.py cannot hide on both sides at once.  Both
+sides run the explorers' breadth-first search, reach._bfs; the tests check
+that search against searches of their own.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
 
 from . import expr as ex
 from .network import BooleanNetwork, build_function
+from .reach import _bfs as _search, _path
 from .semantics import _async, async_successors
 from .unfold import UnfoldSpec, encode_state, unfold
 
@@ -216,21 +220,9 @@ class _Lazy(dict):
 
 
 def _bfs(adjacency, start):
-    parent = {start: None}
-    queue = [start]
-    for s in queue:
-        for t in adjacency[s]:
-            if t not in parent:
-                parent[t] = s
-                queue.append(t)
-    return parent
-
-
-def _path(parent, target):
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
+    """The parent map of a breadth-first search from start over a map of
+    successor lists, by the explorers' own search."""
+    return _search(adjacency.__getitem__, [start], math.inf)[0]
 
 
 def check_equivalence(

@@ -6,11 +6,10 @@ byte-stable across runs.  Every explorer takes a cap on the number of
 states; hitting the cap is reported, never silently truncated into a wrong
 answer.
 
-reaches, reachable_set and the root closure of attractors run one search,
-_bfs, over the semantics table of the semantics module.
-mp_boolean_projection keeps its own loops: its cap counts the distinct mp
-states of all its inner searches together, which one search from a set of
-start states cannot count.
+Every exploration is one search, _bfs: reaches, reachable_set and
+attractors over the semantics table of the semantics module, each inner
+search of mp_boolean_projection, and both sides of the oracle's theorem
+check.
 """
 from __future__ import annotations
 
@@ -162,10 +161,7 @@ def reaches(
         return ReachResult("reachable", 1, [start])
     parent, found, exceeded = _bfs(space.successors, [origin], cap, stop=match)
     if found is not None:
-        path = [found]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        witness = [space.decode(u) for u in reversed(path)]
+        witness = [space.decode(u) for u in _path(parent, found)]
         return ReachResult("reachable", len(parent), witness)
     verdict = "cap-exceeded" if exceeded else "unreachable"
     return ReachResult(verdict, len(parent), None)
@@ -193,6 +189,14 @@ def _bfs(succ, starts, cap, stop=None, edges=None):
             if edges is not None:
                 edges.append((s, t))
     return parent, None, False
+
+
+def _path(parent, target):
+    """The path from a start of _bfs to target, along its parent map."""
+    path = [target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def _tarjan_terminal_sccs(nodes: list[int], succ_of: dict[int, list[int]]):
@@ -265,29 +269,26 @@ def attractors(
             "attractors are computed for sync, async or general semantics"
         )
     space = _space(net, semantics)
-    succ = space.successors
     if roots is None:
         if (1 << net.n) > cap:
             raise CapExceeded(
                 f"full state space has {1 << net.n} states, cap is {cap}; "
                 f"supply roots to restrict the search"
             )
-        nodes = list(range(1 << net.n))  # integer order: string order
-        succ_of = {s: succ(s) for s in nodes}
+        starts = range(1 << net.n)  # integer order: string order
     else:
         starts = [space.encode(space.check(r)) for r in roots]
-        edges = []
-        closure, _, exceeded = _bfs(succ, starts, cap, edges=edges)
-        if exceeded:
-            raise CapExceeded(
-                f"closure of the root set passed the cap of {cap} states"
-            )
-        nodes = list(closure)
-        succ_of = {s: [] for s in nodes}  # the search stepped each state once
-        for s, t in edges:
-            succ_of[s].append(t)
+    succ_of = {}  # the search steps each state once: keep what it got
+
+    def step(s):
+        succ_of[s] = space.successors(s)
+        return succ_of[s]
+
+    closure, _, exceeded = _bfs(step, starts, cap)
+    if exceeded:
+        raise CapExceeded(f"closure of the root set passed the cap of {cap} states")
     out = []
-    for component in _tarjan_terminal_sccs(nodes, succ_of):
+    for component in _tarjan_terminal_sccs(list(closure), succ_of):
         states = tuple(space.decode(s) for s in sorted(component))
         kind = "stable-state" if len(states) == 1 else "complex"
         out.append(Attractor(states=states, kind=kind))
@@ -315,36 +316,26 @@ def mp_boolean_projection(
     bool_nodes = [x0]
     bool_seen = {x0}
     edges: list[tuple[int, int, str]] = []
-    queue = deque([x0])
-    exceeded = False
-    while queue and not exceeded:
-        x = queue.popleft()
-        one_step = set(_general(ev, x >> n))
-        inner_seen: set[int] = set()
-        targets: list[int] = []
-        frontier = deque(_mp(ev, x))
-        while frontier:
-            t = frontier.popleft()
-            if t in inner_seen:
-                continue
-            inner_seen.add(t)
-            if t not in explored:
-                if len(explored) >= cap:
-                    exceeded = True
-                    break
-                explored.add(t)
-            if t & free:
-                frontier.extend(_mp(ev, t))
-            elif t not in targets:
-                targets.append(t)
+
+    def inner(t):  # mp steps through non-Boolean states only
+        return _mp(ev, t) if t & free else ()
+
+    for x in bool_nodes:
+        reached, _, hit = _bfs(inner, _mp(ev, x), cap)
+        # the cap counts the states of all searches so far together; one
+        # search that passes it alone passes it in the union too
+        explored.update(reached)
+        exceeded = hit or len(explored) > cap
         if exceeded:
             break
-        for t in targets:
+        one_step = set(_general(ev, x >> n))
+        for t in reached:
+            if t & free:
+                continue
             edges.append((x, t, "solid" if t >> n in one_step else "dotted"))
             if t not in bool_seen:
                 bool_seen.add(t)
                 bool_nodes.append(t)
-                queue.append(t)
     name = {x: ev.decode(x >> n) for x in bool_nodes}
     return Stg(
         nodes=list(name.values()),

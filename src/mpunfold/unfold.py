@@ -63,6 +63,11 @@ class UnfoldSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if isinstance(self.components, str):
+            raise ValueError(
+                f"components must be a collection of names, got the string "
+                f"{self.components!r}"
+            )
         if self.components is not None and not isinstance(self.components, tuple):
             object.__setattr__(self, "components", tuple(self.components))
 

@@ -294,6 +294,20 @@ def test_rooted_attractors_step_each_state_once(monkeypatch):
     assert len(closure) == 3
 
 
+def test_full_space_attractors_step_each_state_once(monkeypatch):
+    net = _net(8, 1)
+    stepped = []
+    step = semantics.SEMANTICS["async"]
+
+    def counted(ev, s):
+        stepped.append(ev.decode(s))
+        return step(ev, s)
+
+    monkeypatch.setitem(semantics.SEMANTICS, "async", counted)
+    attractors(net, "async", roots=None)
+    assert sorted(stepped) == _states(8)
+
+
 @pytest.mark.parametrize("n,seed", NETS)
 def test_reachable_set_matches_string_bfs(n, seed):
     net = _net(n, seed)

@@ -7,6 +7,7 @@ from mpunfold import (
     Attractor,
     CapExceeded,
     Edge,
+    RandomNetSpec,
     ReachResult,
     UnfoldSpec,
     attractors,
@@ -18,13 +19,14 @@ from mpunfold import (
     mp_boolean_projection,
     mp_successors,
     parse_bnet,
+    random_network,
     reachable_set,
     reaches,
     signal_model,
     unfold,
 )
 from mpunfold.oracle import naive_mp_successors
-from mpunfold.semantics import is_boolean_state
+from mpunfold.semantics import _general, _mp, is_boolean_state
 
 
 # --- fixed points ------------------------------------------------------------
@@ -251,6 +253,87 @@ def test_projection_cap_counts_transient_states():
         mp_boolean_projection(example_a(), "11i")
     proj = mp_boolean_projection(signal_model(), "1000", cap=3)
     assert proj.cap_exceeded
+
+
+def _two_queue_projection(net, start, cap):
+    """mp_boolean_projection as first written, kept as a reference: an outer
+    queue of Boolean nodes and, per node, an inner queue that marks states
+    when it pops them.  Also returns the count of distinct mp states
+    explored after each Boolean node."""
+    ev = net.evaluator
+    n = net.n
+    free = ~(-1 << n)
+    x0 = ev.encode(start) << n
+    explored, bool_nodes, bool_seen = {x0}, [x0], {x0}
+    edges, sizes = [], []
+    queue = deque([x0])
+    exceeded = False
+    while queue and not exceeded:
+        x = queue.popleft()
+        one_step = set(_general(ev, x >> n))
+        inner_seen, targets = set(), []
+        frontier = deque(_mp(ev, x))
+        while frontier:
+            t = frontier.popleft()
+            if t in inner_seen:
+                continue
+            inner_seen.add(t)
+            if t not in explored:
+                if len(explored) >= cap:
+                    exceeded = True
+                    break
+                explored.add(t)
+            if t & free:
+                frontier.extend(_mp(ev, t))
+            elif t not in targets:
+                targets.append(t)
+        if exceeded:
+            break
+        sizes.append(len(explored))
+        for t in targets:
+            edges.append((x, t, "solid" if t >> n in one_step else "dotted"))
+            if t not in bool_seen:
+                bool_seen.add(t)
+                bool_nodes.append(t)
+                queue.append(t)
+    name = {x: ev.decode(x >> n) for x in bool_nodes}
+    tagged = [(name[x], name[t], tag) for x, t, tag in edges]
+    return [name[x] for x in bool_nodes], tagged, exceeded, sizes
+
+
+_PROJECTION_CASES = [
+    pytest.param(example_a, "111", id="example_a"),
+    pytest.param(signal_model, "1000", id="signal_model"),
+] + [
+    pytest.param(
+        lambda n=n, seed=seed: random_network(RandomNetSpec(n=n, seed=seed)),
+        "0" * n,
+        id=f"random-{n}-{seed}",
+    )
+    for n in range(1, 7)
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("model,start", _PROJECTION_CASES)
+def test_capped_projection_matches_two_queue_reference(model, start):
+    net = model()
+    *_, sizes = _two_queue_projection(net, start, 10**6)
+    total = sizes[-1]
+    if total <= 300:
+        caps = range(1, total + 2)
+    else:
+        # every cap would take half a minute here; the outcome only changes
+        # where a Boolean node's search first passes the cap, so take the
+        # caps on both sides of each such step, and a stride between them
+        steps = {c for size in sizes for c in (size - 1, size)}
+        caps = sorted(steps | set(range(1, total + 2, 97)) | {total + 1})
+    for cap in caps:
+        proj = mp_boolean_projection(net, start, cap=cap)
+        tagged = [(e.source, e.target, e.tag) for e in proj.edges]
+        want = _two_queue_projection(net, start, cap)[:3]
+        assert (proj.nodes, tagged, proj.cap_exceeded) == want, cap
+    assert not proj.cap_exceeded
 
 
 def test_semantics_inclusion_chain():

@@ -92,6 +92,16 @@ def test_unfolded_names_orders_and_collisions():
         unfold(clash, UnfoldSpec(components=("a",)))
 
 
+def test_components_as_a_bare_string_are_refused():
+    # "ab" names one component; read letter by letter it would unfold a and b
+    net = parse_bnet("a, b\nb, a\nab, a & b\n")
+    with pytest.raises(ValueError, match="string 'ab'"):
+        UnfoldSpec(components="ab")
+    assert unfolded_names(net, UnfoldSpec(components=["ab"])) == [
+        "a", "b", "ab_a", "ab_b", "ab_c",
+    ]
+
+
 # --- conditions --------------------------------------------------------------
 
 # expected condition formulas for example_a over
