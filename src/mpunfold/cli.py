@@ -19,7 +19,7 @@ import traceback
 
 from .expr import BnetParseError, format_expr
 from .network import infer_regulatory_graph, parse_bnet_file, print_bnet
-from .oracle import RandomNetSpec, check_equivalence, random_network
+from .oracle import MAX_EQUIV_N, RandomNetSpec, check_equivalence, random_network
 from .reach import (
     DEFAULT_CAP,
     CapExceeded,
@@ -205,6 +205,10 @@ def _cmd_reggraph(net, args) -> int:
 
 
 def _cmd_verify(net, args) -> int:
+    if args.seeds < 0:
+        raise ValueError(f"--seeds must be at least 0, got {args.seeds}")
+    if not 1 <= args.n <= MAX_EQUIV_N:
+        raise ValueError(f"--n must be between 1 and {MAX_EQUIV_N}, got {args.n}")
     reports = [check_equivalence(net, mode=args.mode, label="model")]
     for seed in range(args.seeds):
         spec = RandomNetSpec(n=args.n, seed=seed)

@@ -9,9 +9,8 @@ tautology.
 check_equivalence is the desk-scale theorem check: most permissive
 reachability between Boolean states coincides with asynchronous
 reachability between their encodings in the fully unfolded network.  Each
-side is a graph whose successors are computed on first lookup, so a
-breadth-first search from each Boolean source expands only the states it
-reaches:
+side is a graph whose successors are computed on first lookup, so only the
+states the Boolean sources reach are expanded:
 
     mp side        the naive definition above, with every rule's value on
                    a Boolean reading computed once per check and looked up
@@ -21,20 +20,25 @@ reaches:
                    encodings of the 2^n Boolean states.
 
 The mp side stays on rule trees and the oracle's own evaluator, so a fault
-in the diagrams or in semantics.py cannot hide on both sides at once.  Both
-sides run the explorers' breadth-first search, reach._bfs; the tests check
-that search against searches of their own.
+in the diagrams or in semantics.py cannot hide on both sides at once.  Each
+side is one pass of the explorers' component routine, reach._condense,
+which gives every source's reachable Boolean states as a bit mask and
+steps each state once; so does the plain asynchronous graph of the
+subsumption check.  Only a source with a mismatch or a violation gets a
+breadth-first search, reach._bfs, for its witness and the report's order.
+The tests check both routines against searches of their own.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from . import expr as ex
 from .network import BooleanNetwork, build_function
-from .reach import _bfs as _search, _path
+from .reach import _bfs as _search, _condense, _path
 from .semantics import _async, async_successors
 from .unfold import UnfoldSpec, encode_state, unfold
 
@@ -93,18 +97,21 @@ def _naive_mp_step(x: str, values) -> set[str]:
     """naive_mp_successors of a checked state x, where values(bits) gives
     every rule's value on the Boolean reading bits (a tuple of 0/1)."""
     free = [k for k, c in enumerate(x) if c in "id"]
-    can: list[set[int]] = [set() for _ in x]
+    rise = fall = 0  # bit j: rule j reads 1 (rise), 0 (fall) on some completion
     for choice in product((0, 1), repeat=len(free)):
         bits = [int(c) if c in "01" else 0 for c in x]
         for k, b in zip(free, choice):
             bits[k] = b
         for j, value in enumerate(values(tuple(bits))):
-            can[j].add(value)
+            if value:
+                rise |= 1 << j
+            else:
+                fall |= 1 << j
     out = set()
     for j, c in enumerate(x):
-        if c in "0d" and 1 in can[j]:
+        if c in "0d" and rise >> j & 1:
             out.add(x[:j] + "i" + x[j + 1 :])
-        if c in "1i" and 0 in can[j]:
+        if c in "1i" and fall >> j & 1:
             out.add(x[:j] + "d" + x[j + 1 :])
         if c == "i":
             out.add(x[:j] + "1" + x[j + 1 :])
@@ -225,6 +232,16 @@ def _bfs(adjacency, start):
     return _search(adjacency.__getitem__, [start], math.inf)[0]
 
 
+def _reach(step, sources, bit):
+    """Each source's reachable set, as the OR of bit[s] over the states s it
+    reaches, from one _condense pass that steps each state once."""
+    components, _, masks, _ = _condense(
+        step, sources, math.inf, lambda s: bit.get(s, 0)
+    )
+    mask_of = {s: mask for c, mask in zip(components, masks) for s in c if s in bit}
+    return [mask_of[s] for s in sources]
+
+
 def check_equivalence(
     net: BooleanNetwork, mode: str = "exact", label: str = ""
 ) -> EquivalenceReport:
@@ -234,47 +251,50 @@ def check_equivalence(
     asynchronous reachability is subsumed by most permissive reachability."""
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
-    # most permissive side, via the naive oracle; each rule is evaluated
-    # once per Boolean reading, each state expanded when first reached
-    readings = _Lazy(_rule_values(net))
-    order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
-    mp_adj = _Lazy(
-        lambda x: sorted(_naive_mp_step(x, readings.__getitem__), key=order)
-    )
+    # Boolean state k (in string order) is bit k of a reachable-set mask
     bool_states = ["".join(t) for t in product("01", repeat=net.n)]
-    mp_parents = {x: _bfs(mp_adj, x) for x in bool_states}
-    mp_reach = {
-        x: {y for y in bool_states if y in mp_parents[x]} for x in bool_states
-    }
+    bit = {x: 1 << k for k, x in enumerate(bool_states)}
+    # most permissive side, via the naive oracle; each rule is evaluated
+    # once per Boolean reading, each state expanded once
+    readings = _Lazy(_rule_values(net))
+    mp_step = lambda x: _naive_mp_step(x, readings.__getitem__)
+    mp_reach = _reach(mp_step, bool_states, bit)
     # unfolded side: the asynchronous graph, expanded from the encoded
     # Boolean states only as far as they reach
     ext = unfold(net, UnfoldSpec(components=None, mode=mode))
-    m = ext.n
-    ev = ext.evaluator
-    adjacency = _Lazy(lambda s: _async(ev, s))
-    enc = {x: int(encode_state(net, x), 2) for x in bool_states}
-    unf_parents = {x: _bfs(adjacency, enc[x]) for x in bool_states}
-    unf_reach = {
-        x: {y for y in bool_states if enc[y] in unf_parents[x]} for x in bool_states
-    }
+    unf_step = partial(_async, ext.evaluator)
+    enc = [int(encode_state(net, x), 2) for x in bool_states]
+    unf_reach = _reach(unf_step, enc, dict(zip(enc, bit.values())))
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
-    for x in bool_states:
-        for y in bool_states:
-            a, b = y in mp_reach[x], y in unf_reach[x]
+    # witnesses: shortest paths, in sorted mp successor order on the mp
+    # side, over successor maps filled only by these searches
+    order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
+    mp_adj, unf_adj = _Lazy(lambda x: sorted(mp_step(x), key=order)), _Lazy(unf_step)
+    width = f"0{ext.n}b"
+    for k, x in enumerate(bool_states):
+        a_set, b_set = mp_reach[k], unf_reach[k]
+        if a_set == b_set:
+            continue
+        mp_parents = _bfs(mp_adj, x) if a_set & ~b_set else None
+        unf_parents = _bfs(unf_adj, enc[k]) if b_set & ~a_set else None
+        for i, y in enumerate(bool_states):
+            a, b = bool(a_set >> i & 1), bool(b_set >> i & 1)
             if a == b:
                 continue
             if a:
-                witness = _path(mp_parents[x], y)
+                witness = _path(mp_parents, y)
             else:
-                width = f"0{m}b"
-                witness = [format(i, width) for i in _path(unf_parents[x], enc[y])]
+                witness = [format(t, width) for t in _path(unf_parents, enc[i])]
             report.mismatches.append(Mismatch(x, y, a, b, witness))
     # async runs of the input must stay within most permissive reachability
-    async_adj = {x: async_successors(net, x) for x in bool_states}
-    for x in bool_states:
-        for y in _bfs(async_adj, x):
-            if y not in mp_reach[x]:
-                report.subsumption_violations.append((x, y))
+    async_step = partial(async_successors, net)
+    async_reach = _reach(async_step, bool_states, bit)
+    async_adj = _Lazy(async_step)
+    for k, x in enumerate(bool_states):
+        if async_reach[k] & ~mp_reach[k]:
+            for y in _bfs(async_adj, x):
+                if not bit[y] & mp_reach[k]:
+                    report.subsumption_violations.append((x, y))
     return report

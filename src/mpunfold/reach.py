@@ -6,10 +6,12 @@ byte-stable across runs.  Every explorer takes a cap on the number of
 states; hitting the cap is reported, never silently truncated into a wrong
 answer.
 
-Every exploration is one search, _bfs: reaches, reachable_set and
-attractors over the semantics table of the semantics module, each inner
-search of mp_boolean_projection, and both sides of the oracle's theorem
-check.
+Every exploration runs one of two cores.  Searches run _bfs, a
+breadth-first search: reaches, reachable_set, each inner search of
+mp_boolean_projection, and the witnesses of the oracle's theorem check.
+Component questions run _condense, one iterative Tarjan pass that steps
+each state once: attractors (the components no edge leaves) and the
+reachable sets of the theorem check.  Both count the cap the same way.
 """
 from __future__ import annotations
 
@@ -199,56 +201,70 @@ def _path(parent, target):
     return path[::-1]
 
 
-def _tarjan_terminal_sccs(nodes: list[int], succ_of: dict[int, list[int]]):
-    """Iterative Tarjan; yields the strongly connected components that no
-    edge leaves, in discovery order."""
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    sccs = []
-    for root in nodes:
-        if root in index_of:
-            continue
-        work = [(root, iter(succ_of[root]))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index_of:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ_of[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
-    for component in sccs:
-        members = set(component)
-        if all(t in members for v in component for t in succ_of[v]):
-            yield component
+def _condense(succ, starts, cap, tag=None):
+    """Strongly connected components of the closure of starts, by one
+    iterative Tarjan pass that steps each state once and follows each edge
+    once.
+
+    Returns the components (lists of states) in completion order, so each
+    comes after every component it reaches; for each component, whether an
+    edge leaves it; with tag, for each component the OR of tag(s) over every
+    state it reaches (0 without); and whether the cap was passed.  The cap
+    counts as _bfs's does: starts are all admitted, so it is passed iff the
+    closure has more than max(cap, distinct starts) states, and passing it
+    ends the pass."""
+    starts = dict.fromkeys(starts)  # distinct, in order
+    limit = max(cap, len(starts))
+    # index[s]: s's DFS number while s is on the stack, ~component after
+    index: dict = {}
+    stack: list = []
+    components: list[list] = []
+    leaves: list[bool] = []
+    masks: list[int] = []
+    # the state being expanded (at first a virtual root whose successors
+    # are the starts): its successors' iterator, its DFS number, lowlink,
+    # mask so far, whether an edge leaves its component, and its place on
+    # the stack; frames holds the same for the states below it on the path
+    v, it, num, low, mask, out, base = None, iter(starts), -1, -1, 0, False, 0
+    frames = []
+    while True:
+        for w in it:
+            i = index.get(w)
+            if i is None:
+                if len(index) >= limit:
+                    return components, leaves, masks, True
+                frames.append((v, it, num, low, mask, out, base))
+                v, it = w, iter(succ(w))
+                num = low = index[w] = len(index)
+                mask, out, base = tag(w) if tag else 0, False, len(stack)
+                stack.append(w)
+                break
+            if i >= 0:  # on the stack: the same component
+                if i < low:
+                    low = i
+            else:  # a finished component
+                mask |= masks[~i]
+                out = True
+        else:  # v is done
+            if not frames:  # the virtual root: every start is done
+                break
+            if low == num:  # v roots a component: the stack above it
+                component = stack[base:]
+                del stack[base:]
+                k = ~len(components)
+                for w in component:
+                    index[w] = k
+                components.append(component)
+                leaves.append(out)
+                masks.append(mask)
+                out = True  # the edge into v leaves its parent's component
+            child_low, child, child_out = low, mask, out
+            v, it, num, low, mask, out, base = frames.pop()
+            if child_low < low:
+                low = child_low
+            mask |= child
+            out = out or child_out
+    return components, leaves, masks, False
 
 
 def attractors(
@@ -278,17 +294,13 @@ def attractors(
         starts = range(1 << net.n)  # integer order: string order
     else:
         starts = [space.encode(space.check(r)) for r in roots]
-    succ_of = {}  # the search steps each state once: keep what it got
-
-    def step(s):
-        succ_of[s] = space.successors(s)
-        return succ_of[s]
-
-    closure, _, exceeded = _bfs(step, starts, cap)
+    components, leaves, _, exceeded = _condense(space.successors, starts, cap)
     if exceeded:
         raise CapExceeded(f"closure of the root set passed the cap of {cap} states")
     out = []
-    for component in _tarjan_terminal_sccs(list(closure), succ_of):
+    for component, leaving in zip(components, leaves):
+        if leaving:
+            continue
         states = tuple(space.decode(s) for s in sorted(component))
         kind = "stable-state" if len(states) == 1 else "complex"
         out.append(Attractor(states=states, kind=kind))

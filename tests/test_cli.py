@@ -407,6 +407,25 @@ def test_verify_detects_mismatches(capsys, tmp_path):
     assert run(capsys, "verify", str(path), "--mode", "exact")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (["--seeds", "-1"], "--seeds must be at least 0, got -1"),
+        (["--seeds", "1", "--n", "0"], "--n must be between 1 and 4, got 0"),
+        (["--seeds", "1", "--n", "5"], "--n must be between 1 and 4, got 5"),
+        (["--n", "5"], "--n must be between 1 and 4, got 5"),
+    ],
+)
+def test_verify_rejects_bad_options_before_checking(capsys, monkeypatch, options, message):
+    import mpunfold.cli
+
+    checked = []
+    monkeypatch.setattr(mpunfold.cli, "check_equivalence", lambda *a, **k: checked.append(a))
+    code, out, err = run(capsys, "verify", EXAMPLE_A, *options)
+    assert (code, out, checked) == (2, "", [])
+    assert json.loads(err) == {"error": {"type": "invalid-input", "message": message}}
+
+
 # --- errors and usage ----------------------------------------------------------------
 
 def test_parse_error_reports_file_and_line(capsys, tmp_path):

@@ -271,6 +271,116 @@ def test_equivalence_equals_the_all_states_reference_on_models(model, mode):
     assert check_equivalence(net, mode=mode).as_dict() == _all_states_report(net, mode).as_dict()
 
 
+def _closure_size(step, starts):
+    seen, todo = set(starts), list(starts)
+    while todo:
+        for t in step(todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_steps_each_state_once_per_side(monkeypatch, n):
+    """With no successor memo to lean on, each side's step runs once per
+    state it reaches, not once per Boolean source that reaches the state."""
+    from itertools import product
+
+    import mpunfold.oracle as oracle
+    from mpunfold.oracle import naive_mp_successors
+
+    class Unmemoised:  # a successor map that computes every lookup afresh
+        def __init__(self, fn):
+            self._fn = fn
+
+        def __getitem__(self, key):
+            return self._fn(key)
+
+    stepped = {"mp": [], "unfolded": [], "async": []}  # the states each step got
+    mp_step, unf_step, async_step = oracle._naive_mp_step, oracle._async, oracle.async_successors
+    monkeypatch.setattr(oracle, "_Lazy", Unmemoised)
+    monkeypatch.setattr(
+        oracle, "_naive_mp_step", lambda x, v: stepped["mp"].append(x) or mp_step(x, v)
+    )
+    monkeypatch.setattr(
+        oracle, "_async", lambda ev, s: stepped["unfolded"].append(s) or unf_step(ev, s)
+    )
+    monkeypatch.setattr(
+        oracle,
+        "async_successors",
+        lambda net, x: stepped["async"].append(x) or async_step(net, x),
+    )
+    for seed in range(8):
+        net = random_network(RandomNetSpec(n=n, seed=seed))
+        ext = unfold(net, UnfoldSpec(mode="exact"))
+        bool_states = ["".join(t) for t in product("01", repeat=n)]
+        reached = {
+            "mp": _closure_size(lambda x: naive_mp_successors(net, x), bool_states),
+            "unfolded": _closure_size(
+                lambda s: async_step(ext, s), [encode_state(net, x) for x in bool_states]
+            ),
+            "async": 2**n,
+        }
+        for states in stepped.values():
+            states.clear()
+        assert oracle.check_equivalence(net).ok
+        assert {side: len(states) for side, states in stepped.items()} == reached, seed
+        assert all(len(set(states)) == len(states) for states in stepped.values()), seed
+
+
+def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
+    """Witnesses on the mp side and subsumption violations appear only when
+    a side is wrong: break the unfolded and the plain async step and compare
+    the report with one breadth-first search per Boolean source."""
+    from itertools import product
+
+    import mpunfold.oracle as oracle
+    from mpunfold.oracle import _LEVEL_ORDER, Mismatch, _bfs, _path, naive_mp_successors
+    from mpunfold.semantics import _async
+
+    def lossy(ev, s):  # the unfolded side keeps only its first move
+        return _async(ev, s)[:1]
+
+    def jumpy(net, x):  # plain async also jumps to the complement
+        return async_successors(net, x) + ["".join("10"[int(c)] for c in x)]
+
+    monkeypatch.setattr(oracle, "_async", lossy)
+    monkeypatch.setattr(oracle, "async_successors", jumpy)
+    order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
+    mp_witnesses = violations = 0
+    for n in (2, 3):
+        for seed in range(4):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            ext = unfold(net, UnfoldSpec(mode="exact"))
+            bool_states = ["".join(t) for t in product("01", repeat=n)]
+            mp_adj = {
+                x: sorted(naive_mp_successors(net, x), key=order)
+                for x in ("".join(t) for t in product("0id1", repeat=n))
+            }
+            unf_adj = oracle._Lazy(lambda s: lossy(ext.evaluator, s))
+            async_adj = {x: jumpy(net, x) for x in bool_states}
+            enc = {x: int(encode_state(net, x), 2) for x in bool_states}
+            mismatches, violating = [], []
+            for x in bool_states:
+                mp_parents, unf_parents = _bfs(mp_adj, x), _bfs(unf_adj, enc[x])
+                for y in bool_states:
+                    a, b = y in mp_parents, enc[y] in unf_parents
+                    if a and not b:
+                        mismatches.append(Mismatch(x, y, a, b, _path(mp_parents, y)))
+                    elif b and not a:
+                        path = _path(unf_parents, enc[y])
+                        witness = [format(t, f"0{ext.n}b") for t in path]
+                        mismatches.append(Mismatch(x, y, a, b, witness))
+                violating += [(x, y) for y in _bfs(async_adj, x) if y not in mp_parents]
+            report = oracle.check_equivalence(net)
+            assert report.mismatches == mismatches, (n, seed)
+            assert report.subsumption_violations == violating, (n, seed)
+            mp_witnesses += sum(m.mp_reachable for m in mismatches)
+            violations += len(violating)
+    assert mp_witnesses and violations
+
+
 def test_memoised_step_equals_naive_mp_successors():
     from itertools import product
 

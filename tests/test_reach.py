@@ -201,6 +201,81 @@ def test_attractors_cap_and_validation():
         attractors(net, "mp")
 
 
+# --- strongly connected components ---------------------------------------------
+
+def _random_graph(seed):
+    """A seeded successor map on 1-24 states, with self-loops, repeated
+    successors and states without any, and a list of starts that may
+    repeat or reach each other."""
+    import random
+
+    rng = random.Random(seed)
+    size = rng.randint(1, 24)
+    succ_of = {
+        s: [rng.randrange(size) for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 5)))]
+        for s in range(size)
+    }
+    starts = [rng.randrange(size) for _ in range(rng.randint(1, 5))]
+    return succ_of, starts
+
+
+def _closure(succ_of, starts):
+    seen, todo = set(starts), list(starts)
+    while todo:
+        for t in succ_of[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+@pytest.mark.parametrize("first", range(0, 200, 25))
+def test_condense_matches_brute_force(first):
+    for seed in range(first, first + 25):
+        _check_condense(seed)
+
+
+def _check_condense(seed):
+    from mpunfold.reach import _bfs, _condense
+
+    succ_of, starts = _random_graph(seed)
+    closure = _closure(succ_of, starts)
+    reach = {s: _closure(succ_of, [s]) for s in closure}
+    tag = lambda s: 1 << s % 7 if s % 3 else 0
+    steps = []
+
+    def succ(s):
+        steps.append(s)
+        return succ_of[s]
+
+    components, leaves, masks, exceeded = _condense(succ, starts, 10**6, tag)
+    assert not exceeded
+    assert sorted(steps) == sorted(closure)  # each state stepped once
+    # the components are the classes of mutual reachability
+    assert sorted(tuple(sorted(c)) for c in components) == sorted(
+        {tuple(sorted(t for t in reach[s] if s in reach[t])) for s in closure}
+    )
+    # each comes after every component it reaches
+    heads = [c[0] for c in components]
+    for i, s in enumerate(heads):
+        assert not any(t in reach[s] for t in heads[i + 1 :])
+    for component, leaving, mask in zip(components, leaves, masks):
+        assert leaving == any(
+            t not in component for s in component for t in succ_of[s]
+        )
+        want = 0
+        for t in reach[component[0]]:
+            want |= tag(t)
+        assert mask == want
+    # without tag every mask is 0
+    assert _condense(succ_of.__getitem__, starts, 10**6)[2] == [0] * len(components)
+    # the cap counts as _bfs's does
+    for cap in range(1, len(closure) + 2):
+        assert _condense(succ_of.__getitem__, starts, cap)[3] == (
+            _bfs(succ_of.__getitem__, starts, cap)[2]
+        ), cap
+
+
 # --- boolean projection of mp ------------------------------------------------
 
 def _oracle_projection_targets(net, x):
