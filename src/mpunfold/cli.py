@@ -83,7 +83,7 @@ def _write_or_print(text: str, out: str | None, summary: dict | None = None) -> 
 
 def _unfold_spec(args) -> UnfoldSpec:
     components = None
-    if args.components:
+    if args.components is not None:  # "" selects none, as "," does
         components = tuple(
             name.strip() for name in args.components.split(",") if name.strip()
         )
@@ -176,7 +176,7 @@ def _cmd_stg(net, args) -> int:
 
 
 def _cmd_attractors(net, args) -> int:
-    roots = args.roots.split(",") if args.roots else None
+    roots = args.roots.split(",") if args.roots is not None else None
     found = attractors(net, args.semantics, cap=_cap(args), roots=roots)
     _emit([{"states": list(a.states), "kind": a.kind} for a in found])
     return EXIT_OK

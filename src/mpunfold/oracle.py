@@ -88,7 +88,7 @@ def naive_mp_successors(net: BooleanNetwork, x: str) -> set[str]:
     """Most permissive successors by brute force over gamma(x)."""
     if net.n > MAX_NAIVE_N:
         raise ValueError(f"naive enumeration is limited to n <= {MAX_NAIVE_N}")
-    if len(x) != net.n or any(c not in "0id1" for c in x):
+    if not isinstance(x, str) or len(x) != net.n or any(c not in "0id1" for c in x):
         raise ValueError(f"not a most permissive state of size {net.n}: {x!r}")
     return _naive_mp_step(x, _rule_values(net))
 

@@ -9,8 +9,9 @@ and 000).  The remaining patterns 010 and 110 are artifacts and stay
 unreachable from encoded states.  A triplet reads as activatable iff c = 1
 and as inactivatable iff b = 0.
 
-The rules of the unfolded network are driven by two conditions per
-component j:
+Each rule of the unfolded network is one bit of a component's synchronous
+image, and the table _IMAGE is the one definition of that image (triplet_step
+looks it up too).  The image is driven by two conditions per component j:
 
     plus_j   "f_j can evaluate to 1 given what each regulator may read as"
     minus_j  "f_j can evaluate to 0 ..."
@@ -51,6 +52,49 @@ ARTIFACT_TRIPLETS = ("010", "110")
 LETTERS = ("a", "b", "c")
 
 MODES = ("exact", "syntactic")
+
+# _IMAGE[own][2 * plus + minus]: the synchronous image of a component's own
+# pattern (a triplet, or a plain component's bit) under its two conditions
+_IMAGE = {
+    "000": ("000", "000", "001", "001"),
+    "001": ("011", "111", "011", "111"),
+    "011": ("111",) * 4,
+    "111": ("111", "101", "111", "101"),
+    "101": ("100", "100", "000", "000"),
+    "100": ("000",) * 4,
+    # artifacts drain toward the nearest level
+    "010": ("000",) * 4,
+    "110": ("111",) * 4,
+    # a plain component may rise under plus and fall under minus
+    "0": ("0", "0", "1", "1"),
+    "1": ("1", "0", "1", "0"),
+}
+
+# the condition that sets an image bit, by the bit's four values in _IMAGE:
+# None (always), or (0 for plus or 1 for minus, whether negated)
+_SETTER_OF = {
+    (1, 1, 1, 1): None,
+    (0, 0, 1, 1): (0, False),
+    (1, 1, 0, 0): (0, True),
+    (0, 1, 0, 1): (1, False),
+    (1, 0, 1, 0): (1, True),
+}
+
+
+def _setters(width: int, position: int) -> list:
+    """The own patterns of the given width whose image sets the bit at the
+    given position, grouped by the condition that sets it, the unconditional
+    group first."""
+    groups: dict = {}
+    for own, images in _IMAGE.items():
+        if len(own) == width:
+            bits = tuple(int(image[position]) for image in images)
+            if any(bits):
+                groups.setdefault(_SETTER_OF[bits], []).append(own)
+    return sorted(groups.items(), key=lambda group: group[0] is not None)
+
+
+_SETTERS = {(w, p): _setters(w, p) for w in (1, 3) for p in range(w)}
 
 
 @dataclass(frozen=True)
@@ -107,27 +151,19 @@ class _Unfolding:
         self.manager = DiagramManager(len(self.out_names))
         # slots[k]: tuple (a,b,c) of output indices if k unfolded, else (p,)
         self.slots: list[tuple[int, ...]] = []
-        # origin[i]: (k, letter) of output index i, letter None if k is plain
-        self.origin: list[tuple[int, str | None]] = []
+        # origin[i]: (k, place of output index i among k's slots)
+        self.origin: list[tuple[int, int]] = []
         pos = 0
         for k in range(net.n):
             width = 3 if k in self.chosen else 1
             self.slots.append(tuple(range(pos, pos + width)))
             pos += width
-            letters = LETTERS if width == 3 else (None,)
-            self.origin.extend((k, letter) for letter in letters)
+            self.origin.extend((k, position) for position in range(width))
         m = self.manager
-        self.allow1: list[int] = []
-        self.allow0: list[int] = []
-        for k in range(net.n):
-            if k in self.chosen:
-                _, b, c = self.slots[k]
-                self.allow1.append(m.var_node(c))
-                self.allow0.append(m.neg(m.var_node(b)))
-            else:
-                (p,) = self.slots[k]
-                self.allow1.append(m.var_node(p))
-                self.allow0.append(m.neg(m.var_node(p)))
+        # k may read as 1 iff its last slot (c, or its plain bit) is set, and
+        # as 0 iff its middle slot (b, or its plain bit) is clear
+        self.allow1 = [m.var_node(slots[-1]) for slots in self.slots]
+        self.allow0 = [m.neg(m.var_node(slots[len(slots) // 2])) for slots in self.slots]
         self._conditions: dict[int, tuple[int, int]] = {}
 
     def conditions(self, j: int) -> tuple[int, int]:
@@ -175,45 +211,27 @@ class _Unfolding:
             lambda v, w: (m.disj(v[0], w[0]), m.conj(v[1], w[1])),
         )
 
-    def _own(self, k: int, pattern: str) -> int:
-        """Conjunction fixing component k's own triplet to a 0/1/* pattern."""
-        m = self.manager
-        node = TRUE
-        for slot, want in zip(self.slots[k], pattern):
-            if want == "*":
-                continue
-            lit = m.var_node(slot)
-            node = m.conj(node, lit if want == "1" else m.neg(lit))
-        return node
-
     def rule_node(self, out_index: int) -> int:
+        """Output out_index's bit of _IMAGE's image of its component's own
+        pattern: per condition, the own patterns it sets the bit on."""
         m = self.manager
-        k, letter = self.origin[out_index]
-        plus, minus = self.conditions(k)
-        if letter is None:  # plain component: may-rise or no-must-fall
-            x = m.var_node(out_index)
-            return m.disj(m.conj(m.neg(x), plus), m.conj(x, m.neg(minus)))
-        own = lambda pattern: self._own(k, pattern)
-        if letter == "a":
-            return reduce(
-                m.disj,
-                (
-                    own("011"),
-                    own("110"),
-                    own("111"),
-                    m.conj(own("001"), minus),
-                    m.conj(own("101"), m.neg(plus)),
-                ),
-            )
-        if letter == "b":
-            return reduce(
-                m.disj,
-                (own("110"), own("0*1"), m.conj(own("111"), m.neg(minus))),
-            )
-        return reduce(
-            m.disj,
-            (own("11*"), own("0*1"), m.conj(own("000"), plus)),
-        )
+        k, position = self.origin[out_index]
+        slots = self.slots[k]
+        node = FALSE
+        for setter, patterns in _SETTERS[len(slots), position]:
+            cubes = FALSE
+            for own in patterns:
+                cube = TRUE
+                for slot, bit in zip(reversed(slots), reversed(own)):
+                    low, high = (FALSE, cube) if bit == "1" else (cube, FALSE)
+                    cube = m.mk(slot, low, high)
+                cubes = m.disj(cubes, cube)
+            if setter is not None:
+                which, negated = setter
+                condition = self.conditions(k)[which]
+                cubes = m.conj(cubes, m.neg(condition) if negated else condition)
+            node = m.disj(node, cubes)
+        return node
 
 
 def build_condition(
@@ -245,11 +263,12 @@ def _node_to_expr(manager: DiagramManager, node: int) -> ex.BooleanExpr:
 def unfold(net: BooleanNetwork, spec: UnfoldSpec | None = None) -> BooleanNetwork:
     """The unfolded Boolean network.
 
-    Unfolded components get the three-variable rules driven by their
-    conditions; components left plain get (not x and plus) or (x and not
-    minus), which degenerates to the original rule when no regulator is
-    unfolded.  Asynchronous runs of the result simulate the most permissive
-    runs of the input (exactly, in exact mode, on encoded states).
+    Each output rule is one bit of _IMAGE's image of its component's own
+    pattern under the component's conditions.  A component left plain gets
+    (not x and plus) or (x and not minus), which degenerates to the original
+    rule when no regulator is unfolded.  Asynchronous runs of the result
+    simulate the most permissive runs of the input (exactly, in exact mode,
+    on encoded states).
 
     The result's rule diagrams are the nodes built here, in this
     construction's manager; its rule trees are their sums of products."""
@@ -273,15 +292,12 @@ def encode_state(net: BooleanNetwork, x: str, spec: UnfoldSpec | None = None) ->
     chosen = spec.resolve(net)
     parts = []
     for k, level in enumerate(x):
-        if k in chosen:
-            parts.append(LEVEL_TO_TRIPLET[level])
-        else:
-            if level not in "01":
-                raise ValueError(
-                    f"component {net.names[k]!r} is not unfolded and must be "
-                    f"Boolean, got level {level!r}"
-                )
-            parts.append(level)
+        if k not in chosen and level not in "01":
+            raise ValueError(
+                f"component {net.names[k]!r} is not unfolded and must be "
+                f"Boolean, got level {level!r}"
+            )
+        parts.append(LEVEL_TO_TRIPLET[level] if k in chosen else level)
     return "".join(parts)
 
 
@@ -297,42 +313,24 @@ def decode_state(net: BooleanNetwork, xt: str, spec: UnfoldSpec | None = None) -
     parts = []
     pos = 0
     for k in range(net.n):
-        if k in chosen:
-            triplet = xt[pos : pos + 3]
-            pos += 3
-            level = TRIPLET_TO_LEVEL.get(triplet)
-            if level is None:
-                raise ValueError(
-                    f"triplet {triplet} of component {net.names[k]!r} does not "
-                    f"encode a level"
-                )
-            parts.append(level)
-        else:
-            parts.append(xt[pos])
-            pos += 1
+        width = 3 if k in chosen else 1
+        own = xt[pos : pos + width]
+        pos += width
+        level = TRIPLET_TO_LEVEL.get(own) if width == 3 else own
+        if level is None:
+            raise ValueError(
+                f"triplet {own} of component {net.names[k]!r} does not encode a level"
+            )
+        parts.append(level)
     return "".join(parts)
 
 
 def triplet_step(own: str, plus_cond: bool, minus_cond: bool) -> str:
-    """Synchronous image of a single triplet given its condition values."""
+    """Synchronous image of a single triplet given its condition values:
+    its entry in _IMAGE, the table every unfolded rule is built from."""
     if own not in VALID_TRIPLETS + ARTIFACT_TRIPLETS:
         raise ValueError(f"not a triplet: {own!r}")
-    if own == "000":
-        return "001" if plus_cond else "000"
-    if own == "001":
-        return "111" if minus_cond else "011"
-    if own == "011":
-        return "111"
-    if own == "100":
-        return "000"
-    if own == "101":
-        return "000" if plus_cond else "100"
-    if own == "111":
-        return "101" if minus_cond else "111"
-    # artifacts drain toward the nearest level
-    if own == "010":
-        return "000"
-    return "111"  # 110
+    return _IMAGE[own][2 * bool(plus_cond) + bool(minus_cond)]
 
 
 # per-coordinate move -> successive own-triplet values, one bit flip each

@@ -181,6 +181,14 @@ def test_unfold_partial_and_output_file(capsys, tmp_path):
         assert name in text
 
 
+@pytest.mark.parametrize("selection", ["", ",", " , "])
+def test_unfold_empty_selection_unfolds_nothing(capsys, selection):
+    code, out, _ = run(capsys, "unfold", EXAMPLE_A, "--components", selection)
+    assert code == 0
+    assert out == print_bnet(unfold(example_a(), UnfoldSpec(components=())))
+    assert out == "targets, factors\nx1, x1 & !x3\nx2, x1\nx3, !x1\n"
+
+
 def test_unknown_component_message_is_not_quoted(capsys):
     code, out, err = run(capsys, "unfold", EXAMPLE_A, "--components", "zz")
     assert (code, out) == (2, "")
@@ -342,6 +350,15 @@ def test_attractors_json(capsys):
         capsys, "attractors", EXAMPLE_A, "--semantics", "async", "--roots", "001"
     )
     assert json.loads(out) == [{"states": ["001"], "kind": "stable-state"}]
+
+
+@pytest.mark.parametrize("roots", ["", ","])
+def test_attractors_empty_roots_are_invalid(capsys, roots):
+    code, out, err = run(
+        capsys, "attractors", EXAMPLE_A, "--semantics", "async", "--roots", roots
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "invalid-input"
 
 
 def test_attractors_mp_is_rejected(capsys):

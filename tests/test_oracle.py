@@ -38,8 +38,9 @@ def test_naive_mp_successors_validation():
     from mpunfold.oracle import naive_mp_successors
 
     net = example_a()
-    with pytest.raises(ValueError, match="not a most permissive state"):
-        naive_mp_successors(net, "0x0")
+    for x in ("0x0", 5, list("000")):
+        with pytest.raises(ValueError, match="not a most permissive state"):
+            naive_mp_successors(net, x)
     big = parse_bnet("".join(f"a{k}, a{k}\n" for k in range(11)))
     with pytest.raises(ValueError, match="n <= 10"):
         naive_mp_successors(big, "0" * 11)

@@ -393,6 +393,40 @@ def test_triplet_step_table():
         triplet_step("012", True, True)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_unfolded_rules_are_triplet_step_images(mode, partial):
+    # on every Boolean state, artifacts included: each unfolded letter is its
+    # place in triplet_step's image of the own triplet under the component's
+    # conditions, and a plain component rises under plus and falls under minus
+    for n in range(1, 5):
+        for seed in range(4):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            components = net.names[::2] if partial else None
+            spec = UnfoldSpec(components=components, mode=mode)
+            ext = unfold(net, spec)
+            chosen = spec.resolve(net)
+            rules = [build_function(ext, i).truth_table() for i in range(ext.n)]
+            conditions = [
+                [build_condition(net, k, spec, p).truth_table() for p in ("plus", "minus")]
+                for k in range(n)
+            ]
+            for i, s in enumerate(all_states(ext.n)):
+                pos = 0
+                for k, (plus, minus) in enumerate(conditions):
+                    width = 3 if k in chosen else 1
+                    own = s[pos : pos + width]
+                    plus, minus = plus >> i & 1, minus >> i & 1
+                    if width == 3:
+                        expected = triplet_step(own, plus, minus)
+                    else:
+                        x = own == "1"
+                        expected = str(int((not x and plus) or (x and not minus)))
+                    got = "".join(str(rules[o] >> i & 1) for o in range(pos, pos + width))
+                    assert got == expected, (n, seed, net.names[k], s)
+                    pos += width
+
+
 def _x2_flip_targets(ext, state):
     """Successors of state that change exactly one of x2's letters."""
     out = {}
