@@ -8,6 +8,11 @@ functions built in the same manager are equal iff their ids are equal.
 
 No complement edges; the node-wise transforms in unfold.py rely on plain
 (var, low, high) structure.
+
+apply, conj, disj and equiv share one recursion, _apply, which is handed its
+operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
+It and neg recurse one frame per diagram level, and both build the low
+branch before the high branch, which fixes the numbering of new nodes.
 """
 from __future__ import annotations
 
@@ -15,6 +20,9 @@ from . import expr as ex
 
 FALSE = 0
 TRUE = 1
+
+_AND, _OR, _XOR = 0, 1, 2
+_OPS = {"and": _AND, "or": _OR, "xor": _XOR}
 
 
 class DiagramManager:
@@ -24,7 +32,7 @@ class DiagramManager:
         self.nvars = nvars
         self._triples: list[tuple[int, int, int]] = []
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_memo: dict[tuple[str, int, int], int] = {}
+        self._memos = ({}, {}, {})  # one per operation, by its code in _OPS
         self._neg_memo: dict[int, int] = {}
 
     def triple(self, u: int) -> tuple[int, int, int]:
@@ -58,63 +66,54 @@ class DiagramManager:
         return r
 
     def apply(self, op: str, u: int, v: int) -> int:
-        # terminal short-cuts
-        if op == "and":
-            if u == FALSE or v == FALSE:
-                return FALSE
-            if u == TRUE:
-                return v
-            if v == TRUE:
-                return u
-            if u == v:
-                return u
-        elif op == "or":
-            if u == TRUE or v == TRUE:
-                return TRUE
-            if u == FALSE:
-                return v
-            if v == FALSE:
-                return u
-            if u == v:
-                return u
-        elif op == "xor":
-            if u == v:
-                return FALSE
-            if u == FALSE:
-                return v
-            if v == FALSE:
-                return u
-            if u == TRUE:
-                return self.neg(v)
-            if v == TRUE:
-                return self.neg(u)
-        else:
+        """u op v, for op one of "and", "or", "xor"."""
+        code = _OPS.get(op)
+        if code is None:
             raise ValueError(f"unknown operation {op!r}")
-        if v < u:  # all three ops are commutative
+        return self._apply(code, self._memos[code], u, v)
+
+    def _apply(self, op: int, memo: dict, u: int, v: int) -> int:
+        """u op v.  memo is op's own, keyed (u, v) with u < v: all three
+        operations are commutative.  The low branch is built first."""
+        if v < u:
             u, v = v, u
-        key = (op, u, v)
-        r = self._apply_memo.get(key)
+        if u < 2:
+            if op == _AND:
+                return v if u else FALSE
+            if op == _OR:
+                return TRUE if u else v
+            return self.neg(v) if u else v
+        if u == v:
+            return FALSE if op == _XOR else u
+        key = (u, v)
+        r = memo.get(key)
         if r is not None:
             return r
-        uvar, ulow, uhigh = self.triple(u)
-        vvar, vlow, vhigh = self.triple(v)
-        var = min(uvar, vvar)
-        if uvar > var:
-            ulow = uhigh = u
-        if vvar > var:
-            vlow = vhigh = v
-        r = self.mk(var, self.apply(op, ulow, vlow), self.apply(op, uhigh, vhigh))
-        self._apply_memo[key] = r
+        triples = self._triples
+        uvar, ulow, uhigh = triples[u - 2]
+        vvar, vlow, vhigh = triples[v - 2]
+        if uvar < vvar:
+            var, vlow, vhigh = uvar, v, v
+        elif vvar < uvar:
+            var, ulow, uhigh = vvar, u, u
+        else:
+            var = uvar
+        r = self.mk(
+            var,
+            self._apply(op, memo, ulow, vlow),
+            self._apply(op, memo, uhigh, vhigh),
+        )
+        memo[key] = r
         return r
 
     def conj(self, u: int, v: int) -> int:
-        return self.apply("and", u, v)
+        return self._apply(_AND, self._memos[_AND], u, v)
 
     def disj(self, u: int, v: int) -> int:
-        return self.apply("or", u, v)
+        return self._apply(_OR, self._memos[_OR], u, v)
 
     def equiv(self, u: int, v: int) -> int:
-        return self.neg(self.apply("xor", u, v))
+        return self.neg(self._apply(_XOR, self._memos[_XOR], u, v))
 
     def restrict(self, u: int, assignment: dict[int, int]) -> int:
         """Cofactor: fix the given variables to 0/1."""

@@ -283,7 +283,7 @@ class _TreeReader(_Grammar):
 class _DiagramReader(_Grammar):
     """Builds the rule's diagram in a DiagramManager, and no tree.  An "&"
     chain of literals on distinct variables becomes its cube directly;
-    any other chain goes through _conjoin.  "|" chains fold with apply."""
+    any other chain goes through _conjoin.  "|" chains fold with disj."""
 
     __slots__ = ("m",)
 
@@ -302,7 +302,7 @@ class _DiagramReader(_Grammar):
         return self.m.neg(u)
 
     def disj(self, u, v):
-        return self.m.apply("or", u, v)
+        return self.m.disj(u, v)
 
     def conj(self, ops):
         lits = {}
@@ -323,10 +323,10 @@ def _cube(m, lits: dict[int, int]) -> int:
 
 
 def _conjoin(m, nodes: list[int]) -> int:
-    """Conjunction of diagram nodes, folded with apply."""
+    """Conjunction of diagram nodes, folded with conj."""
     u = nodes[0]
     for v in nodes[1:]:
-        u = m.apply("and", u, v)
+        u = m.conj(u, v)
     return u
 
 

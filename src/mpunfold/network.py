@@ -16,6 +16,7 @@ exact unfolding never build them.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -32,7 +33,7 @@ class BooleanNetwork:
         for name in names:
             if not IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid component name {name!r}")
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = sorted(n for n, count in Counter(names).items() if count > 1)
         if dupes:
             raise ValueError(f"duplicate component names: {', '.join(dupes)}")
         self._set_names(names)
@@ -301,10 +302,22 @@ def parse_bnet_file(path: str) -> BooleanNetwork:
         return parse_bnet(fh.read())
 
 
-def _cube_text(cube, names) -> str:
-    if not cube:
-        return "1"
-    return " & ".join(("" if bit else "!") + names[var] for var, bit in cube)
+def _products(m: DiagramManager, u: int, names) -> list[str]:
+    """The product of each path from u to 1: its literals in variable order,
+    joined by " & ".  One depth-first walk that carries each path's text."""
+    triple = m.triple
+    products = []
+    stack = [(u, "")]
+    while stack:
+        w, text = stack.pop()
+        if w == TRUE:
+            products.append(text)
+        elif w != FALSE:
+            var, low, high = triple(w)
+            text = text + " & " if text else ""
+            stack.append((high, text + names[var]))
+            stack.append((low, text + "!" + names[var]))
+    return products
 
 
 def print_bnet(net: BooleanNetwork) -> str:
@@ -320,11 +333,7 @@ def print_bnet(net: BooleanNetwork) -> str:
         elif fr.is_true:
             body = "1"
         else:
-            products = sorted(
-                _cube_text(cube, net.names)
-                for cube in net.manager.iter_cubes(fr.node)
-            )
-            body = " | ".join(products)
+            body = " | ".join(sorted(_products(net.manager, fr.node, net.names)))
         lines.append(f"{name}, {body}")
     return "\n".join(lines) + "\n"
 

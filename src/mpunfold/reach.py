@@ -103,11 +103,22 @@ def _check_cap(cap: int) -> int:
 
 def fixed_points(net: BooleanNetwork) -> list[str]:
     """All states with f(s) = s, by symbolic conjunction of f_j <-> x_j,
-    in lexicographic order."""
+    in lexicographic order.
+
+    The constraints are conjoined by (deepest of j and the variables f_j
+    reads, j): each partial product then depends on the top variables only
+    and stays small, where declaration order lets it test every variable
+    read so far.  The conjunction, and so the answer, is the same in any
+    order."""
     m = net.manager
-    node = 1
+    constraints = []
     for j in range(net.n):
-        node = m.conj(node, m.equiv(build_function(net, j).node, m.var_node(j)))
+        f = build_function(net, j).node
+        deepest = max(m.support(f) | {j})
+        constraints.append((deepest, j, m.equiv(f, m.var_node(j))))
+    node = 1
+    for _, _, constraint in sorted(constraints):
+        node = m.conj(node, constraint)
     return ["".join(str(b) for b in model) for model in m.iter_models(node)]
 
 

@@ -35,6 +35,7 @@ negation just swaps the pair.  Negated conditions are the complements of the bui
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -143,7 +144,8 @@ class _Unfolding:
         self.spec = spec
         self.chosen = spec.resolve(net)
         self.out_names = unfolded_names(net, spec)
-        dupes = sorted({n for n in self.out_names if self.out_names.count(n) > 1})
+        counts = Counter(self.out_names)
+        dupes = sorted(n for n, count in counts.items() if count > 1)
         if dupes:
             raise ValueError(
                 f"unfolding produces colliding component names: {', '.join(dupes)}"
@@ -242,9 +244,11 @@ def build_condition(
 ) -> FunctionRep:
     """The plus/minus condition of component j over the unfolded variables
     (variable order = unfolded_names order)."""
-    ctx = _Unfolding(net, spec or UnfoldSpec())
+    if not isinstance(j, int) or not 0 <= j < net.n:
+        raise ValueError(f"component index must be in 0..{net.n - 1}, got {j!r}")
     if polarity not in ("plus", "minus"):
         raise ValueError(f"polarity must be 'plus' or 'minus', got {polarity!r}")
+    ctx = _Unfolding(net, spec or UnfoldSpec())
     return FunctionRep(ctx.manager, ctx.conditions(j)[polarity == "minus"])
 
 

@@ -1,10 +1,23 @@
 """Diagram manager: canonicity, evaluation, support, tables."""
+import importlib
 import random
 
 import pytest
 
+from mpunfold import (
+    RandomNetSpec,
+    UnfoldSpec,
+    parse_bnet,
+    print_bnet,
+    random_network,
+    unfold,
+)
 from mpunfold.bdd import FALSE, TRUE, DiagramManager, FunctionRep
 from mpunfold.expr import evaluate, parse_expression
+
+# the modules, not the functions of the same names that mpunfold exports
+network_module = importlib.import_module("mpunfold.network")
+unfold_module = importlib.import_module("mpunfold.unfold")
 
 
 def _random_expr(rng, nvars, depth):
@@ -137,3 +150,108 @@ def test_function_rep_identity_and_cross_manager_equivalence():
     assert f1 != f2  # different managers never compare equal
     assert f1.equivalent(f2)
     assert not f1.equivalent(FunctionRep(m2, m2.from_expr(parse_expression("a & b", names))))
+
+
+def test_apply_operations_and_unknown_operation():
+    m = DiagramManager(2)
+    a, b = m.var_node(0), m.var_node(1)
+    assert m.apply("and", a, b) == m.conj(b, a)
+    assert m.apply("or", a, b) == m.disj(b, a)
+    assert m.apply("xor", a, b) == m.neg(m.equiv(a, b))
+    assert m.truth_table(m.apply("xor", a, b)) == 0b0110
+    assert m.apply("xor", a, TRUE) == m.neg(a)
+    assert m.apply("xor", b, b) == FALSE
+    with pytest.raises(ValueError, match="unknown operation 'nand'"):
+        m.apply("nand", a, b)
+
+
+class _ReferenceManager(DiagramManager):
+    """A manager whose conj, disj and equiv run a string-keyed recursive
+    apply with one shared memo, as the manager once did.  DiagramManager
+    must make the same nodes in the same order: node ids follow from it."""
+
+    def __init__(self, nvars):
+        super().__init__(nvars)
+        self._reference_memo = {}
+
+    def apply(self, op, u, v):
+        if op == "and":
+            if u == FALSE or v == FALSE:
+                return FALSE
+            if u == TRUE:
+                return v
+            if v == TRUE:
+                return u
+            if u == v:
+                return u
+        elif op == "or":
+            if u == TRUE or v == TRUE:
+                return TRUE
+            if u == FALSE:
+                return v
+            if v == FALSE:
+                return u
+            if u == v:
+                return u
+        elif op == "xor":
+            if u == v:
+                return FALSE
+            if u == FALSE:
+                return v
+            if v == FALSE:
+                return u
+            if u == TRUE:
+                return self.neg(v)
+            if v == TRUE:
+                return self.neg(u)
+        else:
+            raise ValueError(f"unknown operation {op!r}")
+        if v < u:
+            u, v = v, u
+        key = (op, u, v)
+        r = self._reference_memo.get(key)
+        if r is not None:
+            return r
+        uvar, ulow, uhigh = self.triple(u)
+        vvar, vlow, vhigh = self.triple(v)
+        var = min(uvar, vvar)
+        if uvar > var:
+            ulow = uhigh = u
+        if vvar > var:
+            vlow = vhigh = v
+        r = self.mk(var, self.apply(op, ulow, vlow), self.apply(op, uhigh, vhigh))
+        self._reference_memo[key] = r
+        return r
+
+    def conj(self, u, v):
+        return self.apply("and", u, v)
+
+    def disj(self, u, v):
+        return self.apply("or", u, v)
+
+    def equiv(self, u, v):
+        return self.neg(self.apply("xor", u, v))
+
+
+def _built_triples(text):
+    """The node triples of the managers made by reading text and by
+    unfolding it: in both modes, all components and only the first."""
+    net = parse_bnet(text)
+    managers = [net.manager]
+    for mode in ("exact", "syntactic"):
+        for components in (None, net.names[:1]):
+            spec = UnfoldSpec(components=components, mode=mode)
+            managers.append(unfold(net, spec).manager)
+    return [list(m._triples) for m in managers], managers
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_node_numbering_matches_the_reference_apply(n, monkeypatch):
+    texts = [print_bnet(random_network(RandomNetSpec(n=n, seed=seed))) for seed in range(4)]
+    built = [_built_triples(text)[0] for text in texts]
+    monkeypatch.setattr(network_module, "DiagramManager", _ReferenceManager)
+    monkeypatch.setattr(unfold_module, "DiagramManager", _ReferenceManager)
+    for text, triples in zip(texts, built):
+        reference, managers = _built_triples(text)
+        assert all(type(m) is _ReferenceManager for m in managers)
+        assert triples == reference

@@ -7,11 +7,13 @@ import pytest
 from mpunfold import (
     BnetParseError,
     RandomNetSpec,
+    UnfoldSpec,
     build_function,
     parse_bnet,
     parse_bnet_file,
     print_bnet,
     random_network,
+    unfold,
 )
 from mpunfold import expr as ex
 from mpunfold.bdd import DiagramManager, FunctionRep
@@ -194,6 +196,39 @@ def test_print_parse_round_trip_preserves_functions():
             assert build_function(again, j).truth_table() == build_function(
                 net, j
             ).truth_table()
+
+
+def _print_bnet_by_cubes(net):
+    """The .bnet text as print_bnet once wrote it: each path that
+    iter_cubes lists, joined as a product, the products sorted."""
+    lines = ["targets, factors"]
+    for j, name in enumerate(net.names):
+        node = build_function(net, j).node
+        cubes = list(net.manager.iter_cubes(node))
+        if not cubes:
+            body = "0"
+        elif cubes == [[]]:
+            body = "1"
+        else:
+            body = " | ".join(sorted(
+                " & ".join(("" if bit else "!") + net.names[var] for var, bit in cube)
+                for cube in cubes
+            ))
+        lines.append(f"{name}, {body}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_print_bnet_matches_the_cube_renderer(n):
+    nets = [parse_bnet("a, 0\nb, 1\nc, a & !b | c\n")]
+    for seed in range(4):
+        net = random_network(RandomNetSpec(n=n, seed=seed))
+        nets.append(net)
+        for mode in ("exact", "syntactic"):
+            for components in (None, net.names[:1]):
+                nets.append(unfold(net, UnfoldSpec(components=components, mode=mode)))
+    for net in nets:
+        assert print_bnet(net) == _print_bnet_by_cubes(net)
 
 
 # --- diagrams built by the reader --------------------------------------------

@@ -1,5 +1,7 @@
 """Fixed points, explicit graphs, reachability verdicts, attractors, DOT."""
+import random
 from collections import deque
+from itertools import product
 
 import pytest
 
@@ -23,6 +25,7 @@ from mpunfold import (
     reachable_set,
     reaches,
     signal_model,
+    sync_successor,
     unfold,
 )
 from mpunfold.oracle import naive_mp_successors
@@ -43,6 +46,33 @@ def test_fixed_points_unfolded_example_a():
 def test_fixed_points_degenerate():
     assert fixed_points(parse_bnet("a, a\n")) == ["0", "1"]
     assert fixed_points(parse_bnet("a, !a\n")) == []
+
+
+def _brute_fixed_points(net):
+    states = ("".join(bits) for bits in product("01", repeat=net.n))
+    return [s for s in states if sync_successor(net, s) == s]
+
+
+def _reversed_support_network(n, seed):
+    """Rule j reads only components at or below n - 1 - j, so the rules
+    are declared in the reverse order of their deepest variables."""
+    rng = random.Random(seed)
+    lines = []
+    for j in range(n):
+        deepest = max(n - 1 - j, 0)
+        read = rng.sample(range(deepest + 1), min(deepest + 1, 3))
+        lits = [("!" if rng.random() < 0.4 else "") + f"c{k}" for k in read]
+        body = " | ".join(" & ".join(lits[i : i + 2]) for i in range(0, len(lits), 2))
+        lines.append(f"c{j}, {body}")
+    return parse_bnet("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fixed_points_match_brute_force(n):
+    nets = [random_network(RandomNetSpec(n=n, seed=seed)) for seed in range(3)]
+    nets += [_reversed_support_network(n, seed) for seed in range(3)]
+    for net in nets:
+        assert fixed_points(net) == _brute_fixed_points(net)
 
 
 # --- reachable sets ----------------------------------------------------------

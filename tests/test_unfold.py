@@ -1,4 +1,5 @@
 """Triplet encoding, condition construction, unfolding, translation."""
+import importlib
 from itertools import product
 
 import pytest
@@ -186,6 +187,20 @@ def test_condition_polarity_validation():
         build_condition(net, 0, EXACT, "sideways")
     with pytest.raises(ValueError, match="mode"):
         UnfoldSpec(mode="quick")
+
+
+def test_build_condition_checks_its_arguments_before_building(monkeypatch):
+    def no_unfolding(*args):
+        raise AssertionError("an unfolding was built for a bad argument")
+
+    net = example_a()
+    # the module, not the function unfold that mpunfold exports
+    monkeypatch.setattr(importlib.import_module("mpunfold.unfold"), "_Unfolding", no_unfolding)
+    for j in (-1, net.n, 1.0, "0", None):
+        with pytest.raises(ValueError, match=r"component index must be in 0\.\.2"):
+            build_condition(net, j, EXACT, "plus")
+    with pytest.raises(ValueError, match="polarity must be 'plus' or 'minus'"):
+        build_condition(net, 0, SYNTACTIC, "sideways")
 
 
 def test_exact_conditions_invariant_under_component_permutation():
