@@ -11,8 +11,11 @@ No complement edges; the node-wise transforms in unfold.py rely on plain
 
 apply, conj, disj and equiv share one recursion, _apply, which is handed its
 operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
-It and neg recurse one frame per diagram level, and both build the low
-branch before the high branch, which fixes the numbering of new nodes.
+It is the one method that recurses, one frame per diagram level.  Every pass
+over a whole diagram (neg, support, truth_table, and the rule evaluator's
+table and the exact conditions elsewhere) is a loop over postorder, which
+finishes the low child before the high child, as _apply builds the low
+branch first: that fixes the numbering of new nodes.
 """
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ class DiagramManager:
         self._triples: list[tuple[int, int, int]] = []
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memos = ({}, {}, {})  # one per operation, by its code in _OPS
-        self._neg_memo: dict[int, int] = {}
+        # u -> its negation, both ways round; the terminals seed it
+        self._neg_memo: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
 
     def triple(self, u: int) -> tuple[int, int, int]:
         return self._triples[u - 2]
@@ -54,16 +58,39 @@ class DiagramManager:
             raise ValueError(f"variable index {var} out of range")
         return self.mk(var, FALSE, TRUE)
 
+    def postorder(self, u: int, done=()):
+        """The internal nodes reachable from u, each once, skipping those in
+        done and what is reachable only through them.  Each node comes after
+        its low child and then its high child, the order in which a recursive
+        walk finishes them.  done may grow while the walk runs."""
+        if u < 2 or u in done:
+            return
+        triples = self._triples
+        seen = {FALSE, TRUE, u}
+        stack = [u]  # a path from u
+        while stack:
+            w = stack[-1]
+            _, low, high = triples[w - 2]
+            if low not in seen and low not in done:
+                seen.add(low)
+                stack.append(low)
+            elif high not in seen and high not in done:
+                seen.add(high)
+                stack.append(high)
+            else:
+                stack.pop()
+                yield w
+
     def neg(self, u: int) -> int:
-        if u < 2:
-            return 1 - u
-        r = self._neg_memo.get(u)
-        if r is None:
-            var, low, high = self.triple(u)
-            r = self.mk(var, self.neg(low), self.neg(high))
-            self._neg_memo[u] = r
-            self._neg_memo[r] = u
-        return r
+        memo = self._neg_memo
+        if u not in memo:
+            triples = self._triples
+            for w in self.postorder(u, memo):
+                var, low, high = triples[w - 2]
+                r = self.mk(var, memo[low], memo[high])
+                memo[w] = r
+                memo[r] = w
+        return memo[u]
 
     def apply(self, op: str, u: int, v: int) -> int:
         """u op v, for op one of "and", "or", "xor"."""
@@ -150,19 +177,8 @@ class DiagramManager:
         return memo[u]
 
     def support(self, u: int) -> set[int]:
-        seen = set()
-        out = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w < 2 or w in seen:
-                continue
-            seen.add(w)
-            var, low, high = self.triple(w)
-            out.add(var)
-            stack.append(low)
-            stack.append(high)
-        return out
+        triples = self._triples
+        return {triples[w - 2][0] for w in self.postorder(u)}
 
     def evaluate(self, u: int, bits) -> int:
         while u >= 2:
@@ -188,21 +204,10 @@ class DiagramManager:
             var_masks.append(mask)
         memo: dict[int, int] = {FALSE: 0, TRUE: full}
         triples = self._triples
-        stack = [] if u in memo else [u]  # a path from u, none of it in memo
-        while stack:
-            w = stack[-1]
+        for w in self.postorder(u):
             var, low, high = triples[w - 2]
-            r_low = memo.get(low)
-            if r_low is None:
-                stack.append(low)
-                continue
-            r_high = memo.get(high)
-            if r_high is None:
-                stack.append(high)
-                continue
             m = var_masks[var]
-            memo[w] = (m & r_high) | (~m & full & r_low)
-            stack.pop()
+            memo[w] = (m & memo[high]) | (~m & full & memo[low])
         return memo[u]
 
     def iter_models(self, u: int):

@@ -135,15 +135,11 @@ class RuleEvaluator:
         table: list = [None] * (max(self.nodes) + 1)
         keys = []  # per rule: its support's bits in both halves of an mp state
         for node in self.nodes:
-            support, todo, seen = 0, [node], set()
-            while todo:
-                u = todo.pop()
-                if u > 1 and u not in seen:
-                    seen.add(u)
-                    var, low, high = m.triple(u)
-                    table[u] = (masks[var], low, high)
-                    support |= masks[var]
-                    todo += (low, high)
+            support = 0
+            for u in m.postorder(node):
+                var, low, high = m.triple(u)
+                table[u] = (masks[var], low, high)
+                support |= masks[var]
             keys.append(support << n | support)
         self._table = table
         self._rules = tuple(zip(self.nodes, masks))

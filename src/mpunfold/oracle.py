@@ -251,6 +251,7 @@ def check_equivalence(
     asynchronous reachability is subsumed by most permissive reachability."""
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
+    spec = UnfoldSpec(components=None, mode=mode)  # rejects a bad mode first
     # Boolean state k (in string order) is bit k of a reachable-set mask
     bool_states = ["".join(t) for t in product("01", repeat=net.n)]
     bit = {x: 1 << k for k, x in enumerate(bool_states)}
@@ -261,7 +262,7 @@ def check_equivalence(
     mp_reach = _reach(mp_step, bool_states, bit)
     # unfolded side: the asynchronous graph, expanded from the encoded
     # Boolean states only as far as they reach
-    ext = unfold(net, UnfoldSpec(components=None, mode=mode))
+    ext = unfold(net, spec)
     unf_step = partial(_async, ext.evaluator)
     enc = [int(encode_state(net, x), 2) for x in bool_states]
     unf_reach = _reach(unf_step, enc, dict(zip(enc, bit.values())))

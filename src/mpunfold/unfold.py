@@ -183,23 +183,13 @@ class _Unfolding:
         # u -> (image of u for target 1, image for target 0)
         memo: dict[int, tuple[int, int]] = {TRUE: (TRUE, FALSE), FALSE: (FALSE, TRUE)}
         root = build_function(self.net, j).node
-        stack = [root]
-        while stack:
-            u = stack[-1]
-            if u in memo:
-                stack.pop()
-                continue
+        for u in src.postorder(root):
             k, low, high = src.triple(u)
-            missing = [w for w in (low, high) if w not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
             allow1, allow0 = self.allow1[k], self.allow0[k]
             memo[u] = tuple(
                 m.disj(m.conj(allow1, hi), m.conj(allow0, lo))
                 for hi, lo in zip(memo[high], memo[low])
             )
-            stack.pop()
         return memo[root]
 
     def _syntactic(self, j: int) -> tuple[int, int]:
@@ -223,10 +213,7 @@ class _Unfolding:
         for setter, patterns in _SETTERS[len(slots), position]:
             cubes = FALSE
             for own in patterns:
-                cube = TRUE
-                for slot, bit in zip(reversed(slots), reversed(own)):
-                    low, high = (FALSE, cube) if bit == "1" else (cube, FALSE)
-                    cube = m.mk(slot, low, high)
+                cube = ex._cube(m, {slot: int(bit) for slot, bit in zip(slots, own)})
                 cubes = m.disj(cubes, cube)
             if setter is not None:
                 which, negated = setter

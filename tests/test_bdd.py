@@ -7,6 +7,7 @@ import pytest
 from mpunfold import (
     RandomNetSpec,
     UnfoldSpec,
+    build_function,
     parse_bnet,
     print_bnet,
     random_network,
@@ -255,3 +256,118 @@ def test_node_numbering_matches_the_reference_apply(n, monkeypatch):
         reference, managers = _built_triples(text)
         assert all(type(m) is _ReferenceManager for m in managers)
         assert triples == reference
+
+
+# --- postorder: the one walk over a whole diagram --------------------------------
+
+def _reference_postorder(m, u, done, out):
+    """The internal nodes below u that a recursive walk finishes, in that
+    order, low child first, skipping done and the nodes already in out."""
+    if u < 2 or u in done or u in out:
+        return
+    _, low, high = m.triple(u)
+    _reference_postorder(m, low, done, out)
+    _reference_postorder(m, high, done, out)
+    out[u] = None
+
+
+def _sample_diagrams():
+    """(manager, rule nodes) of random networks and of their unfoldings."""
+    for n in (1, 3, 5):
+        for seed in range(4):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            yield net.manager, [build_function(net, j).node for j in range(n)]
+            for mode in ("exact", "syntactic"):
+                ext = unfold(net, UnfoldSpec(mode=mode))
+                yield ext.manager, [build_function(ext, j).node for j in range(ext.n)]
+
+
+def _reachable(m, u, done=()):
+    """The internal nodes reachable from u other than through done."""
+    out, todo = set(), [u]
+    while todo:
+        w = todo.pop()
+        if w > 1 and w not in done and w not in out:
+            out.add(w)
+            todo.extend(m.triple(w)[1:])
+    return out
+
+
+def test_postorder_is_the_recursive_walk():
+    rng = random.Random(13)
+    for m, nodes in _sample_diagrams():
+        internal = range(2, len(m._triples) + 2)
+        for u in nodes:
+            for done in (set(), set(rng.sample(internal, len(internal) // 3))):
+                order = list(m.postorder(u, done))
+                reference = {}
+                _reference_postorder(m, u, done, reference)
+                assert order == list(reference)
+                assert len(order) == len(set(order))
+                assert set(order) == _reachable(m, u, done)
+                place = {w: i for i, w in enumerate(order)}
+                for w in order:  # children first
+                    _, low, high = m.triple(w)
+                    assert all(place.get(c, -1) < place[w] for c in (low, high))
+
+
+def test_postorder_of_a_terminal_or_a_done_root_is_empty():
+    m = DiagramManager(2)
+    u = m.conj(m.var_node(0), m.var_node(1))
+    assert list(m.postorder(FALSE)) == list(m.postorder(TRUE)) == []
+    assert list(m.postorder(u, {u})) == []
+    assert list(m.postorder(u)) == [m.var_node(1), u]
+    # the low child first, whatever the ids
+    high, low = m.var_node(1), m.neg(m.var_node(1))
+    v = m.mk(0, low, high)
+    assert high < low
+    assert list(m.postorder(v)) == [low, high, v]
+    assert list(m.postorder(v, {low})) == [high, v]
+
+
+def _reference_neg(m, u, memo):
+    """The recursive negation the manager once ran."""
+    if u < 2:
+        return 1 - u
+    if u not in memo:
+        var, low, high = m.triple(u)
+        r = m.mk(var, _reference_neg(m, low, memo), _reference_neg(m, high, memo))
+        memo[u] = r
+        memo[r] = u
+    return memo[u]
+
+
+def test_neg_makes_the_nodes_of_the_recursive_negation():
+    rng = random.Random(5)
+    for _ in range(20):
+        exprs = [_random_expr(rng, 6, 5) for _ in range(4)]
+        m, reference = DiagramManager(6), DiagramManager(6)
+        memo = {}
+        for e in exprs:
+            u = m.from_expr(e)
+            assert reference.from_expr(e) == u
+            assert m.neg(u) == _reference_neg(reference, u, memo)
+            assert m._triples == reference._triples
+
+
+def test_a_5000_variable_cube_and_its_negation():
+    n = 5000
+    m = DiagramManager(n)
+    cube, negation = TRUE, FALSE
+    for var in reversed(range(n)):
+        cube = m.mk(var, FALSE, cube)
+        negation = m.mk(var, TRUE, negation)
+    assert m.neg(negation) == cube
+    assert m.neg(cube) == negation
+    assert m.neg(m.neg(cube)) == cube
+    assert m.support(cube) == m.support(negation) == set(range(n))
+    # the same rule read from text, evaluated by the network's evaluator
+    names = [f"x{k}" for k in range(n)]
+    text = f"x0, !({' & '.join(names)})\n" + "".join(
+        f"{names[k]}, {names[k - 1]}\n" for k in range(1, n)
+    )
+    ev = parse_bnet(text).evaluator
+    ones = (1 << n) - 1
+    assert ev.value(0, ones) == 0
+    assert ev.value(0, ones - 1) == 1
+    assert ev.value(1, ones) == 1

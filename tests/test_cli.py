@@ -81,6 +81,31 @@ def test_show_answers_on_a_1500_term_rule(capsys, tmp_path):
         ).truth_table()
 
 
+def test_show_succ_and_reach_answer_on_a_deep_negation(capsys, tmp_path):
+    # rule x0 negates a 1500-literal product: its diagram is 1500 levels deep
+    n = 1500
+    names = [f"x{k}" for k in range(n)]
+    path = tmp_path / "deep.bnet"
+    path.write_text(
+        f"x0, !({' & '.join(names)})\n"
+        + "".join(f"{names[k]}, {names[k - 1]}\n" for k in range(1, n))
+    )
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == n
+    ones = "1" * n
+    code, out, err = run(capsys, "succ", str(path), "--state", ones, "--semantics", "async")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == ["0" + "1" * (n - 1)]
+    code, out, err = run(
+        capsys, "reach", str(path), "--semantics", "async",
+        "--from", ones, "--to", "0" + "*" * (n - 1),
+    )
+    assert (code, err) == (0, "")
+    answer = json.loads(out)
+    assert (answer["verdict"], answer["states_explored"]) == ("reachable", 2)
+
+
 def test_fixpoints_compact_and_pretty(capsys):
     code, out, _ = run(capsys, "fixpoints", EXAMPLE_A)
     assert code == 0

@@ -147,6 +147,21 @@ def test_equivalence_example_a_both_modes():
         assert report.mode == mode
 
 
+def test_equivalence_rejects_a_bad_mode_before_stepping(monkeypatch):
+    import mpunfold.oracle as oracle
+
+    steps = []
+    step = oracle._naive_mp_step
+    monkeypatch.setattr(
+        oracle, "_naive_mp_step", lambda x, v: steps.append(x) or step(x, v)
+    )
+    with pytest.raises(ValueError, match="mode must be one of .*got 'bogus'"):
+        check_equivalence(example_a(), mode="bogus")
+    assert steps == []
+    check_equivalence(example_a(), mode="exact")
+    assert steps  # the wrapper counts the steps of a good mode
+
+
 def test_equivalence_signal_model():
     report = check_equivalence(signal_model(), mode="exact")
     assert report.ok
