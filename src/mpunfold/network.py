@@ -227,8 +227,14 @@ def check_bool_state(net: BooleanNetwork, s: str) -> str:
     return s
 
 
+def check_component(net: BooleanNetwork, j: int) -> None:
+    if not isinstance(j, int) or not 0 <= j < net.n:
+        raise ValueError(f"component index must be in 0..{net.n - 1}, got {j!r}")
+
+
 def eval_rule(net: BooleanNetwork, j: int, s: str) -> int:
     """Value of component j's rule on a Boolean state string."""
+    check_component(net, j)
     check_bool_state(net, s)
     ev = net.evaluator
     return ev.value(j, ev.encode(s))
@@ -238,6 +244,7 @@ def build_function(net: BooleanNetwork, j: int) -> FunctionRep:
     """Canonical diagram of rule j in the network's shared manager: the node
     the reader or unfold built, or, for a network built from trees, the
     rule's tree converted once by from_expr."""
+    check_component(net, j)
     if net._functions[j] is None:
         net._functions[j] = FunctionRep(net.manager, net.manager.from_expr(net.rules[j]))
     return net._functions[j]

@@ -12,16 +12,17 @@ mp_boolean_projection, and the witnesses of the oracle's theorem check.
 Component questions run _condense, one iterative Tarjan pass that steps
 each state once: attractors (the components no edge leaves) and the
 reachable sets of the theorem check.  Both count the cap the same way.
+
+Each explorer walks a semantics through semantics._space, its one owner.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .network import BooleanNetwork, RegGraph, build_function, check_bool_state
-from .semantics import BOOLEAN_SEMANTICS, _general, _mp, _step, check_mp_state
+from .semantics import BOOLEAN_SEMANTICS, _general, _mp, _space
 
 DEFAULT_CAP = 10**6
 
@@ -57,42 +58,6 @@ class ReachResult:
 class Attractor:
     states: tuple[str, ...]
     kind: str  # "stable-state" | "complex"
-
-
-class _Space(NamedTuple):
-    """How the explorers walk one semantics, on integer states (see the
-    semantics module).  check validates a state string of the API and
-    alphabet is that of target patterns; encode and decode convert from and
-    to the state strings; match turns a checked target pattern into a test
-    on integer states."""
-
-    successors: Callable
-    encode: Callable
-    decode: Callable
-    match: Callable
-    check: Callable
-    alphabet: str
-
-
-def _space(net: BooleanNetwork, semantics: str) -> _Space:
-    step = _step(semantics)
-    ev = net.evaluator
-    # top: the level coded with every bit of its component set
-    if step is _mp:
-        codec = ev.mp_encode, ev.mp_decode, check_mp_state, "01id*", "i"
-    else:
-        codec = ev.encode, ev.decode, check_bool_state, "01*", "1"
-    encode, decode, check, alphabet, top = codec
-    return _Space(
-        partial(step, ev), encode, decode, partial(_matcher, encode, top),
-        partial(check, net), alphabet,
-    )
-
-
-def _matcher(encode: Callable, top: str, pattern: str):
-    care = encode("".join("0" if p == "*" else top for p in pattern))
-    value = encode(pattern.replace("*", "0"))
-    return lambda s: s & care == value
 
 
 def _check_cap(cap: int) -> int:
@@ -143,19 +108,6 @@ def reachable_set(
     )
 
 
-def _check_pattern(net: BooleanNetwork, alphabet: str, pattern: str) -> str:
-    if (
-        not isinstance(pattern, str)
-        or len(pattern) != net.n
-        or any(c not in alphabet for c in pattern)
-    ):
-        raise ValueError(
-            f"expected a target pattern of length {net.n} over {alphabet}, "
-            f"got {pattern!r}"
-        )
-    return pattern
-
-
 def reaches(
     net: BooleanNetwork,
     semantics: str,
@@ -168,7 +120,6 @@ def reaches(
     _check_cap(cap)
     space = _space(net, semantics)
     space.check(start)
-    _check_pattern(net, space.alphabet, target)
     origin, match = space.encode(start), space.match(target)
     if match(origin):
         return ReachResult("reachable", 1, [start])

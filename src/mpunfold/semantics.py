@@ -16,10 +16,17 @@ n-1-j of each half:
     free    0  1  0  1     free marks a level read both ways in gamma(x)
 
 so x is Boolean iff x & ((1 << n) - 1) == 0.
+
+SEMANTICS names each semantics' step on integer states; _space(net, name),
+the one accessor, pairs it with its state check, codec and target alphabet.
+Every successor function, the CLI's succ and every explorer go through it.
 """
 from __future__ import annotations
 
-from .network import BooleanNetwork, RuleEvaluator, check_bool_state
+from functools import partial
+from typing import Callable, NamedTuple
+
+from .network import BooleanNetwork, RuleEvaluator, check_bool_state, check_component
 
 MP_LEVELS = "0id1"
 
@@ -38,12 +45,12 @@ def is_boolean_state(x: str) -> bool:
 
 def sync_successor(net: BooleanNetwork, s: str) -> str:
     """All components update at once: the unique successor f(s)."""
-    return _checked(_sync, net, s)[0]
+    return _successors(net, "sync", s)[0]
 
 
 def async_successors(net: BooleanNetwork, s: str) -> list[str]:
     """One unstable component updates; declaration order; [] at fixed points."""
-    return _checked(_async, net, s)
+    return _successors(net, "async", s)
 
 
 def general_successors(net: BooleanNetwork, s: str) -> list[str]:
@@ -51,14 +58,7 @@ def general_successors(net: BooleanNetwork, s: str) -> list[str]:
 
     Enumerated by increasing subset bitmask, bit t of the mask selecting the
     t-th unstable component in declaration order."""
-    return _checked(_general, net, s)
-
-
-def _checked(step, net: BooleanNetwork, s: str) -> list[str]:
-    """A Boolean step at the API edge: check s, step on its integer, decode."""
-    check_bool_state(net, s)
-    ev = net.evaluator
-    return [ev.decode(t) for t in step(ev, ev.encode(s))]
+    return _successors(net, "general", s)
 
 
 # Unchecked forms on integer states (see RuleEvaluator), for the explorers.
@@ -105,19 +105,59 @@ SEMANTICS = {"sync": _sync, "async": _async, "general": _general, "mp": _mp}
 BOOLEAN_SEMANTICS = tuple(name for name in SEMANTICS if name != "mp")
 
 
-def _step(semantics: str):
-    """The table entry of a semantics name; ValueError for any other name."""
+class _Space(NamedTuple):
+    """How one semantics' states are walked, on integer states.  check
+    validates a state string of the API; encode and decode convert from and
+    to the state strings; match checks a target pattern against the
+    semantics' alphabet and turns it into a test on integer states."""
+
+    successors: Callable
+    encode: Callable
+    decode: Callable
+    match: Callable
+    check: Callable
+
+
+def _space(net: BooleanNetwork, semantics: str) -> _Space:
+    """The registry's one accessor: a semantics name's step with its state
+    encoding; ValueError for any other name."""
     if semantics not in SEMANTICS:
         raise ValueError(
             f"semantics must be one of {tuple(SEMANTICS)}, got {semantics!r}"
         )
-    return SEMANTICS[semantics]
+    step = SEMANTICS[semantics]
+    ev = net.evaluator
+    # top: the level coded with every bit of its component set
+    if step is _mp:
+        codec = ev.mp_encode, ev.mp_decode, check_mp_state, "01id*", "i"
+    else:
+        codec = ev.encode, ev.decode, check_bool_state, "01*", "1"
+    encode, decode, check, alphabet, top = codec
+    return _Space(
+        partial(step, ev), encode, decode,
+        partial(_matcher, net, encode, alphabet, top), partial(check, net),
+    )
+
+
+def _matcher(net: BooleanNetwork, encode: Callable, alphabet: str, top: str, pattern: str):
+    if (
+        not isinstance(pattern, str)
+        or len(pattern) != net.n
+        or any(c not in alphabet for c in pattern)
+    ):
+        raise ValueError(
+            f"expected a target pattern of length {net.n} over {alphabet}, "
+            f"got {pattern!r}"
+        )
+    care = encode("".join("0" if p == "*" else top for p in pattern))
+    value = encode(pattern.replace("*", "0"))
+    return lambda s: s & care == value
 
 
 def _successors(net: BooleanNetwork, semantics: str, s: str) -> list[str]:
-    """Checked successors of one state under a named semantics."""
-    step = _step(semantics)
-    return mp_successors(net, s) if step is _mp else _checked(step, net, s)
+    """Checked successors of one state under a named semantics, via its space."""
+    space = _space(net, semantics)
+    return [space.decode(t) for t in space.successors(space.encode(space.check(s)))]
 
 
 def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:
@@ -126,6 +166,7 @@ def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:
     Exact: rule j's diagram is walked on the Boolean coordinates of x,
     taking both branches at the i/d coordinates; v is attainable iff the
     walk reaches the terminal v."""
+    check_component(net, j)
     check_mp_state(net, x)
     if v not in (0, 1):
         raise ValueError("v must be 0 or 1")
@@ -142,6 +183,4 @@ def mp_successors(net: BooleanNetwork, x: str) -> list[str]:
       (c) x_j = i  ->  x_j := 1
       (d) x_j = d  ->  x_j := 0
     """
-    check_mp_state(net, x)
-    ev = net.evaluator
-    return [ev.mp_decode(t) for t in _mp(ev, ev.mp_encode(x))]
+    return _successors(net, "mp", x)

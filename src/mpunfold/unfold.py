@@ -32,6 +32,9 @@ construction modes are provided:
 Either mode builds plus_j and minus_j together, in one walk of rule j's
 diagram or tree; syntactic mode builds no normal-form tree, since a
 negation just swaps the pair.  Negated conditions are the complements of the built ones in both modes.
+
+One helper, _slots, places every component in the output; the output names,
+the rules, encode_state, decode_state and translate_trajectory all read it.
 """
 from __future__ import annotations
 
@@ -41,8 +44,8 @@ from functools import reduce
 
 from . import expr as ex
 from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
-from .network import BooleanNetwork, build_function
-from .semantics import check_mp_state, mp_successors
+from .network import BooleanNetwork, build_function, check_component
+from .semantics import _space, check_mp_state
 
 LEVEL_TO_TRIPLET = {"0": "000", "i": "001", "d": "101", "1": "111"}
 TRIPLET_TO_LEVEL = {t: lv for lv, t in LEVEL_TO_TRIPLET.items()}
@@ -122,17 +125,24 @@ class UnfoldSpec:
         return frozenset(net.index_of(name) for name in self.components)
 
 
+def _slots(net: BooleanNetwork, spec: UnfoldSpec) -> list[tuple[int, ...]]:
+    """The layout of the output: for each component k, its output indices,
+    (a, b, c) if k is unfolded, (p,) if it stays plain."""
+    chosen = spec.resolve(net)
+    slots, pos = [], 0
+    for k in range(net.n):
+        width = 3 if k in chosen else 1
+        slots.append(tuple(range(pos, pos + width)))
+        pos += width
+    return slots
+
+
 def unfolded_names(net: BooleanNetwork, spec: UnfoldSpec | None = None) -> list[str]:
     """Output component names, each unfolded X replaced in place by
     X_a, X_b, X_c."""
-    spec = spec or UnfoldSpec()
-    chosen = spec.resolve(net)
     out = []
-    for k, name in enumerate(net.names):
-        if k in chosen:
-            out.extend(f"{name}_{letter}" for letter in LETTERS)
-        else:
-            out.append(name)
+    for name, slots in zip(net.names, _slots(net, spec or UnfoldSpec())):
+        out.extend([name] if len(slots) == 1 else [f"{name}_{c}" for c in LETTERS])
     return out
 
 
@@ -142,7 +152,9 @@ class _Unfolding:
     def __init__(self, net: BooleanNetwork, spec: UnfoldSpec):
         self.net = net
         self.spec = spec
-        self.chosen = spec.resolve(net)
+        self.slots = _slots(net, spec)
+        # origin[i]: (k, place of output index i among k's slots)
+        self.origin = [(k, p) for k, s in enumerate(self.slots) for p in range(len(s))]
         self.out_names = unfolded_names(net, spec)
         counts = Counter(self.out_names)
         dupes = sorted(n for n, count in counts.items() if count > 1)
@@ -151,22 +163,13 @@ class _Unfolding:
                 f"unfolding produces colliding component names: {', '.join(dupes)}"
             )
         self.manager = DiagramManager(len(self.out_names))
-        # slots[k]: tuple (a,b,c) of output indices if k unfolded, else (p,)
-        self.slots: list[tuple[int, ...]] = []
-        # origin[i]: (k, place of output index i among k's slots)
-        self.origin: list[tuple[int, int]] = []
-        pos = 0
-        for k in range(net.n):
-            width = 3 if k in self.chosen else 1
-            self.slots.append(tuple(range(pos, pos + width)))
-            pos += width
-            self.origin.extend((k, position) for position in range(width))
         m = self.manager
         # k may read as 1 iff its last slot (c, or its plain bit) is set, and
         # as 0 iff its middle slot (b, or its plain bit) is clear
         self.allow1 = [m.var_node(slots[-1]) for slots in self.slots]
         self.allow0 = [m.neg(m.var_node(slots[len(slots) // 2])) for slots in self.slots]
         self._conditions: dict[int, tuple[int, int]] = {}
+        self._cubes: dict[tuple[int, str], int] = {}  # (k, own pattern) -> cube
 
     def conditions(self, j: int) -> tuple[int, int]:
         """(plus_j, minus_j), built together once."""
@@ -213,7 +216,10 @@ class _Unfolding:
         for setter, patterns in _SETTERS[len(slots), position]:
             cubes = FALSE
             for own in patterns:
-                cube = ex._cube(m, {slot: int(bit) for slot, bit in zip(slots, own)})
+                cube = self._cubes.get((k, own))
+                if cube is None:
+                    lits = {slot: int(bit) for slot, bit in zip(slots, own)}
+                    cube = self._cubes[k, own] = ex._cube(m, lits)
                 cubes = m.disj(cubes, cube)
             if setter is not None:
                 which, negated = setter
@@ -231,8 +237,7 @@ def build_condition(
 ) -> FunctionRep:
     """The plus/minus condition of component j over the unfolded variables
     (variable order = unfolded_names order)."""
-    if not isinstance(j, int) or not 0 <= j < net.n:
-        raise ValueError(f"component index must be in 0..{net.n - 1}, got {j!r}")
+    check_component(net, j)
     if polarity not in ("plus", "minus"):
         raise ValueError(f"polarity must be 'plus' or 'minus', got {polarity!r}")
     ctx = _Unfolding(net, spec or UnfoldSpec())
@@ -280,34 +285,29 @@ def encode_state(net: BooleanNetwork, x: str, spec: UnfoldSpec | None = None) ->
     left plain must sit at a Boolean level."""
     spec = spec or UnfoldSpec()
     check_mp_state(net, x)
-    chosen = spec.resolve(net)
     parts = []
-    for k, level in enumerate(x):
-        if k not in chosen and level not in "01":
+    for k, (level, slots) in enumerate(zip(x, _slots(net, spec))):
+        if len(slots) == 1 and level not in "01":
             raise ValueError(
                 f"component {net.names[k]!r} is not unfolded and must be "
                 f"Boolean, got level {level!r}"
             )
-        parts.append(LEVEL_TO_TRIPLET[level] if k in chosen else level)
+        parts.append(level if len(slots) == 1 else LEVEL_TO_TRIPLET[level])
     return "".join(parts)
 
 
 def decode_state(net: BooleanNetwork, xt: str, spec: UnfoldSpec | None = None) -> str:
     """Inverse of encode_state; rejects transient and artifact triplets."""
-    spec = spec or UnfoldSpec()
-    chosen = spec.resolve(net)
-    expected = sum(3 if k in chosen else 1 for k in range(net.n))
+    layout = _slots(net, spec or UnfoldSpec())
+    expected = layout[-1][-1] + 1
     if not isinstance(xt, str) or len(xt) != expected or any(c not in "01" for c in xt):
         raise ValueError(
             f"expected an unfolded Boolean state of length {expected}, got {xt!r}"
         )
     parts = []
-    pos = 0
-    for k in range(net.n):
-        width = 3 if k in chosen else 1
-        own = xt[pos : pos + width]
-        pos += width
-        level = TRIPLET_TO_LEVEL.get(own) if width == 3 else own
+    for k, slots in enumerate(layout):
+        own = xt[slots[0] : slots[-1] + 1]
+        level = TRIPLET_TO_LEVEL.get(own) if len(slots) == 3 else own
         if level is None:
             raise ValueError(
                 f"triplet {own} of component {net.names[k]!r} does not encode a level"
@@ -343,18 +343,19 @@ def translate_trajectory(net: BooleanNetwork, path: list[str]) -> list[str]:
     011 and 100).  The input path is validated transition by transition."""
     if not path:
         return []
-    spec = UnfoldSpec()
-    for x in path:
-        check_mp_state(net, x)
-    out = [encode_state(net, path[0], spec)]
+    out = [encode_state(net, path[0])]  # checks path[0]
+    space = _space(net, "mp")
+    codes = [space.encode(x) for x in (path[0], *map(space.check, path[1:]))]
+    layout = _slots(net, UnfoldSpec())
     for step, (x, y) in enumerate(zip(path, path[1:])):
-        if y not in mp_successors(net, x):
+        if codes[step + 1] not in space.successors(codes[step]):
             raise ValueError(
                 f"step {step}: {y!r} is not a most permissive successor of {x!r}"
             )
         (j,) = [k for k in range(net.n) if x[k] != y[k]]
+        first, last = layout[j][0], layout[j][-1] + 1
         cur = out[-1]
         for triplet in _MOVE_TRIPLETS[(x[j], y[j])]:
-            cur = cur[: 3 * j] + triplet + cur[3 * j + 3 :]
+            cur = cur[:first] + triplet + cur[last:]
             out.append(cur)
     return out

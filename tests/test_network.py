@@ -4,9 +4,11 @@ import pytest
 from mpunfold import (
     BooleanNetwork,
     RegEdge,
+    build_condition,
     build_function,
     eval_rule,
     example_a,
+    gamma_can_be,
     infer_regulatory_graph,
     parse_bnet,
     sign_witness,
@@ -38,6 +40,23 @@ def test_eval_rule():
         eval_rule(net, 0, "10")
     with pytest.raises(ValueError, match="Boolean state"):
         eval_rule(net, 0, "1i0")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, j: gamma_can_be(net, j, "111", 1),
+        lambda net, j: eval_rule(net, j, "111"),
+        build_function,
+        build_condition,
+    ],
+    ids=["gamma_can_be", "eval_rule", "build_function", "build_condition"],
+)
+@pytest.mark.parametrize("j", [-1, 3, 1.0, "0", None])
+def test_component_index_is_checked(call, j):
+    # a negative index must not answer for a component counted from the end
+    with pytest.raises(ValueError, match=r"component index must be in 0\.\.2, got "):
+        call(example_a(), j)
 
 
 def test_build_function_canonical_and_support():

@@ -6,6 +6,7 @@ import pytest
 
 from mpunfold import (
     ARTIFACT_TRIPLETS,
+    LEVEL_TO_TRIPLET,
     RandomNetSpec,
     UnfoldSpec,
     VALID_TRIPLETS,
@@ -76,6 +77,38 @@ def test_partial_encode_requires_boolean_plain_components():
     assert encode_state(net, "i01", spec) == "00101"
     with pytest.raises(ValueError, match="'x2'.*not unfolded"):
         encode_state(net, "1i0", spec)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_layout_round_trips_for_every_selection(n):
+    net = random_network(RandomNetSpec(n=n, seed=n))
+    names = net.names
+    for components in (None, (), names[::2], names[-1:]):
+        spec = UnfoldSpec(components=components)
+        chosen = set(names if components is None else components)
+        out_names = unfolded_names(net, spec)
+        width = len(out_names)
+        assert width == n + 2 * len(chosen)
+        for x in map("".join, product("0id1", repeat=n)):
+            if any(c in "id" for name, c in zip(names, x) if name not in chosen):
+                with pytest.raises(ValueError, match="not unfolded and must be Boolean"):
+                    encode_state(net, x, spec)
+                continue
+            xt = encode_state(net, x, spec)
+            assert len(xt) == width
+            assert decode_state(net, xt, spec) == x
+            # each output name holds its own bit of its component's level
+            bits = dict(zip(out_names, xt))
+            for name, level in zip(names, x):
+                if name in chosen:
+                    triplet = "".join(bits[f"{name}_{letter}"] for letter in "abc")
+                    assert triplet == LEVEL_TO_TRIPLET[level]
+                else:
+                    assert bits[name] == level
+        for wrong in ("0" * (width - 1), "0" * (width + 1)):
+            expected = f"expected an unfolded Boolean state of length {width}, got"
+            with pytest.raises(ValueError, match=expected):
+                decode_state(net, wrong, spec)
 
 
 def test_unfolded_names_orders_and_collisions():
