@@ -1,8 +1,8 @@
 """Boolean expression trees and the .bnet expression grammar.
 
 Expressions are immutable trees over component indices.  One parser reads a
-rule's right-hand side either into a tree or straight into its diagram;
-file-level structure (targets, comments, header) is handled in network.py.
+rule's right-hand side into a tree or straight into its diagram, in one loop
+with no recursion; file-level structure (targets, header) is in network.py.
 
 Grammar:
     expr := conj {"|" conj}
@@ -165,7 +165,7 @@ def _found(tok: str) -> str:
 
 
 class _Grammar:
-    """The grammar's three levels as methods over one body's tokens.  A
+    """The grammar over one body's tokens, read by parse in one loop.  A
     subclass makes the values with five builder methods: lit(k, bit) for a
     literal x (bit 1) or !x (bit 0), const(c), neg(u), disj(u, v), and
     conj(ops) for an "&" chain, given its operands in order, each a built
@@ -173,21 +173,76 @@ class _Grammar:
     functions: those would form a reference cycle that keeps the tokens and
     the manager alive until the next garbage collection.)"""
 
-    __slots__ = ("text", "tokens", "pos", "names", "line", "col")
+    __slots__ = ("text", "tokens", "names", "line", "col")
 
     def __init__(self, text, names, line, col):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
         self.tokens.append("")
-        self.pos = 0
         self.names = names
         self.line = line
         self.col = col
 
     def parse(self):
-        u = self.parse_or()
-        if self.tokens[self.pos]:
-            self.fail(f"trailing input {self.tokens[self.pos]!r}", self.pos)
+        """The body's value: one loop over the tokens that reads an operand
+        (after any "!"s and "("s), then the operators after it.  Each open
+        group, the body and each "(", keeps its "|" value so far, its
+        pending "&" operands and its count of "!"s before the operand being
+        read; a ")" pops the group and its value becomes an operand of the
+        enclosing one.  No recursion, so nesting is not bounded by Python's
+        stack, and the builder calls are those of a recursive descent, in
+        the same order."""
+        tokens, names = self.tokens, self.names
+        groups = []  # the groups enclosing the current one
+        total, ops, nots = None, [], 0  # the current group
+        pos = 0
+        while True:
+            tok = tokens[pos]
+            pos += 1
+            k = names.get(tok)
+            if k is not None:  # x, !x, or a deeper negation of !x
+                op = (k, 1 - nots) if nots < 2 else self.negated(self.lit(k, 0), nots - 1)
+            elif tok == "!":
+                nots += 1
+                continue
+            elif tok == "(":
+                groups.append((total, ops, nots))
+                total, ops, nots = None, [], 0
+                continue
+            elif tok == "0" or tok == "1":
+                op = self.negated(self.const(tok == "1"), nots)
+            elif tok and tok[0] in _IDENT_START:
+                self.fail(f"undeclared identifier {tok!r}", pos - 1)
+            else:
+                self.fail(f"expected a literal, found {_found(tok)}", pos - 1)
+            ops.append(op)
+            nots = 0
+            # the operators after an operand; each ")" closes a group
+            while True:
+                tok = tokens[pos]
+                pos += 1
+                if tok == "&":
+                    break
+                u = self.value(ops[0]) if len(ops) == 1 else self.conj(ops)
+                total = u if total is None else self.disj(total, u)
+                ops = []
+                if tok == "|":
+                    break
+                if not groups:
+                    if tok:
+                        self.fail(f"trailing input {tok!r}", pos - 1)
+                    return total
+                if tok != ")":
+                    self.fail(f"expected ')', found {_found(tok)}", pos - 1)
+                u = total
+                total, ops, nots = groups.pop()
+                ops.append(self.negated(u, nots))
+                nots = 0
+
+    def negated(self, u, count: int):
+        """u under count negations, each made by neg."""
+        for _ in range(count):
+            u = self.neg(u)
         return u
 
     def fail(self, message: str, at: int):
@@ -204,52 +259,6 @@ class _Grammar:
 
     def value(self, op):
         return self.lit(*op) if type(op) is tuple else op
-
-    def parse_or(self):
-        u = self.parse_and()
-        tokens = self.tokens
-        while tokens[self.pos] == "|":
-            self.pos += 1
-            u = self.disj(u, self.parse_and())
-        return u
-
-    def parse_and(self):
-        op = self.parse_operand()
-        tokens = self.tokens
-        if tokens[self.pos] != "&":
-            return self.value(op)
-        ops = [op]
-        while tokens[self.pos] == "&":
-            self.pos += 1
-            ops.append(self.parse_operand())
-        return self.conj(ops)
-
-    def parse_operand(self):
-        """One lit of the grammar: (k, bit) for x or !x, a value otherwise."""
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        self.pos += 1
-        k = self.names.get(tok)
-        if k is not None:
-            return (k, 1)
-        if tok == "!":
-            k = self.names.get(tokens[self.pos])
-            if k is not None:
-                self.pos += 1
-                return (k, 0)
-            return self.neg(self.value(self.parse_operand()))
-        if tok == "(":
-            inner = self.parse_or()
-            tok = tokens[self.pos]
-            self.pos += 1
-            if tok != ")":
-                self.fail(f"expected ')', found {_found(tok)}", self.pos - 1)
-            return inner
-        if tok == "0" or tok == "1":
-            return self.const(tok == "1")
-        if tok and tok[0] in _IDENT_START:
-            self.fail(f"undeclared identifier {tok!r}", self.pos - 1)
-        self.fail(f"expected a literal, found {_found(tok)}", self.pos - 1)
 
 
 class _TreeReader(_Grammar):

@@ -98,16 +98,14 @@ class BooleanNetwork:
     @property
     def evaluator(self) -> "RuleEvaluator":
         if self._evaluator is None:
-            self._evaluator = RuleEvaluator(self)
+            nodes = [build_function(self, j).node for j in range(self.n)]
+            self._evaluator = RuleEvaluator(self.manager, nodes)
         return self._evaluator
 
     def _adopt(self, manager: DiagramManager, nodes) -> None:
         """Take rule j's diagram to be nodes[j] in manager, built by whoever
         made the rules (the .bnet reader, unfold)."""
-        if manager.nvars != self.n:
-            raise ValueError(
-                f"manager has {manager.nvars} variables, the network {self.n}"
-            )
+        _check_width(manager, self.n)
         self._manager = manager
         self._functions = [FunctionRep(manager, u) for u in nodes]
 
@@ -115,20 +113,28 @@ class BooleanNetwork:
         return f"BooleanNetwork({', '.join(self.names)})"
 
 
+def _check_width(manager: DiagramManager, n: int) -> None:
+    """A manager holds the rules of n components only over n variables."""
+    if manager.nvars != n:
+        raise ValueError(f"manager has {manager.nvars} variables, the network {n}")
+
+
 class RuleEvaluator:
-    """Every rule of a network, compiled once, evaluated on integer states.
+    """The rules nodes[0..n-1] of a manager over n variables, compiled once,
+    evaluated on integer states: a network's own rule diagrams (its
+    `evaluator`), or those of an unfolding that built no network.
 
     An integer state holds component j in bit n-1-j: component 0 is the most
     significant bit, so integer order is the order of state strings.  A most
     permissive state is one integer (val << n) | free in the encoding the
-    semantics module describes.  Rule j is its diagram node from
-    build_function, evaluated by walking the nodes in a loop.  Nothing is
-    checked here: callers validate states at the API boundary."""
+    semantics module describes.  Rule j is nodes[j], evaluated by walking
+    the diagram in a loop.  Nothing is checked here but the manager's
+    width: callers validate states at the API boundary."""
 
-    def __init__(self, net: BooleanNetwork):
-        n = self.n = net.n
-        m = net.manager
-        self.nodes = tuple(build_function(net, j).node for j in range(n))
+    def __init__(self, manager: DiagramManager, nodes):
+        self.nodes = tuple(nodes)
+        n = self.n = len(self.nodes)
+        _check_width(manager, n)
         self.masks = masks = tuple(1 << (n - 1 - j) for j in range(n))
         # _table[u] = (bit of u's variable, low, high) for the nodes the rules
         # reach; 0 and 1 are the terminals
@@ -136,8 +142,8 @@ class RuleEvaluator:
         keys = []  # per rule: its support's bits in both halves of an mp state
         for node in self.nodes:
             support = 0
-            for u in m.postorder(node):
-                var, low, high = m.triple(u)
+            for u in manager.postorder(node):
+                var, low, high = manager.triple(u)
                 table[u] = (masks[var], low, high)
                 support |= masks[var]
             keys.append(support << n | support)

@@ -16,8 +16,10 @@ states the Boolean sources reach are expanded:
                    a Boolean reading computed once per check and looked up
                    afterwards (at most 2^n readings);
     unfolded side  the asynchronous step that reach --semantics async runs,
-                   on the unfolded network's integer states, from the
-                   encodings of the 2^n Boolean states.
+                   on the unfolding's integer states, from the encodings of
+                   the 2^n Boolean states; a RuleEvaluator reads the rule
+                   diagrams of unfold's _Unfolding straight, so no unfolded
+                   network and no rule tree is built.
 
 The mp side stays on rule trees and the oracle's own evaluator, so a fault
 in the diagrams or in semantics.py cannot hide on both sides at once.  Each
@@ -37,10 +39,10 @@ from functools import partial
 from itertools import product
 
 from . import expr as ex
-from .network import BooleanNetwork, build_function
+from .network import BooleanNetwork, RuleEvaluator, build_function
 from .reach import _bfs as _search, _condense, _path
 from .semantics import _async, async_successors
-from .unfold import UnfoldSpec, encode_state, unfold
+from .unfold import UnfoldSpec, _Unfolding, encode_state
 
 MAX_NAIVE_N = 10
 MAX_EQUIV_N = 4
@@ -98,8 +100,9 @@ def _naive_mp_step(x: str, values) -> set[str]:
     every rule's value on the Boolean reading bits (a tuple of 0/1)."""
     free = [k for k, c in enumerate(x) if c in "id"]
     rise = fall = 0  # bit j: rule j reads 1 (rise), 0 (fall) on some completion
+    # one reading, its free coordinates overwritten by each completion
+    bits = [int(c) if c in "01" else 0 for c in x]
     for choice in product((0, 1), repeat=len(free)):
-        bits = [int(c) if c in "01" else 0 for c in x]
         for k, b in zip(free, choice):
             bits[k] = b
         for j, value in enumerate(values(tuple(bits))):
@@ -248,7 +251,10 @@ def check_equivalence(
     """Compare Boolean-to-Boolean reachability: most permissive on the input
     network versus asynchronous on its full unfolding, over every ordered
     pair of Boolean states, both directions.  Also checks that plain
-    asynchronous reachability is subsumed by most permissive reachability."""
+    asynchronous reachability is subsumed by most permissive reachability.
+
+    The unfolded side evaluates the rule diagrams that unfold would give
+    its output (_Unfolding.rule_nodes), without building that network."""
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
     spec = UnfoldSpec(components=None, mode=mode)  # rejects a bad mode first
@@ -260,10 +266,11 @@ def check_equivalence(
     readings = _Lazy(_rule_values(net))
     mp_step = lambda x: _naive_mp_step(x, readings.__getitem__)
     mp_reach = _reach(mp_step, bool_states, bit)
-    # unfolded side: the asynchronous graph, expanded from the encoded
-    # Boolean states only as far as they reach
-    ext = unfold(net, spec)
-    unf_step = partial(_async, ext.evaluator)
+    # unfolded side: the asynchronous graph of the unfolding's rule diagrams,
+    # expanded from the encoded Boolean states only as far as they reach
+    ctx = _Unfolding(net, spec)
+    ev = RuleEvaluator(ctx.manager, ctx.rule_nodes())
+    unf_step = partial(_async, ev)
     enc = [int(encode_state(net, x), 2) for x in bool_states]
     unf_reach = _reach(unf_step, enc, dict(zip(enc, bit.values())))
     report = EquivalenceReport(
@@ -273,7 +280,7 @@ def check_equivalence(
     # side, over successor maps filled only by these searches
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
     mp_adj, unf_adj = _Lazy(lambda x: sorted(mp_step(x), key=order)), _Lazy(unf_step)
-    width = f"0{ext.n}b"
+    width = f"0{ev.n}b"
     for k, x in enumerate(bool_states):
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:

@@ -74,7 +74,8 @@ def _sync(ev: RuleEvaluator, s: int) -> list[int]:
 
 
 def _async(ev: RuleEvaluator, s: int) -> list[int]:
-    return [s ^ bit for bit in _unstable(ev, s)]
+    diff = ev.image(s) ^ s
+    return [s ^ bit for bit in ev.masks if diff & bit]
 
 
 def _general(ev: RuleEvaluator, s: int) -> list[int]:

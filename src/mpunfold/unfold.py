@@ -206,6 +206,11 @@ class _Unfolding:
             lambda v, w: (m.disj(v[0], w[0]), m.conj(v[1], w[1])),
         )
 
+    def rule_nodes(self) -> list[int]:
+        """Every output's rule node, in output order: the rules that unfold
+        gives its network and that the theorem check evaluates."""
+        return [self.rule_node(out_index) for out_index in range(len(self.out_names))]
+
     def rule_node(self, out_index: int) -> int:
         """Output out_index's bit of _IMAGE's image of its component's own
         pattern: per condition, the own patterns it sets the bit on."""
@@ -270,7 +275,7 @@ def unfold(net: BooleanNetwork, spec: UnfoldSpec | None = None) -> BooleanNetwor
     construction's manager; its rule trees are their sums of products."""
     spec = spec or UnfoldSpec()
     ctx = _Unfolding(net, spec)
-    nodes = [ctx.rule_node(out_index) for out_index in range(len(ctx.out_names))]
+    nodes = ctx.rule_nodes()
     components = [
         (name, _node_to_expr(ctx.manager, node))
         for name, node in zip(ctx.out_names, nodes)

@@ -106,6 +106,25 @@ def test_show_succ_and_reach_answer_on_a_deep_negation(capsys, tmp_path):
     assert (answer["verdict"], answer["states_explored"]) == ("reachable", 2)
 
 
+@pytest.mark.parametrize(
+    "body,shown",
+    [
+        ("!" * 5000 + "x", "!" * 5000 + "x"),
+        ("(" * 1000 + "x" + ")" * 1000, "x"),
+        ("!(" * 1000 + "x" + ")" * 1000, "!" * 1000 + "x"),
+    ],
+    ids=["5000-negations", "1000-parentheses", "1000-negated-groups"],
+)
+def test_show_and_fixpoints_answer_on_deeply_nested_bodies(capsys, tmp_path, body, shown):
+    path = tmp_path / "nested.bnet"
+    path.write_text(f"x, {body}\n")
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["components"] == [{"name": "x", "rule": shown}]
+    code, out, err = run(capsys, "fixpoints", str(path))
+    assert (code, out, err) == (0, '["0","1"]\n', "")
+
+
 def test_fixpoints_compact_and_pretty(capsys):
     code, out, _ = run(capsys, "fixpoints", EXAMPLE_A)
     assert code == 0

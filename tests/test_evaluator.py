@@ -30,6 +30,8 @@ from mpunfold import (
 )
 from mpunfold import expr as ex
 from mpunfold import semantics
+from mpunfold.bdd import DiagramManager
+from mpunfold.network import RuleEvaluator
 from mpunfold.oracle import naive_mp_successors
 from mpunfold.reach import _space
 
@@ -74,6 +76,12 @@ def _tree_general(net, s):
                 chars[j] = image[j]
         out.append("".join(chars))
     return out
+
+
+def test_evaluator_refuses_a_manager_of_another_width():
+    m = DiagramManager(3)
+    with pytest.raises(ValueError, match="manager has 3 variables, the network 2"):
+        RuleEvaluator(m, [m.var_node(0), m.var_node(1)])
 
 
 @pytest.mark.parametrize("n,seed", NETS)

@@ -169,6 +169,30 @@ def test_equivalence_signal_model():
     assert report.label == "signal,x1,x2,x3"
 
 
+def test_equivalence_builds_no_unfolded_network(monkeypatch):
+    """The unfolded side evaluates the unfolding's rule diagrams: neither
+    unfold nor the sum-of-products trees of its output are built."""
+    import importlib
+
+    def no_network(*args):
+        raise AssertionError("the check built the unfolded network")
+
+    # the module, not the function unfold that mpunfold exports
+    unfold_module = importlib.import_module("mpunfold.unfold")
+    monkeypatch.setattr(unfold_module, "unfold", no_network)
+    monkeypatch.setattr(unfold_module, "_node_to_expr", no_network)
+    for net, pairs in ((example_a(), 64), (signal_model(), 256)):
+        for mode in ("exact", "syntactic"):
+            assert check_equivalence(net, mode=mode).as_dict() == {
+                "label": ",".join(net.names),
+                "mode": mode,
+                "pairs_checked": pairs,
+                "mismatches": [],
+                "subsumption_violations": [],
+                "ok": True,
+            }
+
+
 def test_equivalence_detects_syntactic_overreach():
     net = parse_bnet(DIVERGENT)
     assert check_equivalence(net, mode="exact").ok

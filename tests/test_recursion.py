@@ -8,7 +8,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mpunfold"
 # module:qualified name, each still recursing one frame per level of its input
 ALLOWED = {
     "bdd:DiagramManager._apply",
-    "expr:_Grammar.parse_operand",
     "expr:variables",
     "oracle:_random_expr",
 }

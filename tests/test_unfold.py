@@ -28,9 +28,9 @@ from mpunfold import (
     unfolded_names,
 )
 from mpunfold.bdd import DiagramManager, FunctionRep
-from mpunfold.expr import And, Const, Not, Or, Var, to_nnf
-from mpunfold.network import BooleanNetwork
-from mpunfold.unfold import MODES
+from mpunfold.expr import And, Const, Not, Or, Var, evaluate, to_nnf
+from mpunfold.network import BooleanNetwork, RuleEvaluator
+from mpunfold.unfold import MODES, _Unfolding
 
 EXACT = UnfoldSpec(mode="exact")
 SYNTACTIC = UnfoldSpec(mode="syntactic")
@@ -587,3 +587,25 @@ def test_unfold_hands_over_its_diagrams(mode, partial):
                 assert build_function(ext, j).equivalent(
                     FunctionRep(fresh, fresh.from_expr(rule))
                 ), (n, seed, ext.names[j])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rule_nodes_evaluate_as_the_unfolded_network(mode):
+    """The theorem check's evaluator over _Unfolding.rule_nodes, built with
+    no network, gives unfold's network's image, and its rule trees' values,
+    on every state."""
+    for n in range(1, 4):
+        for seed in range(3):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            for components in (None, net.names[:1]):
+                spec = UnfoldSpec(components=components, mode=mode)
+                ctx = _Unfolding(net, spec)
+                ev = RuleEvaluator(ctx.manager, ctx.rule_nodes())
+                ext = unfold(net, spec)
+                assert ev.n == ext.n
+                for s in range(1 << ev.n):
+                    bits = bits_of(format(s, f"0{ev.n}b"))
+                    tree_image = "".join(str(evaluate(r, bits)) for r in ext.rules)
+                    assert ev.image(s) == ext.evaluator.image(s) == int(tree_image, 2), (
+                        n, seed, components, s,
+                    )
