@@ -15,7 +15,9 @@ It is the one method that recurses, one frame per diagram level.  Every pass
 over a whole diagram (neg, support, truth_table, and the rule evaluator's
 table and the exact conditions elsewhere) is a loop over postorder, which
 finishes the low child before the high child, as _apply builds the low
-branch first: that fixes the numbering of new nodes.
+branch first: that fixes the numbering of new nodes.  from_paths, the
+inverse of iter_cubes, makes a decision tree's diagram from its paths with
+mk alone, in a loop; the .bnet reader hands it print_bnet's sums of paths.
 """
 from __future__ import annotations
 
@@ -250,6 +252,47 @@ class DiagramManager:
                 depth = len(path)
                 stack.append((high, depth, (var, 1)))
                 stack.append((low, depth, (var, 0)))
+
+    def from_paths(self, paths) -> int | None:
+        """The function whose paths to 1 are paths, which iter_cubes would
+        yield: a sorted list, each path a list of (var, bit) with increasing
+        variables.  A first pass checks, making no node, that the paths are
+        those of a decision tree: consecutive paths part at one variable, 0
+        then 1, and none is a prefix of another; otherwise the answer is
+        None.  A second pass walks the paths' trie with a stack and makes
+        one mk per trie node, each after the nodes below it."""
+        if not paths:
+            return FALSE
+        # depths[i]: where paths[i] parts from paths[i - 1]
+        depths = [0]
+        for prev, path in zip(paths, paths[1:]):
+            end = min(len(prev), len(path))
+            d = 0
+            while d < end and prev[d] == path[d]:
+                d += 1
+            if d == end or path[d][1] != 1 or prev[d] != (path[d][0], 0):
+                return None
+            depths.append(d)
+        stack: list[tuple[int, int, int]] = []  # (var, low, bit) on the path
+        for path, d in zip(paths, depths):
+            if stack:  # the previous path's nodes below depth d are done
+                var = stack[d][0]
+                stack[d] = (var, self._close(stack, d + 1), 1)
+                d += 1
+            stack.extend([(var, FALSE, bit) for var, bit in path[d:]])
+        return self._close(stack, 0)
+
+    def _close(self, stack, depth: int) -> int:
+        """Make the trie nodes stack holds from depth down, deepest first,
+        and return the top one's node.  An entry (var, low, bit) takes the
+        node made below it as its high child if bit is 1, with low as its
+        low child, or as its low child if bit is 0, with no high child."""
+        mk = self.mk
+        u = TRUE
+        while len(stack) > depth:
+            var, low, bit = stack.pop()
+            u = mk(var, low, u) if bit else mk(var, u, FALSE)
+        return u
 
     def from_expr(self, expr) -> int:
         return ex.fold(

@@ -1,9 +1,9 @@
 """Boolean expression trees and the .bnet expression grammar.
 
-Expressions are immutable trees over component indices.  One parser reads a
-rule's right-hand side into a tree or straight into its diagram, in one loop
-with no recursion; file-level structure (targets, header) is in network.py.
-
+Expressions are immutable trees over component indices.  A body shaped as
+print_bnet writes it, the paths of a decision tree with no "(", is read by
+_read_paths, one mk per node; the grammar below, one loop with no recursion,
+reads every other body into a tree or a diagram and reports every error.
 Grammar:
     expr := conj {"|" conj}
     conj := lit {"&" lit}
@@ -352,8 +352,40 @@ def parse_diagram(
     text: str, name_to_index: dict[str, int], manager, line: int = 1, col: int = 1
 ) -> int:
     """Parse one rule body straight into its diagram node in manager, with
-    the grammar and the errors of parse_expression, building no tree."""
-    return _DiagramReader(text, name_to_index, line, col, manager).parse()
+    the grammar and the errors of parse_expression, building no tree.  A
+    body in the shape print_bnet writes takes _read_paths; any other, and
+    every error, takes the grammar."""
+    u = _read_paths(text, name_to_index, manager)
+    if u is None:
+        u = _DiagramReader(text, name_to_index, line, col, manager).parse()
+    return u
+
+
+def _read_paths(text: str, name_to_index: dict[str, int], manager) -> int | None:
+    """The diagram of a body that is a sum of the paths of a decision tree:
+    no "(", and every operand of "&" an optional "!" then a declared name,
+    on distinct variables within its product, the products parting as
+    manager.from_paths requires.  Such a body, print_bnet's output, is
+    read by splitting it on "|" and "&", with one mk per node of the tree.
+    Any other body gives None, with no node made."""
+    if "(" in text:
+        return None
+    products = []
+    for product in text.split("|"):
+        lits: dict[int, int] = {}
+        for lit in product.split("&"):
+            lit = lit.strip()
+            if lit[:1] == "!":
+                k, bit = name_to_index.get(lit[1:].lstrip()), 0
+            else:
+                k, bit = name_to_index.get(lit), 1
+            if k is None or k in lits:
+                return None
+            lits[k] = bit
+        products.append(lits)
+    if len(products) == 1:  # one path: its cube
+        return _cube(manager, lits)
+    return manager.from_paths(sorted(sorted(lits.items()) for lits in products))
 
 
 def parse_rule(

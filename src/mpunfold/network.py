@@ -7,7 +7,11 @@ order, successor enumeration.
 Each rule is a diagram node in the network's DiagramManager, and an
 expression tree.  The diagram is built once, where the rule is made:
 parse_bnet reads each rule body straight into its diagram, and unfold hands
-over the nodes it built for its output.  Only a network built from trees
+over the nodes it built for its output.  A body in the shape print_bnet
+writes (a sum of products that are the paths of a decision tree, as every
+`unfold -o` file is) becomes its diagram with one mk per node and no apply;
+any other body, and every error, goes through the grammar, which stays the
+one definition of the language.  Only a network built from trees
 (random_network, BooleanNetwork called directly) builds its diagrams from
 them, lazily, in build_function.  The trees of a read network are parsed
 from the kept rule bodies on the first access to `rules` (show, syntactic

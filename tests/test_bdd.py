@@ -14,7 +14,7 @@ from mpunfold import (
     unfold,
 )
 from mpunfold.bdd import FALSE, TRUE, DiagramManager, FunctionRep
-from mpunfold.expr import evaluate, parse_expression
+from mpunfold.expr import evaluate, format_expr, parse_expression
 
 # the modules, not the functions of the same names that mpunfold exports
 network_module = importlib.import_module("mpunfold.network")
@@ -140,6 +140,47 @@ def test_iter_cubes_cover():
     assert rebuilt == u
 
 
+def test_from_paths_rebuilds_every_rule_diagram_from_its_cubes():
+    for m, nodes in _sample_diagrams(range(1, 9)):
+        before = list(m._triples)
+        for u in nodes:
+            assert m.from_paths(list(m.iter_cubes(u))) == u
+        assert m._triples == before  # every node it made was there
+
+
+def test_from_paths_of_no_path_and_of_the_empty_path():
+    m = DiagramManager(2)
+    assert m.from_paths([]) == FALSE
+    assert m.from_paths([[]]) == TRUE
+    # x0 & !x1 | x0 & x1 is x0: the redundant test on x1 is not made
+    assert m.from_paths([[(0, 1), (1, 0)], [(0, 1), (1, 1)]]) == m.var_node(0)
+    assert m._triples == [(0, FALSE, TRUE)]
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [
+        [[(0, 1)], [(0, 1)]],
+        [[(0, 0), (1, 1)], [(0, 0), (1, 1)], [(0, 1)]],
+        [[], [(0, 1)]],
+        [[(0, 1)], [(0, 1), (1, 0)]],
+        [[(0, 0)], [(0, 1)], [(0, 1), (2, 1)]],
+        [[(0, 0), (1, 1)], [(1, 1)]],
+        [[(0, 0)], [(0, 1), (1, 0)], [(0, 1), (2, 1)]],
+        [[(0, 0), (1, 0)], [(0, 0), (2, 1)]],
+    ],
+    ids=[
+        "duplicate", "duplicate-below-a-split", "empty-prefix", "prefix",
+        "prefix-after-a-split", "siblings-on-two-variables",
+        "deeper-siblings-on-two-variables", "low-siblings-on-two-variables",
+    ],
+)
+def test_from_paths_declines_what_is_no_decision_tree(paths):
+    m = DiagramManager(3)
+    assert m.from_paths(paths) is None
+    assert m._triples == []
+
+
 def test_function_rep_identity_and_cross_manager_equivalence():
     m1 = DiagramManager(2)
     m2 = DiagramManager(2)
@@ -248,7 +289,13 @@ def _built_triples(text):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_node_numbering_matches_the_reference_apply(n, monkeypatch):
-    texts = [print_bnet(random_network(RandomNetSpec(n=n, seed=seed))) for seed in range(4)]
+    nets = [random_network(RandomNetSpec(n=n, seed=seed)) for seed in range(4)]
+    # print_bnet's sums of paths are read with mk alone; the trees as show
+    # writes them, with parentheses, go through the reader's conj and disj
+    texts = [print_bnet(net) for net in nets] + [
+        "".join(f"{name}, {format_expr(rule, net.names)}\n" for name, rule in net.components())
+        for net in nets
+    ]
     built = [_built_triples(text)[0] for text in texts]
     monkeypatch.setattr(network_module, "DiagramManager", _ReferenceManager)
     monkeypatch.setattr(unfold_module, "DiagramManager", _ReferenceManager)
@@ -271,9 +318,9 @@ def _reference_postorder(m, u, done, out):
     out[u] = None
 
 
-def _sample_diagrams():
+def _sample_diagrams(sizes=(1, 3, 5)):
     """(manager, rule nodes) of random networks and of their unfoldings."""
-    for n in (1, 3, 5):
+    for n in sizes:
         for seed in range(4):
             net = random_network(RandomNetSpec(n=n, seed=seed))
             yield net.manager, [build_function(net, j).node for j in range(n)]

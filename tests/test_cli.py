@@ -125,6 +125,38 @@ def test_show_and_fixpoints_answer_on_deeply_nested_bodies(capsys, tmp_path, bod
     assert (code, out, err) == (0, '["0","1"]\n', "")
 
 
+def _long_rule_model(n, body):
+    """x0's rule is body over x0..x{n-1}; x1 negates itself, so no state is
+    fixed, and every other component keeps its value."""
+    return f"x0, {body}\nx1, !x1\n" + "".join(f"x{k}, x{k}\n" for k in range(2, n))
+
+
+@pytest.mark.parametrize(
+    "n,body,state,successors",
+    [
+        # one product of 5000 literals: x0 falls where the last one is off
+        (5000, " & ".join(f"x{k}" for k in range(5000)), "1" * 4999 + "0",
+         ["0" + "1" * 4998 + "0", "10" + "1" * 4997 + "0"]),
+        # two products 2000 variables deep that part at x1500: x1500 <->
+        # x1999 and all others on.  disj would recurse 1500 levels to join them
+        (2000, " & ".join(f"x{k}" for k in range(2000)) + " | "
+         + " & ".join(f"x{k}" if k not in (1500, 1999) else f"!x{k}" for k in range(2000)),
+         "1" * 1999 + "0", ["0" + "1" * 1998 + "0", "10" + "1" * 1997 + "0"]),
+    ],
+    ids=["5000-literal-product", "2000-deep-sum-of-paths"],
+)
+def test_fixpoints_and_succ_answer_on_long_path_shaped_rules(
+    capsys, tmp_path, n, body, state, successors
+):
+    path = tmp_path / "long.bnet"
+    path.write_text(_long_rule_model(n, body))
+    code, out, err = run(capsys, "fixpoints", str(path))
+    assert (code, out, err) == (0, "[]\n", "")
+    code, out, err = run(capsys, "succ", str(path), "--state", state, "--semantics", "async")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == successors
+
+
 def test_fixpoints_compact_and_pretty(capsys):
     code, out, _ = run(capsys, "fixpoints", EXAMPLE_A)
     assert code == 0

@@ -1,4 +1,5 @@
 """Expression and .bnet parsing."""
+import contextlib
 from itertools import product
 from pathlib import Path
 
@@ -381,6 +382,130 @@ def test_diagram_reader_errors_match_tree_reader(text, message, line, col):
     for err in (tree_err.value, node_err.value):
         assert str(err) == f"line {line}, column {col}: {message}"
         assert (err.line, err.col) == (line, col)
+
+
+# --- the path reader: print_bnet's sums of diagram paths ----------------------------
+
+
+def _check_reader_parity(body):
+    """parse_diagram raises parse_expression's error, or builds from_expr's
+    function; where the path reader declines, it made no node, and
+    parse_diagram makes the grammar's nodes, in the grammar's order.
+    Returns whether the path reader took the body."""
+    m = DiagramManager(3)
+    try:
+        tree = parse_expression(body, NAMES, 2, 5)
+    except BnetParseError as err:
+        with pytest.raises(BnetParseError) as got:
+            parse_diagram(body, NAMES, m, 2, 5)
+        assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
+    else:
+        assert parse_diagram(body, NAMES, m, 2, 5) == m.from_expr(tree)
+    probe = DiagramManager(3)
+    if ex._read_paths(body, NAMES, probe) is not None:
+        return True
+    assert probe._triples == []
+    read, grammar = DiagramManager(3), DiagramManager(3)
+    with contextlib.suppress(BnetParseError):
+        parse_diagram(body, NAMES, read)
+    with contextlib.suppress(BnetParseError):
+        ex._DiagramReader(body, NAMES, 1, 1, grammar).parse()
+    assert read._triples == grammar._triples
+    return False
+
+
+# Path-shaped, or nearly: the reader's edges, all of which the grammar reads
+PATH_SHAPES = [
+    "a",
+    "!a",
+    " ! a ",
+    "\x1f!\x1fa\x1f",
+    "\ta&!b|!a&c",
+    "a & b | a & !b",
+    "!a | a & !b | a & b & c",
+    "a & b & c | a & b & !c",
+    "b & a | !a & c",
+    "a & b | !a & !c",
+    "a | a",
+    "a & !b | a & !b",
+    "a | a & b",
+    "a & b | !c",
+    "a & !b | b & c",
+    "a & !a",
+    "a & a",
+    "!!a",
+    "! !a",
+    "a & 1",
+    "a | 0",
+    "a b",
+    "a | | b",
+    "a &",
+    "!",
+    "",
+    "a | b)",
+    "z",
+]
+
+
+def test_path_reader_takes_the_sums_of_paths_and_only_those():
+    taken = [body for body in PATH_SHAPES if _check_reader_parity(body)]
+    assert taken == PATH_SHAPES[:10]
+
+
+def test_path_reader_agrees_with_the_grammar_on_drawn_bodies():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    blank = st.sampled_from(["", "", " ", "\t", "\x1f", "  "])
+
+    @st.composite
+    def sums(draw):
+        """A sum of products of literals over a, b, c: the paths to 1 of a
+        drawn decision tree, or products drawn freely, in any order."""
+        if draw(st.booleans()):
+            paths, todo = [], [((), 0)]
+            while todo:  # each node tests a variable after its parent's, or is a leaf
+                path, first = todo.pop()
+                var = draw(st.integers(first, 3))
+                if var < 3:
+                    todo += [(path + ((var, bit),), var + 1) for bit in (0, 1)]
+                elif draw(st.booleans()):
+                    paths.append(path)
+        else:
+            literal = st.tuples(st.integers(0, 2), st.integers(0, 1))
+            paths = draw(st.lists(st.lists(literal, min_size=1, max_size=3), min_size=1, max_size=5))
+        products = []
+        for path in draw(st.permutations(paths)):
+            products.append("&".join(
+                draw(blank) + ("" if bit else "!" + draw(blank)) + "abc"[var] + draw(blank)
+                for var, bit in draw(st.permutations(path))
+            ))
+        return "|".join(products)
+
+    bodies = st.one_of(st.text(alphabet="abc!&|01() \t\x1f", max_size=30), sums())
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(bodies)
+    def check(body):
+        _check_reader_parity(body)
+
+    check()
+
+
+def test_unfolded_files_read_back_with_only_the_reachable_nodes():
+    for name in ("example_a", "signal"):
+        net = parse_bnet_file(str(MODELS / f"{name}.bnet"))
+        for mode in ("exact", "syntactic"):
+            for components in (None, net.names[:1]):
+                text = print_bnet(unfold(net, UnfoldSpec(components=components, mode=mode)))
+                back = parse_bnet(text)
+                m = back.manager
+                reached = set()
+                for j in range(back.n):
+                    reached.update(m.postorder(build_function(back, j).node, reached))
+                assert len(m._triples) == len(reached)
+                assert print_bnet(back) == text
 
 
 # --- rule trees only on demand -------------------------------------------------
