@@ -18,6 +18,9 @@ finishes the low child before the high child, as _apply builds the low
 branch first: that fixes the numbering of new nodes.  from_paths, the
 inverse of iter_cubes, makes a decision tree's diagram from its paths with
 mk alone, in a loop; the .bnet reader hands it print_bnet's sums of paths.
+build is the one diagram builder of from_expr and of the .bnet grammar: it
+keeps a product of literals as a {var: bit} dict and makes it with cube, so
+no product of literals reaches _apply.
 """
 from __future__ import annotations
 
@@ -294,15 +297,59 @@ class DiagramManager:
             u = mk(var, low, u) if bit else mk(var, u, FALSE)
         return u
 
+    def cube(self, lits: dict[int, int]) -> int:
+        """The conjunction of literals {var: bit} on distinct variables: one
+        node per literal, made with mk from the deepest variable up."""
+        u = TRUE
+        for var in sorted(lits, reverse=True):
+            u = self.mk(var, FALSE, u) if lits[var] else self.mk(var, u, FALSE)
+        return u
+
     def from_expr(self, expr) -> int:
-        return ex.fold(
-            expr,
-            self.var_node,
-            lambda c: TRUE if c else FALSE,
-            self.neg,
-            self.conj,
-            self.disj,
-        )
+        return self.build(ex.fold, expr)
+
+    def build(self, walk, *args) -> int:
+        """The node of walk(*args, var, const, neg, conj, disj), a walk that
+        calls the five builders as ex.fold does over a tree: ex.fold itself,
+        or the .bnet grammar over a rule body.  These builders make a
+        product of literals on distinct variables a {var: bit} dict,
+        extended in place, and its cube only once another operation meets
+        it, so no product of literals recurses in _apply, however long."""
+        return self._node(walk(*args, self._lit, _const, self._not, self._and, self._or))
+
+    def _lit(self, var: int) -> dict[int, int]:
+        if not 0 <= var < self.nvars:
+            raise ValueError(f"variable index {var} out of range")
+        return {var: 1}
+
+    def _not(self, v):
+        if type(v) is dict and len(v) == 1:  # a literal: flip it
+            (var,) = v
+            v[var] ^= 1
+            return v
+        return self.neg(self._node(v))
+
+    def _and(self, v, w):
+        if type(v) is dict and type(w) is dict and v.keys().isdisjoint(w):
+            v.update(w)
+            return v
+        return self.conj(self._node(v), self._node(w))
+
+    def _or(self, v, w):
+        return self.disj(self._node(v), self._node(w))
+
+    def _node(self, v) -> int:
+        """The node of a builder's value: a node, or a product's cube."""
+        if type(v) is not dict:
+            return v
+        if len(v) == 1:  # one literal: one mk, no sort
+            ((var, bit),) = v.items()
+            return self.mk(var, 1 - bit, bit)
+        return self.cube(v)
+
+
+def _const(c) -> int:
+    return TRUE if c else FALSE
 
 
 class FunctionRep:

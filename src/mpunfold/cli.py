@@ -176,7 +176,9 @@ def _cmd_stg(net, args) -> int:
 
 
 def _cmd_attractors(net, args) -> int:
-    roots = args.roots.split(",") if args.roots is not None else None
+    roots = None
+    if args.roots is not None:  # blanks around a root are dropped; "" stays invalid
+        roots = [root.strip() for root in args.roots.split(",")]
     found = attractors(net, args.semantics, cap=_cap(args), roots=roots)
     _emit([{"states": list(a.states), "kind": a.kind} for a in found])
     return EXIT_OK

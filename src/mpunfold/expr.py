@@ -2,8 +2,8 @@
 
 Expressions are immutable trees over component indices.  A body shaped as
 print_bnet writes it, the paths of a decision tree with no "(", is read by
-_read_paths, one mk per node; the grammar below, one loop with no recursion,
-reads every other body into a tree or a diagram and reports every error.
+_read_paths, one mk per node; _parse, one loop over the grammar below, folds
+every other body with fold's five builders and reports every error.
 Grammar:
     expr := conj {"|" conj}
     conj := lit {"&" lit}
@@ -164,179 +164,75 @@ def _found(tok: str) -> str:
     return f"{tok!r}" if tok else "end of line"
 
 
-class _Grammar:
-    """The grammar over one body's tokens, read by parse in one loop.  A
-    subclass makes the values with five builder methods: lit(k, bit) for a
-    literal x (bit 1) or !x (bit 0), const(c), neg(u), disj(u, v), and
-    conj(ops) for an "&" chain, given its operands in order, each a built
-    value or, for a literal, its (k, bit) pair.  (A class rather than nested
-    functions: those would form a reference cycle that keeps the tokens and
-    the manager alive until the next garbage collection.)"""
-
-    __slots__ = ("text", "tokens", "names", "line", "col")
-
-    def __init__(self, text, names, line, col):
-        self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        self.tokens.append("")
-        self.names = names
-        self.line = line
-        self.col = col
-
-    def parse(self):
-        """The body's value: one loop over the tokens that reads an operand
-        (after any "!"s and "("s), then the operators after it.  Each open
-        group, the body and each "(", keeps its "|" value so far, its
-        pending "&" operands and its count of "!"s before the operand being
-        read; a ")" pops the group and its value becomes an operand of the
-        enclosing one.  No recursion, so nesting is not bounded by Python's
-        stack, and the builder calls are those of a recursive descent, in
-        the same order."""
-        tokens, names = self.tokens, self.names
-        groups = []  # the groups enclosing the current one
-        total, ops, nots = None, [], 0  # the current group
-        pos = 0
+def _parse(text: str, names: dict[str, int], line: int, col: int, var, const, neg, conj, disj):
+    """The value of one rule body, made with the five builders fold takes,
+    called as fold would call them over the body's tree: a left operand
+    first, "&" and "|" chains nested to the left.  One loop over the tokens
+    reads an operand (after any "!"s and "("s), then the operators after
+    it.  Each open group, the body and each "(", keeps its "|" value so
+    far, its "&" value so far and its count of "!"s before the operand
+    being read; a ")" pops the group and its value becomes an operand of
+    the enclosing one.  No recursion, so nesting is not bounded by Python's
+    stack."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    groups = []  # the groups enclosing the current one
+    total = product = None  # the current group
+    nots = pos = 0
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        k = names.get(tok)
+        if k is not None:
+            v = var(k)
+        elif tok == "!":
+            nots += 1
+            continue
+        elif tok == "(":
+            groups.append((total, product, nots))
+            total = product = None
+            nots = 0
+            continue
+        elif tok == "0" or tok == "1":
+            v = const(int(tok))
+        elif tok and tok[0] in _IDENT_START:
+            _fail(text, tokens, line, col, f"undeclared identifier {tok!r}", pos - 1)
+        else:
+            _fail(text, tokens, line, col, f"expected a literal, found {_found(tok)}", pos - 1)
+        # operand v, then the operators after it; each ")" closes a group
         while True:
+            while nots:
+                v = neg(v)
+                nots -= 1
+            product = v if product is None else conj(product, v)
             tok = tokens[pos]
             pos += 1
-            k = names.get(tok)
-            if k is not None:  # x, !x, or a deeper negation of !x
-                op = (k, 1 - nots) if nots < 2 else self.negated(self.lit(k, 0), nots - 1)
-            elif tok == "!":
-                nots += 1
-                continue
-            elif tok == "(":
-                groups.append((total, ops, nots))
-                total, ops, nots = None, [], 0
-                continue
-            elif tok == "0" or tok == "1":
-                op = self.negated(self.const(tok == "1"), nots)
-            elif tok and tok[0] in _IDENT_START:
-                self.fail(f"undeclared identifier {tok!r}", pos - 1)
-            else:
-                self.fail(f"expected a literal, found {_found(tok)}", pos - 1)
-            ops.append(op)
-            nots = 0
-            # the operators after an operand; each ")" closes a group
-            while True:
-                tok = tokens[pos]
-                pos += 1
-                if tok == "&":
-                    break
-                u = self.value(ops[0]) if len(ops) == 1 else self.conj(ops)
-                total = u if total is None else self.disj(total, u)
-                ops = []
-                if tok == "|":
-                    break
-                if not groups:
-                    if tok:
-                        self.fail(f"trailing input {tok!r}", pos - 1)
-                    return total
-                if tok != ")":
-                    self.fail(f"expected ')', found {_found(tok)}", pos - 1)
-                u = total
-                total, ops, nots = groups.pop()
-                ops.append(self.negated(u, nots))
-                nots = 0
-
-    def negated(self, u, count: int):
-        """u under count negations, each made by neg."""
-        for _ in range(count):
-            u = self.neg(u)
-        return u
-
-    def fail(self, message: str, at: int):
-        """Raise message at token `at`, unless some token is a bad
-        character: that one is reported instead, as scanning before
-        parsing would."""
-        for i, tok in enumerate(self.tokens):
-            if tok and tok[0] not in _GOOD_START:
-                at, message = i, f"unexpected character {tok!r}"
+            if tok == "&":
                 break
-        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
-        offset = starts[at] if at < len(starts) else len(self.text)
-        raise BnetParseError(message, self.line, self.col + offset)
-
-    def value(self, op):
-        return self.lit(*op) if type(op) is tuple else op
-
-
-class _TreeReader(_Grammar):
-    """Builds the rule's tree, "&" and "|" chains nested to the left."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def lit(k, bit):
-        return Var(k) if bit else Not(Var(k))
-
-    @staticmethod
-    def const(c):
-        return _CONST[c]
-
-    @staticmethod
-    def neg(e):
-        return Not(e)
-
-    @staticmethod
-    def disj(e, f):
-        return Or(e, f)
-
-    def conj(self, ops):
-        e = self.value(ops[0])
-        for op in ops[1:]:
-            e = And(e, self.value(op))
-        return e
+            total = product if total is None else disj(total, product)
+            product = None
+            if tok == "|":
+                break
+            if not groups:
+                if tok:
+                    _fail(text, tokens, line, col, f"trailing input {tok!r}", pos - 1)
+                return total
+            if tok != ")":
+                _fail(text, tokens, line, col, f"expected ')', found {_found(tok)}", pos - 1)
+            v = total
+            total, product, nots = groups.pop()
 
 
-class _DiagramReader(_Grammar):
-    """Builds the rule's diagram in a DiagramManager, and no tree.  An "&"
-    chain of literals on distinct variables becomes its cube directly;
-    any other chain goes through _conjoin.  "|" chains fold with disj."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, text, names, line, col, manager):
-        super().__init__(text, names, line, col)
-        self.m = manager
-
-    def lit(self, k, bit):
-        return self.m.mk(k, 1 - bit, bit)
-
-    @staticmethod
-    def const(c):
-        return int(c)
-
-    def neg(self, u):
-        return self.m.neg(u)
-
-    def disj(self, u, v):
-        return self.m.disj(u, v)
-
-    def conj(self, ops):
-        lits = {}
-        for op in ops:
-            if type(op) is not tuple or op[0] in lits:
-                return _conjoin(self.m, [self.value(op) for op in ops])
-            lits[op[0]] = op[1]
-        return _cube(self.m, lits)
-
-
-def _cube(m, lits: dict[int, int]) -> int:
-    """The conjunction of literals {var: bit} on distinct variables: one node
-    per literal, built with mk from the deepest variable up."""
-    u = 1
-    for var in sorted(lits, reverse=True):
-        u = m.mk(var, 0, u) if lits[var] else m.mk(var, u, 0)
-    return u
-
-
-def _conjoin(m, nodes: list[int]) -> int:
-    """Conjunction of diagram nodes, folded with conj."""
-    u = nodes[0]
-    for v in nodes[1:]:
-        u = m.conj(u, v)
-    return u
+def _fail(text: str, tokens: list[str], line: int, col: int, message: str, at: int):
+    """Raise message at token `at`, unless some token is a bad character:
+    that one is reported instead, as scanning before parsing would."""
+    for i, tok in enumerate(tokens):
+        if tok and tok[0] not in _GOOD_START:
+            at, message = i, f"unexpected character {tok!r}"
+            break
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    offset = starts[at] if at < len(starts) else len(text)
+    raise BnetParseError(message, line, col + offset)
 
 
 def parse_expression(
@@ -345,7 +241,7 @@ def parse_expression(
     """Parse one rule body into its tree; identifiers resolve through
     name_to_index.  An error reports `line` and its column, counted from
     `col`, the column where the body starts."""
-    return _TreeReader(text, name_to_index, line, col).parse()
+    return _parse(text, name_to_index, line, col, Var, _CONST.__getitem__, Not, And, Or)
 
 
 def parse_diagram(
@@ -354,10 +250,11 @@ def parse_diagram(
     """Parse one rule body straight into its diagram node in manager, with
     the grammar and the errors of parse_expression, building no tree.  A
     body in the shape print_bnet writes takes _read_paths; any other, and
-    every error, takes the grammar."""
+    every error, takes the grammar with manager's diagram builder, the one
+    from_expr folds a tree with."""
     u = _read_paths(text, name_to_index, manager)
     if u is None:
-        u = _DiagramReader(text, name_to_index, line, col, manager).parse()
+        u = manager.build(_parse, text, name_to_index, line, col)
     return u
 
 
@@ -384,7 +281,7 @@ def _read_paths(text: str, name_to_index: dict[str, int], manager) -> int | None
             lits[k] = bit
         products.append(lits)
     if len(products) == 1:  # one path: its cube
-        return _cube(manager, lits)
+        return manager.cube(lits)
     return manager.from_paths(sorted(sorted(lits.items()) for lits in products))
 
 

@@ -11,9 +11,10 @@ over the nodes it built for its output.  A body in the shape print_bnet
 writes (a sum of products that are the paths of a decision tree, as every
 `unfold -o` file is) becomes its diagram with one mk per node and no apply;
 any other body, and every error, goes through the grammar, which stays the
-one definition of the language.  Only a network built from trees
-(random_network, BooleanNetwork called directly) builds its diagrams from
-them, lazily, in build_function.  The trees of a read network are parsed
+one definition of the language and builds with from_expr's diagram builder
+the same nodes as from_expr of the body's tree.  Only a network built from
+trees (random_network, BooleanNetwork called directly) builds its diagrams
+from them, lazily, in build_function.  The trees of a read network are parsed
 from the kept rule bodies on the first access to `rules` (show, syntactic
 unfolding, the oracle); exploration, fixpoints, regulatory graphs and
 exact unfolding never build them.

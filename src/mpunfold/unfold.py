@@ -224,7 +224,7 @@ class _Unfolding:
                 cube = self._cubes.get((k, own))
                 if cube is None:
                     lits = {slot: int(bit) for slot, bit in zip(slots, own)}
-                    cube = self._cubes[k, own] = ex._cube(m, lits)
+                    cube = self._cubes[k, own] = m.cube(lits)
                 cubes = m.disj(cubes, cube)
             if setter is not None:
                 which, negated = setter

@@ -106,6 +106,23 @@ def test_show_succ_and_reach_answer_on_a_deep_negation(capsys, tmp_path):
     assert (answer["verdict"], answer["states_explored"]) == ("reachable", 2)
 
 
+def test_show_and_succ_answer_on_750_parenthesised_pairs(capsys, tmp_path):
+    # x0's rule is (x0 & !x1) & (x2 & !x3) & ...: one product of 1500
+    # literals, read as one cube, with no apply of pair onto pair
+    n = 1500
+    pairs = [f"x{k} & !x{k + 1}" for k in range(0, n, 2)]
+    path = tmp_path / "pairs.bnet"
+    path.write_text(
+        f"x0, {' & '.join(f'({pair})' for pair in pairs)}\n"
+        + "".join(f"x{k}, x{k - 1}\n" for k in range(1, n))
+    )
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["components"][0] == {"name": "x0", "rule": " & ".join(pairs)}
+    code, out, err = run(capsys, "succ", str(path), "--state", "0" * n, "--semantics", "async")
+    assert (code, out, err) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize(
     "body,shown",
     [
@@ -428,7 +445,18 @@ def test_attractors_json(capsys):
     assert json.loads(out) == [{"states": ["001"], "kind": "stable-state"}]
 
 
-@pytest.mark.parametrize("roots", ["", ","])
+def test_attractors_roots_strip_blanks(capsys):
+    argv = ("attractors", EXAMPLE_A, "--semantics", "async", "--roots")
+    assert run(capsys, *argv, "001, 110") == run(capsys, *argv, "001,110")
+    code, out, _ = run(capsys, *argv, " 001 ,\t110 ")
+    assert code == 0
+    assert json.loads(out) == [
+        {"states": ["001"], "kind": "stable-state"},
+        {"states": ["110"], "kind": "stable-state"},
+    ]
+
+
+@pytest.mark.parametrize("roots", ["", ",", " , "])
 def test_attractors_empty_roots_are_invalid(capsys, roots):
     code, out, err = run(
         capsys, "attractors", EXAMPLE_A, "--semantics", "async", "--roots", roots

@@ -1,5 +1,4 @@
 """Expression and .bnet parsing."""
-import contextlib
 from itertools import product
 from pathlib import Path
 
@@ -389,13 +388,14 @@ def test_diagram_reader_errors_match_tree_reader(text, message, line, col):
 
 def _check_reader_parity(body):
     """parse_diagram raises parse_expression's error, or builds from_expr's
-    function; where the path reader declines, it made no node, and
-    parse_diagram makes the grammar's nodes, in the grammar's order.
+    function; where the path reader declines, it made no node, and a valid
+    body is read into from_expr's nodes, in from_expr's order.
     Returns whether the path reader took the body."""
     m = DiagramManager(3)
     try:
         tree = parse_expression(body, NAMES, 2, 5)
     except BnetParseError as err:
+        tree = None
         with pytest.raises(BnetParseError) as got:
             parse_diagram(body, NAMES, m, 2, 5)
         assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
@@ -405,13 +405,24 @@ def _check_reader_parity(body):
     if ex._read_paths(body, NAMES, probe) is not None:
         return True
     assert probe._triples == []
-    read, grammar = DiagramManager(3), DiagramManager(3)
-    with contextlib.suppress(BnetParseError):
-        parse_diagram(body, NAMES, read)
-    with contextlib.suppress(BnetParseError):
-        ex._DiagramReader(body, NAMES, 1, 1, grammar).parse()
-    assert read._triples == grammar._triples
+    if tree is not None:
+        _check_one_builder(body)
     return False
+
+
+def _check_one_builder(body):
+    """Reading a body the path reader declines and from_expr of its tree,
+    each in a fresh manager, make the same nodes in the same order: both
+    run the manager's one diagram builder."""
+    read, folded = DiagramManager(3), DiagramManager(3)
+    parse_diagram(body, NAMES, read)
+    folded.from_expr(parse_expression(body, NAMES))
+    assert read._triples == folded._triples
+
+
+@pytest.mark.parametrize("body", EDGE_SHAPES)
+def test_reading_and_from_expr_make_the_same_nodes(body):
+    assert _check_reader_parity(body) == (body in ("c & a & !b", "!c & !b & !a", "a | !a"))
 
 
 # Path-shaped, or nearly: the reader's edges, all of which the grammar reads
@@ -597,6 +608,22 @@ def test_from_expr_on_a_5000_deep_chain():
     assert FunctionRep(m, m.from_expr(tree)).equivalent(
         FunctionRep(fresh, parse_diagram(body, NAMES, fresh))
     )
+
+
+def test_from_expr_of_a_3000_literal_product():
+    # x0 & !x1 & x2 & ..., nested to the left: one cube, one node per
+    # literal, with no apply of the product so far onto the next literal
+    n = 3000
+    names = {f"x{k}": k for k in range(n)}
+    body = " & ".join(f"x{k}" if k % 2 == 0 else f"!x{k}" for k in range(n))
+    m = DiagramManager(n)
+    u = m.from_expr(parse_expression(body, names))
+    assert len(m._triples) == n
+    fresh = DiagramManager(n)
+    assert parse_diagram(body, names, fresh) == u
+    assert fresh._triples == m._triples
+    assert parse_diagram(body, names, m) == u
+    assert len(m._triples) == n
 
 
 def test_to_nnf_on_a_5000_deep_chain():
