@@ -9,7 +9,7 @@ functions built in the same manager are equal iff their ids are equal.
 No complement edges; the node-wise transforms in unfold.py rely on plain
 (var, low, high) structure.
 
-apply, conj, disj and equiv share one recursion, _apply, which is handed its
+conj, disj and equiv share one recursion, _apply, which is handed its
 operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
 It is the one method that recurses, one frame per diagram level.  Every pass
 over a whole diagram (neg, support, truth_table, and the rule evaluator's
@@ -30,7 +30,6 @@ FALSE = 0
 TRUE = 1
 
 _AND, _OR, _XOR = 0, 1, 2
-_OPS = {"and": _AND, "or": _OR, "xor": _XOR}
 
 
 class DiagramManager:
@@ -40,7 +39,7 @@ class DiagramManager:
         self.nvars = nvars
         self._triples: list[tuple[int, int, int]] = []
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._memos = ({}, {}, {})  # one per operation, by its code in _OPS
+        self._memos = ({}, {}, {})  # one per operation: _AND, _OR, _XOR
         # u -> its negation, both ways round; the terminals seed it
         self._neg_memo: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
 
@@ -96,13 +95,6 @@ class DiagramManager:
                 memo[w] = r
                 memo[r] = w
         return memo[u]
-
-    def apply(self, op: str, u: int, v: int) -> int:
-        """u op v, for op one of "and", "or", "xor"."""
-        code = _OPS.get(op)
-        if code is None:
-            raise ValueError(f"unknown operation {op!r}")
-        return self._apply(code, self._memos[code], u, v)
 
     def _apply(self, op: int, memo: dict, u: int, v: int) -> int:
         """u op v.  memo is op's own, keyed (u, v) with u < v: all three
@@ -390,31 +382,3 @@ class FunctionRep:
 
     def truth_table(self) -> int:
         return self.manager.truth_table(self.node)
-
-    def equivalent(self, other: "FunctionRep") -> bool:
-        """Same function, possibly across managers with one variable order."""
-        if self.manager is other.manager:
-            return self.node == other.node
-        if self.manager.nvars != other.manager.nvars:
-            return False
-        # every pair of nodes reached by walking both diagrams in step must
-        # test the same variable, and every pair with a terminal must match
-        seen: set[tuple[int, int]] = set()
-        stack = [(self.node, other.node)]
-        while stack:
-            pair = stack.pop()
-            a, b = pair
-            if a < 2 or b < 2:
-                if a != b:
-                    return False
-                continue
-            if pair in seen:
-                continue
-            seen.add(pair)
-            avar, alow, ahigh = self.manager.triple(a)
-            bvar, blow, bhigh = other.manager.triple(b)
-            if avar != bvar:
-                return False
-            stack.append((ahigh, bhigh))
-            stack.append((alow, blow))
-        return True

@@ -94,18 +94,6 @@ def fold(expr: BooleanExpr, var, const, neg, conj, disj):
     return done[0]
 
 
-def evaluate(expr: BooleanExpr, bits) -> int:
-    """Evaluate over a sequence of 0/1 values indexed by component."""
-    return fold(
-        expr,
-        lambda k: bits[k],
-        lambda c: c,
-        lambda v: 1 - v,
-        lambda v, w: v and w,
-        lambda v, w: v or w,
-    )
-
-
 def variables(expr: BooleanExpr) -> set[int]:
     """Indices occurring syntactically (may exceed the semantic support)."""
     if isinstance(expr, Var):
@@ -283,14 +271,3 @@ def _read_paths(text: str, name_to_index: dict[str, int], manager) -> int | None
     if len(products) == 1:  # one path: its cube
         return manager.cube(lits)
     return manager.from_paths(sorted(sorted(lits.items()) for lits in products))
-
-
-def parse_rule(
-    text: str, name_to_index: dict[str, int], manager=None, line: int = 1, col: int = 1
-):
-    """Parse one rule body into (tree, node): parse_expression's tree and,
-    with a DiagramManager, parse_diagram's node in it (None without)."""
-    tree = parse_expression(text, name_to_index, line, col)
-    if manager is None:
-        return tree, None
-    return tree, parse_diagram(text, name_to_index, manager, line, col)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import product
 
@@ -196,23 +196,7 @@ class EquivalenceReport:
         return not self.mismatches and not self.subsumption_violations
 
     def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "mismatches": [
-                {
-                    "source": m.source,
-                    "target": m.target,
-                    "mp_reachable": m.mp_reachable,
-                    "unfolded_reachable": m.unfolded_reachable,
-                    "witness": m.witness,
-                }
-                for m in self.mismatches
-            ],
-            "subsumption_violations": [list(v) for v in self.subsumption_violations],
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 class _Lazy(dict):

@@ -528,6 +528,36 @@ def test_verify_detects_mismatches(capsys, tmp_path):
     assert run(capsys, "verify", str(path), "--mode", "exact")[0] == 0
 
 
+def test_verify_output_bytes(capsys, tmp_path):
+    # key order, every mismatch field and each witness, byte for byte
+    path = tmp_path / "divergent.bnet"
+    path.write_text(DIVERGENT)
+    code, out, err = run(capsys, "verify", str(path), "--mode", "syntactic")
+    assert (code, err) == (1, "")
+
+    def mismatch(source, target, witness):
+        states = ",".join(f'"{s}"' for s in witness.split())
+        return (
+            f'{{"source":"{source}","target":"{target}","mp_reachable":false,'
+            f'"unfolded_reachable":true,"witness":[{states}]}}'
+        )
+
+    assert out == (
+        '[{"label":"model","mode":"syntactic","pairs_checked":256,"mismatches":['
+        + ",".join([
+            mismatch("0000", "0001", "000000000000 001000000000 101000000000 101000000001"
+                     " 100000000001 000000000001 000000000011 000000000111"),
+            mismatch("0000", "1001", "000000000000 001000000000 001000000001 011000000001"
+                     " 111000000001 111000000011 111000000111"),
+            mismatch("1000", "0001", "111000000000 101000000000 101000000001 100000000001"
+                     " 000000000001 000000000011 000000000111"),
+            mismatch("1000", "1001", "111000000000 101000000000 001000000000 001000000001"
+                     " 011000000001 111000000001 111000000011 111000000111"),
+        ])
+        + '],"subsumption_violations":[],"ok":false}]\n'
+    )
+
+
 @pytest.mark.parametrize(
     "options,message",
     [

@@ -2,10 +2,10 @@
 
 The successor functions and the explorers run on a network's compiled
 RuleEvaluator.  Here every Boolean state of small random networks (all-zero
-states and leading zeros included) is compared with expr.evaluate on
-net.rules, every most permissive state with a string reference built on
-brute force over gamma(x), and every explorer with a plain breadth-first
-search over state strings and the public successor functions.
+states and leading zeros included) is compared with the oracle's tree
+evaluator on net.rules, every most permissive state with a string reference
+built on brute force over gamma(x), and every explorer with a plain
+breadth-first search over state strings and the public successor functions.
 """
 import random
 from collections import deque
@@ -28,11 +28,10 @@ from mpunfold import (
     reaches,
     sync_successor,
 )
-from mpunfold import expr as ex
 from mpunfold import semantics
 from mpunfold.bdd import DiagramManager
 from mpunfold.network import RuleEvaluator
-from mpunfold.oracle import naive_mp_successors
+from mpunfold.oracle import _eval, naive_mp_successors
 from mpunfold.reach import _space
 
 NETS = [(n, seed) for n in range(1, 7) for seed in range(3)]
@@ -57,7 +56,7 @@ def _pairs(stg):
 
 def _tree_image(net, s):
     bits = [int(c) for c in s]
-    return "".join(str(ex.evaluate(rule, bits)) for rule in net.rules)
+    return "".join(str(_eval(rule, bits)) for rule in net.rules)
 
 
 def _tree_async(net, s):
@@ -90,7 +89,7 @@ def test_successors_match_tree_evaluation(n, seed):
     for s in _states(n):
         bits = [int(c) for c in s]
         for j, rule in enumerate(net.rules):
-            assert eval_rule(net, j, s) == ex.evaluate(rule, bits)
+            assert eval_rule(net, j, s) == _eval(rule, bits)
         assert sync_successor(net, s) == _tree_image(net, s)
         assert async_successors(net, s) == _tree_async(net, s)
         assert general_successors(net, s) == _tree_general(net, s)
@@ -119,7 +118,7 @@ def _gamma(x):
 
 def _string_mp(net, x):
     """mp_successors over state strings, by brute force over gamma(x)."""
-    values = [{ex.evaluate(rule, [int(c) for c in y]) for y in _gamma(x)} for rule in net.rules]
+    values = [{_eval(rule, [int(c) for c in y]) for y in _gamma(x)} for rule in net.rules]
     out = []
     for j, c in enumerate(x):
         if c in "0d" and 1 in values[j]:

@@ -16,23 +16,22 @@ from mpunfold import (
     unfold,
 )
 from mpunfold import expr as ex
-from mpunfold.bdd import DiagramManager, FunctionRep
+from mpunfold.bdd import DiagramManager
 from mpunfold.expr import (
     And,
     Const,
     Not,
     Or,
     Var,
-    evaluate,
     format_expr,
     parse_diagram,
     parse_expression,
-    parse_rule,
     to_nnf,
     variables,
 )
 from mpunfold.models import EXAMPLE_A_BNET
 from mpunfold.network import infer_regulatory_graph
+from mpunfold.oracle import _eval
 from mpunfold.reach import fixed_points, reaches
 from mpunfold.unfold import UnfoldSpec, _Unfolding, unfold
 
@@ -84,9 +83,9 @@ def test_parse_undeclared_identifier():
 
 def test_evaluate_and_variables():
     e = parse_expression("a & !c | b", NAMES)
-    assert evaluate(e, [1, 0, 0]) == 1
-    assert evaluate(e, [1, 0, 1]) == 0
-    assert evaluate(e, [0, 1, 1]) == 1
+    assert _eval(e, [1, 0, 0]) == 1
+    assert _eval(e, [1, 0, 1]) == 0
+    assert _eval(e, [0, 1, 1]) == 1
     assert variables(e) == {0, 1, 2}
 
 
@@ -95,7 +94,7 @@ def test_to_nnf_pushes_negation_to_leaves():
     n = to_nnf(e)
     assert n == And(Or(Not(Var(0)), Var(1)), Or(Var(2), Const(0)))
     for bits in [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]:
-        assert evaluate(n, bits) == evaluate(e, bits)
+        assert _eval(n, bits) == _eval(e, bits)
 
 
 def test_format_expr_round_trips():
@@ -103,7 +102,7 @@ def test_format_expr_round_trips():
         e = parse_expression(text, NAMES)
         again = parse_expression(format_expr(e, ["a", "b", "c"]), NAMES)
         for bits in [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]:
-            assert evaluate(again, bits) == evaluate(e, bits)
+            assert _eval(again, bits) == _eval(e, bits)
 
 
 # --- whole files -------------------------------------------------------------
@@ -237,13 +236,11 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def assert_diagrams_match_trees(net):
-    """Every rule diagram the network holds is the function from_expr
-    builds from the rule's own tree, in a fresh manager."""
-    fresh = DiagramManager(net.n)
+    """Every rule diagram the network holds is the node from_expr builds
+    from the rule's own tree in the network's manager, where node ids are
+    canonical."""
     for j, rule in enumerate(net.rules):
-        assert build_function(net, j).equivalent(
-            FunctionRep(fresh, fresh.from_expr(rule))
-        ), (net.names[j], rule)
+        assert build_function(net, j).node == net.manager.from_expr(rule), (net.names[j], rule)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -298,16 +295,8 @@ EDGE_SHAPES = [
 @pytest.mark.parametrize("body", EDGE_SHAPES)
 def test_parse_rule_diagram_is_from_expr_of_its_tree(body):
     m = DiagramManager(3)
-    tree, node = parse_rule(body, NAMES, m)
-    assert tree == parse_expression(body, NAMES)
-    fresh = DiagramManager(3)
-    assert FunctionRep(m, node).equivalent(FunctionRep(fresh, fresh.from_expr(tree)))
-
-
-def test_parse_rule_without_manager_builds_no_diagram():
-    tree, node = parse_rule("a & !b | c", NAMES)
-    assert node is None
-    assert tree == Or(And(Var(0), Not(Var(1))), Var(2))
+    node = parse_diagram(body, NAMES, m)
+    assert node == m.from_expr(parse_expression(body, NAMES))
 
 
 def test_reader_networks_rebuild_no_diagram():
@@ -598,16 +587,13 @@ def test_format_expr_on_a_5000_deep_chain():
 def test_evaluate_on_a_5000_deep_chain():
     tree, _, pairs = _chain()
     for bits in product((0, 1), repeat=3):
-        assert evaluate(tree, bits) == int(any(bits[p] and not bits[q] for p, q in pairs))
+        assert _eval(tree, bits) == int(any(bits[p] and not bits[q] for p, q in pairs))
 
 
 def test_from_expr_on_a_5000_deep_chain():
     tree, body, _ = _chain()
     m = DiagramManager(3)
-    fresh = DiagramManager(3)
-    assert FunctionRep(m, m.from_expr(tree)).equivalent(
-        FunctionRep(fresh, parse_diagram(body, NAMES, fresh))
-    )
+    assert m.from_expr(tree) == parse_diagram(body, NAMES, m)
 
 
 def test_from_expr_of_a_3000_literal_product():
@@ -652,12 +638,11 @@ def test_fold_visits_left_operands_first():
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda e: evaluate(e, (0, 1, 1)),
         to_nnf,
         lambda e: format_expr(e, "abc"),
         lambda e: DiagramManager(3).from_expr(e),
     ],
-    ids=["evaluate", "to_nnf", "format_expr", "from_expr"],
+    ids=["to_nnf", "format_expr", "from_expr"],
 )
 def test_walkers_reject_what_is_not_a_tree(walk):
     with pytest.raises(TypeError, match=r"not a BooleanExpr: 'x'"):

@@ -27,9 +27,9 @@ from mpunfold import (
     unfold,
     unfolded_names,
 )
-from mpunfold.bdd import DiagramManager, FunctionRep
-from mpunfold.expr import And, Const, Not, Or, Var, evaluate, to_nnf
+from mpunfold.expr import And, Const, Not, Or, Var, to_nnf
 from mpunfold.network import BooleanNetwork, RuleEvaluator
+from mpunfold.oracle import _eval
 from mpunfold.unfold import MODES, _Unfolding
 
 EXACT = UnfoldSpec(mode="exact")
@@ -268,10 +268,10 @@ def test_exact_conditions_invariant_under_component_permutation():
 
 
 def _substituted_nnf(net, j, spec, polarity):
-    """Reference syntactic condition: the negation normal form of rule j
-    (of its negation for minus), each literal on k replaced by what k may
-    read as: x_kc for x_k, !x_kb for !x_k, the plain x_k when k is not
-    unfolded."""
+    """Reference syntactic condition, a tree over the unfolded variables:
+    the negation normal form of rule j (of its negation for minus), each
+    literal on k replaced by what k may read as: x_kc for x_k, !x_kb for
+    !x_k, the plain x_k when k is not unfolded."""
     names = unfolded_names(net, spec)
     chosen = spec.resolve(net)
 
@@ -288,9 +288,7 @@ def _substituted_nnf(net, j, spec, polarity):
             return e
         return type(e)(subst(e.left), subst(e.right))
 
-    m = DiagramManager(len(names))
-    nnf = to_nnf(net.rules[j], negate=(polarity == "minus"))
-    return FunctionRep(m, m.from_expr(subst(nnf)))
+    return subst(to_nnf(net.rules[j], negate=(polarity == "minus")))
 
 
 @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
@@ -308,9 +306,10 @@ def test_syntactic_conditions_are_the_substituted_normal_forms(partial):
                     signs.setdefault(k, set()).add(isinstance(e, Var))
                 mixed += any(len(s) == 2 for s in signs.values())
                 for polarity in ("plus", "minus"):
-                    assert build_condition(net, j, spec, polarity).equivalent(
-                        _substituted_nnf(net, j, spec, polarity)
-                    ), (n, seed, j, polarity)
+                    # node ids are canonical within the condition's manager
+                    fr = build_condition(net, j, spec, polarity)
+                    reference = fr.manager.from_expr(_substituted_nnf(net, j, spec, polarity))
+                    assert fr.node == reference, (n, seed, j, polarity)
     assert mixed > 0  # some rules read a regulator both ways
 
 
@@ -582,11 +581,8 @@ def test_unfold_hands_over_its_diagrams(mode, partial):
             print_bnet(ext)
             ext.evaluator
             assert len(m._triples) == before, (n, seed)
-            fresh = DiagramManager(ext.n)
             for j, rule in enumerate(ext.rules):
-                assert build_function(ext, j).equivalent(
-                    FunctionRep(fresh, fresh.from_expr(rule))
-                ), (n, seed, ext.names[j])
+                assert build_function(ext, j).node == m.from_expr(rule), (n, seed, ext.names[j])
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -605,7 +601,7 @@ def test_rule_nodes_evaluate_as_the_unfolded_network(mode):
                 assert ev.n == ext.n
                 for s in range(1 << ev.n):
                     bits = bits_of(format(s, f"0{ev.n}b"))
-                    tree_image = "".join(str(evaluate(r, bits)) for r in ext.rules)
+                    tree_image = "".join(str(_eval(r, bits)) for r in ext.rules)
                     assert ev.image(s) == ext.evaluator.image(s) == int(tree_image, 2), (
                         n, seed, components, s,
                     )
