@@ -15,9 +15,9 @@ It is the one method that recurses, one frame per diagram level.  Every pass
 over a whole diagram (neg, support, truth_table, and the rule evaluator's
 table and the exact conditions elsewhere) is a loop over postorder, which
 finishes the low child before the high child, as _apply builds the low
-branch first: that fixes the numbering of new nodes.  from_paths, the
-inverse of iter_cubes, makes a decision tree's diagram from its paths with
-mk alone, in a loop; the .bnet reader hands it print_bnet's sums of paths.
+branch first: that fixes the numbering of new nodes.  paths makes each path
+to 1 with a caller's builders; from_paths, its inverse, makes a decision
+tree's diagram from its paths with mk alone, for the .bnet reader.
 build is the one diagram builder of from_expr and of the .bnet grammar: it
 keeps a product of literals as a {var: bit} dict and makes it with cube, so
 no product of literals reaches _apply.
@@ -229,33 +229,36 @@ class DiagramManager:
             stack.append((high, prefix + (1,)))
             stack.append((low, prefix + (0,)))
 
-    def iter_cubes(self, u: int):
-        """Paths to the 1-terminal as lists of (var, bit), variables in
-        order along each path, low branch explored first."""
-        path: list[tuple[int, int]] = []
-        # (node, length of the path above it, the edge into it)
-        stack = [(u, 0, None)]
+    def paths(self, u: int, lit, conj) -> list:
+        """The value of each path from u to 1, low branch first: a path's
+        value is made along it, lit(var, bit) for its first literal, then
+        conj(prefix, lit(var, bit)) for each next one, so a prefix that
+        paths share is made once.  TRUE's one path, the empty one, is None;
+        FALSE has none."""
+        triples = self._triples
+        values = []
+        stack = [(u, None)]  # (node, the value of the path into it)
         while stack:
-            w, depth, edge = stack.pop()
-            del path[depth:]
-            if edge is not None:
-                path.append(edge)
+            w, prefix = stack.pop()
             if w == TRUE:
-                yield list(path)
+                values.append(prefix)
             elif w != FALSE:
-                var, low, high = self.triple(w)
-                depth = len(path)
-                stack.append((high, depth, (var, 1)))
-                stack.append((low, depth, (var, 0)))
+                var, low, high = triples[w - 2]
+                for child, bit in ((high, 1), (low, 0)):
+                    if child != FALSE:  # no value for a path to 0
+                        v = lit(var, bit)
+                        stack.append((child, v if prefix is None else conj(prefix, v)))
+        return values
 
     def from_paths(self, paths) -> int | None:
-        """The function whose paths to 1 are paths, which iter_cubes would
-        yield: a sorted list, each path a list of (var, bit) with increasing
-        variables.  A first pass checks, making no node, that the paths are
-        those of a decision tree: consecutive paths part at one variable, 0
-        then 1, and none is a prefix of another; otherwise the answer is
-        None.  A second pass walks the paths' trie with a stack and makes
-        one mk per trie node, each after the nodes below it."""
+        """The function whose paths to 1 are paths: a sorted list, each path
+        a list of (var, bit) with increasing variables, as self.paths lists
+        them with list literals (TRUE's empty path as []).  A first pass
+        checks, making no node, that the paths are those of a decision tree:
+        consecutive paths part at one variable, 0 then 1, and none is a
+        prefix of another; otherwise the answer is None.  A second pass
+        walks the paths' trie with a stack and makes one mk per trie node,
+        each after the nodes below it."""
         if not paths:
             return FALSE
         # depths[i]: where paths[i] parts from paths[i - 1]

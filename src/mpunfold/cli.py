@@ -1,7 +1,8 @@
 """Command line interface.
 
 JSON on stdout for machine consumption (human tables behind --pretty),
-structured JSON errors on stderr.  Exit codes: 0 success, 1 reachability
+structured JSON errors on stderr.  A result's JSON is its fields, in the
+order its class declares them.  Exit codes: 0 success, 1 reachability
 query answered "unreachable" (or verification found mismatches), 2 usage or
 input error, 3 cap exceeded, 4 internal error (an unexpected exception,
 reported as an error of type "internal" naming the exception and where it
@@ -23,6 +24,7 @@ from .oracle import MAX_EQUIV_N, RandomNetSpec, check_equivalence, random_networ
 from .reach import (
     DEFAULT_CAP,
     CapExceeded,
+    Edge,
     attractors,
     export_dot,
     fixed_points,
@@ -131,33 +133,24 @@ def _cmd_unfold(net, args) -> int:
     return EXIT_OK
 
 
+_REACH_EXIT = {"reachable": EXIT_OK, "unreachable": EXIT_NEGATIVE, "cap-exceeded": EXIT_CAP}
+
+
 def _cmd_reach(net, args) -> int:
     result = reaches(net, args.semantics, args.from_state, args.to, cap=_cap(args))
-    _emit(
-        {
-            "verdict": result.verdict,
-            "states_explored": result.states_explored,
-            "witness": result.witness,
-        }
-    )
-    if result.verdict == "reachable":
-        return EXIT_OK
-    if result.verdict == "unreachable":
-        return EXIT_NEGATIVE
-    return EXIT_CAP
+    _emit(vars(result))
+    return _REACH_EXIT[result.verdict]
 
 
-def _stg_json(stg) -> dict:
-    return {
-        "semantics": stg.semantics,
-        "roots": list(stg.roots),
-        "nodes": stg.nodes,
-        "edges": [
-            {"source": e.source, "target": e.target, "tag": e.tag} for e in stg.edges
-        ],
-        "cap": stg.cap,
-        "cap_exceeded": stg.cap_exceeded,
-    }
+def _write_graph(graph, edge_fields, args) -> None:
+    """A graph as DOT, or as JSON of its fields with each edge an object of
+    edge_fields(edge), to -o or stdout."""
+    if args.format == "dot":
+        text = export_dot(graph)
+    else:
+        fields = {**vars(graph), "edges": [edge_fields(e) for e in graph.edges]}
+        text = json.dumps(fields, separators=(",", ":")) + "\n"
+    _write_or_print(text, args.output)
 
 
 def _cmd_stg(net, args) -> int:
@@ -167,11 +160,7 @@ def _cmd_stg(net, args) -> int:
         stg = mp_boolean_projection(net, args.from_state, cap=_cap(args))
     else:
         stg = reachable_set(net, args.semantics, args.from_state, cap=_cap(args))
-    if args.format == "dot":
-        _write_or_print(export_dot(stg), args.output)
-    else:
-        text = json.dumps(_stg_json(stg), separators=(",", ":")) + "\n"
-        _write_or_print(text, args.output)
+    _write_graph(stg, Edge._asdict, args)
     return EXIT_CAP if stg.cap_exceeded else EXIT_OK
 
 
@@ -180,29 +169,12 @@ def _cmd_attractors(net, args) -> int:
     if args.roots is not None:  # blanks around a root are dropped; "" stays invalid
         roots = [root.strip() for root in args.roots.split(",")]
     found = attractors(net, args.semantics, cap=_cap(args), roots=roots)
-    _emit([{"states": list(a.states), "kind": a.kind} for a in found])
+    _emit([vars(a) for a in found])
     return EXIT_OK
 
 
 def _cmd_reggraph(net, args) -> int:
-    graph = infer_regulatory_graph(net)
-    if args.format == "dot":
-        _write_or_print(export_dot(graph), args.output)
-    else:
-        text = (
-            json.dumps(
-                {
-                    "nodes": list(graph.nodes),
-                    "edges": [
-                        {"source": e.source, "target": e.target, "sign": e.sign}
-                        for e in graph.edges
-                    ],
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-        _write_or_print(text, args.output)
+    _write_graph(infer_regulatory_graph(net), vars, args)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
+from .bdd import FALSE, DiagramManager, FunctionRep
 from .expr import BnetParseError, BooleanExpr, IDENT_RE
 
 
@@ -316,38 +316,26 @@ def parse_bnet_file(path: str) -> BooleanNetwork:
         return parse_bnet(fh.read())
 
 
-def _products(m: DiagramManager, u: int, names) -> list[str]:
-    """The product of each path from u to 1: its literals in variable order,
-    joined by " & ".  One depth-first walk that carries each path's text."""
-    triple = m.triple
-    products = []
-    stack = [(u, "")]
-    while stack:
-        w, text = stack.pop()
-        if w == TRUE:
-            products.append(text)
-        elif w != FALSE:
-            var, low, high = triple(w)
-            text = text + " & " if text else ""
-            stack.append((high, text + names[var]))
-            stack.append((low, text + "!" + names[var]))
-    return products
-
-
 def print_bnet(net: BooleanNetwork) -> str:
     """Render as .bnet text.  Rules are re-derived from the canonical
     diagrams as sums of products (one product per diagram path to 1,
     literals in variable order, products sorted lexicographically), so the
     output is deterministic and round-trips to the same functions."""
+    names = net.names
     lines = ["targets, factors"]
-    for j, name in enumerate(net.names):
+    for j, name in enumerate(names):
         fr = build_function(net, j)
         if fr.is_false:
             body = "0"
         elif fr.is_true:
             body = "1"
         else:
-            body = " | ".join(sorted(_products(net.manager, fr.node, net.names)))
+            products = net.manager.paths(
+                fr.node,
+                lambda var, bit: names[var] if bit else "!" + names[var],
+                lambda prefix, lit: prefix + " & " + lit,
+            )
+            body = " | ".join(sorted(products))
         lines.append(f"{name}, {body}")
     return "\n".join(lines) + "\n"
 

@@ -39,10 +39,10 @@ class Edge(NamedTuple):
 
 @dataclass
 class Stg:
-    nodes: list[str]
-    edges: list[Edge]
     semantics: str
     roots: tuple[str, ...]
+    nodes: list[str]
+    edges: list[Edge]
     cap: int
     cap_exceeded: bool = False
 

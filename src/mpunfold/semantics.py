@@ -63,12 +63,6 @@ def general_successors(net: BooleanNetwork, s: str) -> list[str]:
 
 # Unchecked forms on integer states (see RuleEvaluator), for the explorers.
 
-def _unstable(ev: RuleEvaluator, s: int) -> list[int]:
-    """Bits of the components whose rule disagrees with s, in declaration order."""
-    diff = ev.image(s) ^ s
-    return [bit for bit in ev.masks if diff & bit]
-
-
 def _sync(ev: RuleEvaluator, s: int) -> list[int]:
     return [ev.image(s)]
 
@@ -79,9 +73,11 @@ def _async(ev: RuleEvaluator, s: int) -> list[int]:
 
 
 def _general(ev: RuleEvaluator, s: int) -> list[int]:
+    diff = ev.image(s) ^ s
     flips = [0]  # flips[mask]: the bits of the unstable components mask selects
-    for bit in _unstable(ev, s):
-        flips += [f | bit for f in flips]
+    for bit in ev.masks:
+        if diff & bit:
+            flips += [f | bit for f in flips]
     return [s ^ f for f in flips[1:]]
 
 

@@ -254,10 +254,9 @@ def _node_to_expr(manager: DiagramManager, node: int) -> ex.BooleanExpr:
         return ex.Const(0)
     if node == TRUE:
         return ex.Const(1)
-    products = []
-    for cube in manager.iter_cubes(node):
-        lits = [ex.Var(var) if bit else ex.Not(ex.Var(var)) for var, bit in cube]
-        products.append(reduce(ex.And, lits))
+    products = manager.paths(
+        node, lambda var, bit: ex.Var(var) if bit else ex.Not(ex.Var(var)), ex.And
+    )
     return reduce(ex.Or, products)
 
 

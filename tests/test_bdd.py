@@ -132,12 +132,20 @@ def test_iter_models_lexicographic():
     assert models == sorted(models)
 
 
-def test_iter_cubes_cover():
+# paths' builders for lists of (var, bit), the form from_paths reads
+_LIST_BUILDERS = (lambda var, bit: [(var, bit)], lambda prefix, lit: prefix + lit)
+
+
+def _path_lists(m, u):
+    return [path or [] for path in m.paths(u, *_LIST_BUILDERS)]
+
+
+def test_paths_cover():
     m = DiagramManager(3)
     names = {"a": 0, "b": 1, "c": 2}
     u = m.from_expr(parse_expression("a & !c | b & c", names))
     rebuilt = FALSE
-    for cube in m.iter_cubes(u):
+    for cube in m.paths(u, *_LIST_BUILDERS):
         node = TRUE
         for var, bit in cube:
             lit = m.var_node(var)
@@ -150,7 +158,7 @@ def test_from_paths_rebuilds_every_rule_diagram_from_its_cubes():
     for m, nodes in _sample_diagrams(range(1, 9)):
         before = list(m._triples)
         for u in nodes:
-            assert m.from_paths(list(m.iter_cubes(u))) == u
+            assert m.from_paths(_path_lists(m, u)) == u
         assert m._triples == before  # every node it made was there
 
 
@@ -318,6 +326,33 @@ def _sample_diagrams(sizes=(1, 3, 5)):
             for mode in ("exact", "syntactic"):
                 ext = unfold(net, UnfoldSpec(mode=mode))
                 yield ext.manager, [build_function(ext, j).node for j in range(ext.n)]
+
+
+def _cubes(m, u):
+    """The paths from u to 1 as lists of (var, bit), low branch first, by
+    plain recursion: the reference that paths is checked against."""
+    if u < 2:
+        return [[]] if u == TRUE else []
+    var, low, high = m.triple(u)
+    return [
+        [(var, bit)] + cube for bit, child in ((0, low), (1, high)) for cube in _cubes(m, child)
+    ]
+
+
+def test_paths_are_the_recursive_enumeration():
+    for m, nodes in _sample_diagrams(range(1, 9)):
+        for u in nodes + [FALSE, TRUE]:
+            assert _path_lists(m, u) == _cubes(m, u)
+    # a prefix that several paths share is made once, and extended by each
+    m = DiagramManager(3)
+    u = m.from_expr(parse_expression("a & b | a & !b & c", {"a": 0, "b": 1, "c": 2}))
+    made = []
+    texts = m.paths(
+        u, lambda var, bit: ("" if bit else "!") + "abc"[var],
+        lambda prefix, lit: made.append(prefix) or prefix + " & " + lit,
+    )
+    assert texts == ["a & !b & c", "a & b"]
+    assert made == ["a", "a", "a & !b"]
 
 
 def _reachable(m, u, done=()):

@@ -506,6 +506,84 @@ def test_reggraph_output_file(capsys, tmp_path):
     assert dest.read_text().startswith("digraph regulatory_graph {")
 
 
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (
+            ("reach", SIGNAL, "--semantics", "mp", "--from", "1000", "--to", "***1"),
+            0,
+            '{"verdict":"reachable","states_explored":15,'
+            '"witness":["1000","1i00","1ii0","1iii","1ii1"]}',
+        ),
+        (
+            ("reach", EXAMPLE_A, "--semantics", "async", "--from", "000", "--to", "1**"),
+            1,
+            '{"verdict":"unreachable","states_explored":2,"witness":null}',
+        ),
+        (
+            ("reach", SIGNAL, "--semantics", "mp", "--from", "1000", "--to", "***1",
+             "--cap", "2"),
+            3,
+            '{"verdict":"cap-exceeded","states_explored":2,"witness":null}',
+        ),
+        (
+            ("stg", EXAMPLE_A, "--semantics", "async", "--from", "100"),
+            0,
+            '{"semantics":"async","roots":["100"],"nodes":["100","110"],'
+            '"edges":[{"source":"100","target":"110","tag":null}],'
+            '"cap":1000000,"cap_exceeded":false}',
+        ),
+        (
+            ("stg", SIGNAL, "--semantics", "mp", "--from", "1000", "--project-boolean"),
+            0,
+            '{"semantics":"mp-projection","roots":["1000"],'
+            '"nodes":["1000","1100","1110","1111","1101"],"edges":['
+            '{"source":"1000","target":"1100","tag":"solid"},'
+            '{"source":"1000","target":"1110","tag":"dotted"},'
+            '{"source":"1000","target":"1111","tag":"dotted"},'
+            '{"source":"1000","target":"1101","tag":"dotted"},'
+            '{"source":"1100","target":"1110","tag":"solid"},'
+            '{"source":"1111","target":"1110","tag":"solid"},'
+            '{"source":"1101","target":"1111","tag":"solid"},'
+            '{"source":"1101","target":"1100","tag":"solid"},'
+            '{"source":"1101","target":"1110","tag":"solid"}],'
+            '"cap":1000000,"cap_exceeded":false}',
+        ),
+        (
+            ("stg", SIGNAL, "--semantics", "mp", "--from", "1000", "--cap", "3"),
+            3,
+            '{"semantics":"mp","roots":["1000"],"nodes":["1000","1i00","1100"],'
+            '"edges":[{"source":"1000","target":"1i00","tag":null},'
+            '{"source":"1i00","target":"1100","tag":null}],'
+            '"cap":3,"cap_exceeded":true}',
+        ),
+        (
+            ("attractors", SIGNAL, "--semantics", "sync"),
+            0,
+            '[{"states":["0000"],"kind":"stable-state"},'
+            '{"states":["1110"],"kind":"stable-state"}]',
+        ),
+        (
+            ("reggraph", SIGNAL),
+            0,
+            '{"nodes":["signal","x1","x2","x3"],"edges":['
+            '{"source":"signal","target":"signal","sign":"positive"},'
+            '{"source":"signal","target":"x1","sign":"positive"},'
+            '{"source":"x1","target":"x2","sign":"positive"},'
+            '{"source":"x1","target":"x3","sign":"negative"},'
+            '{"source":"x2","target":"x3","sign":"positive"}]}',
+        ),
+    ],
+    ids=[
+        "reach-reachable", "reach-unreachable", "reach-cap", "stg", "stg-projection",
+        "stg-cap", "attractors", "reggraph",
+    ],
+)
+def test_result_output_bytes(capsys, argv, code, out):
+    # json.loads would hide the key order: compare the bytes
+    assert run(capsys, *argv) == (code, out + "\n", "")
+
 # --- verify ------------------------------------------------------------------------
 
 def test_verify_ok(capsys):

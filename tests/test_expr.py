@@ -34,6 +34,7 @@ from mpunfold.network import infer_regulatory_graph
 from mpunfold.oracle import _eval
 from mpunfold.reach import fixed_points, reaches
 from mpunfold.unfold import UnfoldSpec, _Unfolding, unfold
+from test_bdd import _cubes
 
 NAMES = {"a": 0, "b": 1, "c": 2}
 
@@ -198,12 +199,13 @@ def test_print_parse_round_trip_preserves_functions():
 
 
 def _print_bnet_by_cubes(net):
-    """The .bnet text as print_bnet once wrote it: each path that
-    iter_cubes lists, joined as a product, the products sorted."""
+    """The .bnet text as print_bnet once wrote it: each path to 1 that
+    test_bdd's recursive enumerator lists, joined as a product, the
+    products sorted."""
     lines = ["targets, factors"]
     for j, name in enumerate(net.names):
         node = build_function(net, j).node
-        cubes = list(net.manager.iter_cubes(node))
+        cubes = _cubes(net.manager, node)
         if not cubes:
             body = "0"
         elif cubes == [[]]:

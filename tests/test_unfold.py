@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from mpunfold import (
-    ARTIFACT_TRIPLETS,
     LEVEL_TO_TRIPLET,
     RandomNetSpec,
     UnfoldSpec,
