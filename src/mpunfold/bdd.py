@@ -12,12 +12,13 @@ No complement edges; the node-wise transforms in unfold.py rely on plain
 conj, disj and equiv share one recursion, _apply, which is handed its
 operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
 It is the one method that recurses, one frame per diagram level.  Every pass
-over a whole diagram (neg, support, truth_table, and the rule evaluator's
-table and the exact conditions elsewhere) is a loop over postorder, which
-finishes the low child before the high child, as _apply builds the low
-branch first: that fixes the numbering of new nodes.  paths makes each path
-to 1 with a caller's builders; from_paths, its inverse, makes a decision
-tree's diagram from its paths with mk alone, for the .bnet reader.
+over a whole diagram (neg, support, the truth tables, and the rule
+evaluator's table and the exact conditions elsewhere) is a loop over
+postorder, which finishes the low child before the high child, as _apply
+builds the low branch first: that fixes the numbering of new nodes.  paths
+makes each path to 1 with a caller's builders; from_paths, its inverse,
+makes a decision tree's diagram from its paths with mk alone, for the .bnet
+reader.
 build is the one diagram builder of from_expr and of the .bnet grammar: it
 keeps a product of literals as a {var: bit} dict and makes it with cube, so
 no product of literals reaches _apply.
@@ -186,26 +187,34 @@ class DiagramManager:
     def truth_table(self, u: int) -> int:
         """Big-int table: bit i holds the value on the state whose n-bit
         binary form (variable 0 as the most significant bit) is i."""
-        n = self.nvars
-        if n > 20:
+        if self.nvars > 20:
             raise ValueError("truth tables limited to 20 variables")
+        return self._truth_tables([u])[0]
+
+    def _truth_tables(self, nodes) -> list[int]:
+        """The truth table of each of nodes, in truth_table's layout, with
+        no limit on the number of variables.  Variable var's mask (bit i set
+        iff i has var's bit set) is made by doubling its first period, and
+        the masks and the tables of shared nodes serve every node."""
+        n = self.nvars
         size = 1 << n
         full = (1 << size) - 1
-        var_masks = []
+        var_masks = []  # per variable: (mask, its complement)
         for var in range(n):
             block = 1 << (n - 1 - var)
-            unit = ((1 << block) - 1) << block
-            mask = 0
-            for offset in range(0, size, 2 * block):
-                mask |= unit << offset
-            var_masks.append(mask)
+            mask, width = ((1 << block) - 1) << block, 2 * block
+            while width < size:
+                mask |= mask << width
+                width *= 2
+            var_masks.append((mask, full ^ mask))
         memo: dict[int, int] = {FALSE: 0, TRUE: full}
         triples = self._triples
-        for w in self.postorder(u):
-            var, low, high = triples[w - 2]
-            m = var_masks[var]
-            memo[w] = (m & memo[high]) | (~m & full & memo[low])
-        return memo[u]
+        for u in nodes:
+            for w in self.postorder(u, memo):
+                var, low, high = triples[w - 2]
+                ones, zeros = var_masks[var]
+                memo[w] = ones & memo[high] | zeros & memo[low]
+        return [memo[u] for u in nodes]
 
     def iter_models(self, u: int):
         """Satisfying assignments as 0/1 tuples over all variables, in

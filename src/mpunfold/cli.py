@@ -5,9 +5,11 @@ structured JSON errors on stderr.  A result's JSON is its fields, in the
 order its class declares them.  Exit codes: 0 success, 1 reachability
 query answered "unreachable" (or verification found mismatches), 2 usage or
 input error, 3 cap exceeded, 4 internal error (an unexpected exception,
-reported as an error of type "internal" naming the exception and where it
-was raised).  The default exploration cap is 10^6 states;
-the MPU_CAP environment variable overrides it, an explicit --cap wins.
+reported as an error of type "internal" naming the exception and the file
+and function that raised it, "(at file.py in func)": no line number, so the
+message stays put when the code around it moves).  The default exploration
+cap is 10^6 states; the MPU_CAP environment variable overrides it, an
+explicit --cap wins.
 """
 from __future__ import annotations
 
@@ -282,7 +284,7 @@ def main(argv=None) -> int:
         _emit_error(
             "internal",
             f"{type(err).__name__}: {err} "
-            f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})",
+            f"(at {os.path.basename(where.filename)} in {where.name})",
         )
         return EXIT_INTERNAL
 

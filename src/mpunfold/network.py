@@ -21,6 +21,8 @@ exact unfolding never build them.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -133,8 +135,9 @@ class RuleEvaluator:
     significant bit, so integer order is the order of state strings.  A most
     permissive state is one integer (val << n) | free in the encoding the
     semantics module describes.  Rule j is nodes[j], evaluated by walking
-    the diagram in a loop.  Nothing is checked here but the manager's
-    width: callers validate states at the API boundary."""
+    the diagram in a loop; _ImageTable, for questions that step every
+    state, looks the image up instead.  Nothing is checked here but the
+    manager's width: callers validate states at the API boundary."""
 
     def __init__(self, manager: DiagramManager, nodes):
         self.nodes = tuple(nodes)
@@ -222,6 +225,46 @@ class RuleEvaluator:
                     found |= 1 << u
             memo[key] = found
         return found
+
+
+class _ImageTable(RuleEvaluator):
+    """A RuleEvaluator whose image is a lookup in a table of the images of
+    all 2^n states, built at once from the rules' truth tables; every other
+    member is RuleEvaluator's.  For questions that step the whole space
+    (attractors without roots, the theorem check), built per question."""
+
+    def __init__(self, manager: DiagramManager, nodes):
+        super().__init__(manager, nodes)
+        # an instance attribute: the list's own lookup, no frame per call
+        self.image = _transpose(manager._truth_tables(self.nodes)).__getitem__
+
+
+# binary digits '0'/'1' -> bytes 0/1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _transpose(tables: list[int]) -> list[int]:
+    """The images of all states s < 2^n from the truth tables of n rules:
+    image s holds bit s of tables[j] in bit n-1-j.  Bit-parallel: each
+    table's binary digits become one byte per state (byte s of an int for
+    state s), these ints are ORed into the byte lanes of 16- or 32-bit
+    fields, and array reads the fields back."""
+    n = len(tables)
+    size = 1 << n
+    code = next(c for c in "HIQ" if array(c).itemsize * 8 >= n)
+    width = array(code).itemsize
+    lanes = [0] * width  # lanes[k]: byte k of every field, as one int
+    for j, table in enumerate(tables):
+        digits = format(table, f"0{size}b").encode().translate(_DIGIT_BYTES)
+        shift = n - 1 - j
+        lanes[shift >> 3] |= int.from_bytes(digits, "big") << (shift & 7)
+    fields = bytearray(width * size)
+    for k, lane in enumerate(lanes):
+        fields[k::width] = lane.to_bytes(size, "little")
+    images = array(code, fields)
+    if sys.byteorder == "big":
+        images.byteswap()
+    return images.tolist()
 
 
 # most permissive levels <-> (val, free) bits

@@ -17,17 +17,21 @@ states the Boolean sources reach are expanded:
                    afterwards (at most 2^n readings);
     unfolded side  the asynchronous step that reach --semantics async runs,
                    on the unfolding's integer states, from the encodings of
-                   the 2^n Boolean states; a RuleEvaluator reads the rule
-                   diagrams of unfold's _Unfolding straight, so no unfolded
-                   network and no rule tree is built.
+                   the 2^n Boolean states; its evaluator is an _ImageTable
+                   of the rule diagrams of unfold's _Unfolding, which looks
+                   up the image of each of the 2^(3n) states in a table made
+                   at once from their truth tables, so no unfolded network
+                   and no rule tree is built.
 
 The mp side stays on rule trees and the oracle's own evaluator, so a fault
 in the diagrams or in semantics.py cannot hide on both sides at once.  Each
 side is one pass of the explorers' component routine, reach._condense,
 which gives every source's reachable Boolean states as a bit mask and
 steps each state once; so does the plain asynchronous graph of the
-subsumption check.  Only a source with a mismatch or a violation gets a
-breadth-first search, reach._bfs, for its witness and the report's order.
+subsumption check, stepped on integer states with an _ImageTable of the
+input network's rules and decoded only for its report.  Only a source with
+a mismatch or a violation gets a breadth-first search, reach._bfs, for its
+witness and the report's order.
 The tests check both routines against searches of their own.
 """
 from __future__ import annotations
@@ -39,9 +43,9 @@ from functools import partial
 from itertools import product
 
 from . import expr as ex
-from .network import BooleanNetwork, RuleEvaluator, build_function
+from .network import BooleanNetwork, _ImageTable, build_function
 from .reach import _bfs as _search, _condense, _path
-from .semantics import _async, async_successors
+from .semantics import _async
 from .unfold import UnfoldSpec, _Unfolding, encode_state
 
 MAX_NAIVE_N = 10
@@ -253,7 +257,7 @@ def check_equivalence(
     # unfolded side: the asynchronous graph of the unfolding's rule diagrams,
     # expanded from the encoded Boolean states only as far as they reach
     ctx = _Unfolding(net, spec)
-    ev = RuleEvaluator(ctx.manager, ctx.rule_nodes())
+    ev = _ImageTable(ctx.manager, ctx.rule_nodes())
     unf_step = partial(_async, ev)
     enc = [int(encode_state(net, x), 2) for x in bool_states]
     unf_reach = _reach(unf_step, enc, dict(zip(enc, bit.values())))
@@ -280,13 +284,15 @@ def check_equivalence(
             else:
                 witness = [format(t, width) for t in _path(unf_parents, enc[i])]
             report.mismatches.append(Mismatch(x, y, a, b, witness))
-    # async runs of the input must stay within most permissive reachability
-    async_step = partial(async_successors, net)
-    async_reach = _reach(async_step, bool_states, bit)
+    # async runs of the input must stay within most permissive reachability;
+    # integer state k is bool_states[k]
+    async_step = partial(_async, _ImageTable(net.manager, net.evaluator.nodes))
+    states = range(len(bool_states))
+    async_reach = _reach(async_step, states, {k: 1 << k for k in states})
     async_adj = _Lazy(async_step)
     for k, x in enumerate(bool_states):
         if async_reach[k] & ~mp_reach[k]:
-            for y in _bfs(async_adj, x):
-                if not bit[y] & mp_reach[k]:
-                    report.subsumption_violations.append((x, y))
+            for t in _bfs(async_adj, k):
+                if not mp_reach[k] >> t & 1:
+                    report.subsumption_violations.append((x, bool_states[t]))
     return report

@@ -13,7 +13,10 @@ Component questions run _condense, one iterative Tarjan pass that steps
 each state once: attractors (the components no edge leaves) and the
 reachable sets of the theorem check.  Both count the cap the same way.
 
-Each explorer walks a semantics through semantics._space, its one owner.
+Each explorer walks a semantics through semantics._space, its one owner,
+on the network's evaluator, which walks the rule diagrams per state.
+attractors without roots steps every state, so it hands _space an
+_ImageTable built for that one question, whose image is a table lookup.
 """
 from __future__ import annotations
 
@@ -21,7 +24,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .network import BooleanNetwork, RegGraph, build_function, check_bool_state
+from .network import (
+    BooleanNetwork,
+    RegGraph,
+    _ImageTable,
+    build_function,
+    check_bool_state,
+)
 from .semantics import BOOLEAN_SEMANTICS, _general, _mp, _space
 
 DEFAULT_CAP = 10**6
@@ -246,15 +255,17 @@ def attractors(
         raise ValueError(
             "attractors are computed for sync, async or general semantics"
         )
-    space = _space(net, semantics)
     if roots is None:
         if (1 << net.n) > cap:
             raise CapExceeded(
                 f"full state space has {1 << net.n} states, cap is {cap}; "
                 f"supply roots to restrict the search"
             )
+        # every state is stepped: tabulate every image at once
+        space = _space(net, semantics, _ImageTable(net.manager, net.evaluator.nodes))
         starts = range(1 << net.n)  # integer order: string order
     else:
+        space = _space(net, semantics)
         starts = [space.encode(space.check(r)) for r in roots]
     components, leaves, _, exceeded = _condense(space.successors, starts, cap)
     if exceeded:

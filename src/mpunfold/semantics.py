@@ -115,15 +115,19 @@ class _Space(NamedTuple):
     check: Callable
 
 
-def _space(net: BooleanNetwork, semantics: str) -> _Space:
+def _space(
+    net: BooleanNetwork, semantics: str, ev: RuleEvaluator | None = None
+) -> _Space:
     """The registry's one accessor: a semantics name's step with its state
-    encoding; ValueError for any other name."""
+    encoding; ValueError for any other name.  The step runs on ev, an
+    evaluator of net's rules, net's own by default."""
     if semantics not in SEMANTICS:
         raise ValueError(
             f"semantics must be one of {tuple(SEMANTICS)}, got {semantics!r}"
         )
     step = SEMANTICS[semantics]
-    ev = net.evaluator
+    if ev is None:
+        ev = net.evaluator
     # top: the level coded with every bit of its component set
     if step is _mp:
         codec = ev.mp_encode, ev.mp_decode, check_mp_state, "01id*", "i"

@@ -123,6 +123,25 @@ def test_truth_table_layout():
     assert m.truth_table(TRUE) == 0b1111
 
 
+def test_truth_table_routine_answers_past_20_variables():
+    # the whole-space image table shares the routine, not the public limit
+    m = DiagramManager(21)
+    top, bottom = m.var_node(0), m.var_node(20)
+    f = m.conj(top, m.neg(bottom))
+    with pytest.raises(ValueError, match="limited to 20 variables"):
+        m.truth_table(f)
+    with pytest.raises(ValueError, match="limited to 20 variables"):
+        FunctionRep(m, f).truth_table()
+    tables = m._truth_tables([f, bottom, FALSE, TRUE])
+    assert tables[2:] == [0, (1 << (1 << 21)) - 1]
+    data = [t.to_bytes(1 << 18, "little") for t in tables[:2]]
+    rng = random.Random("truth-tables/21")
+    for i in [0, 1, 1 << 20, (1 << 21) - 1] + rng.sample(range(1 << 21), 2000):
+        bits = [i >> (20 - var) & 1 for var in range(21)]
+        got = [table[i >> 3] >> (i & 7) & 1 for table in data]
+        assert got == [m.evaluate(f, bits), bits[20]]
+
+
 def test_iter_models_lexicographic():
     m = DiagramManager(3)
     names = {"a": 0, "b": 1, "c": 2}

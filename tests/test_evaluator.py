@@ -6,6 +6,8 @@ states and leading zeros included) is compared with the oracle's tree
 evaluator on net.rules, every most permissive state with a string reference
 built on brute force over gamma(x), and every explorer with a plain
 breadth-first search over state strings and the public successor functions.
+The whole-space image table (_ImageTable) is compared with the diagram walk
+it stands in for.
 """
 import random
 from collections import deque
@@ -30,9 +32,10 @@ from mpunfold import (
 )
 from mpunfold import semantics
 from mpunfold.bdd import DiagramManager
-from mpunfold.network import RuleEvaluator
+from mpunfold.network import RuleEvaluator, _ImageTable
 from mpunfold.oracle import _eval, naive_mp_successors
 from mpunfold.reach import _space
+from mpunfold.unfold import UnfoldSpec, _Unfolding
 
 NETS = [(n, seed) for n in range(1, 7) for seed in range(3)]
 MP_NETS = [(n, seed) for n in range(1, 5) for seed in range(3)]
@@ -390,3 +393,47 @@ def test_projection_matches_string_reference(n, seed):
             tagged = [(e.source, e.target, e.tag) for e in proj.edges]
             got = (proj.nodes, tagged, proj.cap_exceeded)
             assert got == _projection(net, start, cap)
+
+
+# --- whole-space image tables -------------------------------------------------
+
+def _unfoldings(n, seed):
+    """(manager, rule nodes) of both unfoldings of a random network."""
+    net = _net(n, seed)
+    for mode in ("exact", "syntactic"):
+        ctx = _Unfolding(net, UnfoldSpec(components=None, mode=mode))
+        yield ctx.manager, ctx.rule_nodes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_image_table_equals_the_walk_on_every_state(n):
+    nets = [_net(n, seed) for seed in range(3)]
+    sources = [(net.manager, net.evaluator.nodes) for net in nets]
+    if n <= 4:
+        sources += [u for seed in range(3) for u in _unfoldings(n, seed)]
+    for manager, nodes in sources:
+        walk, table = RuleEvaluator(manager, nodes), _ImageTable(manager, nodes)
+        assert [table.image(s) for s in range(1 << walk.n)] == [
+            walk.image(s) for s in range(1 << walk.n)
+        ]
+
+
+def test_image_table_at_17_components_on_sampled_states():
+    # the first size whose images need 32-bit fields
+    net = _net(17, 0)
+    walk = net.evaluator
+    table = _ImageTable(net.manager, walk.nodes)
+    rng = random.Random("image-table/17")
+    states = [0, 1, (1 << 16) - 1, 1 << 16, (1 << 17) - 1]
+    states += rng.sample(range(1 << 17), 3000)
+    assert [table.image(s) for s in states] == [walk.image(s) for s in states]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_full_space_attractors_equal_attractors_from_every_state(n):
+    for seed in range(3):
+        net = _net(n, seed)
+        for semantics in BOOLEAN:
+            assert attractors(net, semantics) == attractors(
+                net, semantics, roots=_states(n)
+            ), (seed, semantics)

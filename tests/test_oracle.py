@@ -338,18 +338,18 @@ def test_check_steps_each_state_once_per_side(monkeypatch, n):
             return self._fn(key)
 
     stepped = {"mp": [], "unfolded": [], "async": []}  # the states each step got
-    mp_step, unf_step, async_step = oracle._naive_mp_step, oracle._async, oracle.async_successors
+    mp_step, unf_step, async_step = oracle._naive_mp_step, oracle._async, async_successors
     monkeypatch.setattr(oracle, "_Lazy", Unmemoised)
     monkeypatch.setattr(
         oracle, "_naive_mp_step", lambda x, v: stepped["mp"].append(x) or mp_step(x, v)
     )
-    monkeypatch.setattr(
-        oracle, "_async", lambda ev, s: stepped["unfolded"].append(s) or unf_step(ev, s)
-    )
+    # one asynchronous step serves the unfolding (3n components) and the
+    # plain asynchronous graph of the input (n components)
     monkeypatch.setattr(
         oracle,
-        "async_successors",
-        lambda net, x: stepped["async"].append(x) or async_step(net, x),
+        "_async",
+        lambda ev, s: stepped["unfolded" if ev.n > n else "async"].append(s)
+        or unf_step(ev, s),
     )
     for seed in range(8):
         net = random_network(RandomNetSpec(n=n, seed=seed))
@@ -385,8 +385,12 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     def jumpy(net, x):  # plain async also jumps to the complement
         return async_successors(net, x) + ["".join("10"[int(c)] for c in x)]
 
-    monkeypatch.setattr(oracle, "_async", lossy)
-    monkeypatch.setattr(oracle, "async_successors", jumpy)
+    def broken(ev, s):  # lossy on the unfolding, jumpy on the input's n components
+        if ev.n > n:
+            return lossy(ev, s)
+        return _async(ev, s) + [s ^ ~(-1 << ev.n)]
+
+    monkeypatch.setattr(oracle, "_async", broken)
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
     mp_witnesses = violations = 0
     for n in (2, 3):
