@@ -12,8 +12,8 @@ No complement edges; the node-wise transforms in unfold.py rely on plain
 conj, disj and equiv share one recursion, _apply, which is handed its
 operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
 It is the one method that recurses, one frame per diagram level.  Every pass
-over a whole diagram (neg, support, the truth tables, and the rule
-evaluator's table and the exact conditions elsewhere) is a loop over
+over a whole diagram (neg, restrict, support, the truth tables, and the
+rule evaluator's table and the exact conditions elsewhere) is a loop over
 postorder, which finishes the low child before the high child, as _apply
 builds the low branch first: that fixes the numbering of new nodes.  paths
 makes each path to 1 with a caller's builders; from_paths, its inverse,
@@ -142,36 +142,14 @@ class DiagramManager:
 
     def restrict(self, u: int, assignment: dict[int, int]) -> int:
         """Cofactor: fix the given variables to 0/1."""
-        # depth-first, low child before high, as a recursive walk would:
-        # the new nodes are made in that walk's order.  Below the last
-        # fixed variable a node is its own cofactor.
-        last = max(assignment, default=-1)
         memo: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-        triples = self._triples
-        stack = [] if u in memo else [u]  # a path from u, none of it in memo
-        while stack:
-            w = stack[-1]
+        triples, mk = self._triples, self.mk
+        for w in self.postorder(u):
             var, low, high = triples[w - 2]
-            if var > last:
-                r = w
-            elif var in assignment:
-                child = high if assignment[var] else low
-                r = memo.get(child)
-                if r is None:
-                    stack.append(child)
-                    continue
+            if var in assignment:
+                memo[w] = memo[high if assignment[var] else low]
             else:
-                r_low = memo.get(low)
-                if r_low is None:
-                    stack.append(low)
-                    continue
-                r_high = memo.get(high)
-                if r_high is None:
-                    stack.append(high)
-                    continue
-                r = self.mk(var, r_low, r_high)
-            memo[w] = r
-            stack.pop()
+                memo[w] = mk(var, memo[low], memo[high])
         return memo[u]
 
     def support(self, u: int) -> set[int]:

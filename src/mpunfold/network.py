@@ -273,12 +273,17 @@ _MP_FREE = str.maketrans("0id1", "0110")
 _MP_LEVEL = {"00": "0", "01": "d", "10": "1", "11": "i"}
 
 
-def check_bool_state(net: BooleanNetwork, s: str) -> str:
-    if not isinstance(s, str) or len(s) != net.n or any(c not in "01" for c in s):
-        raise ValueError(
-            f"expected a Boolean state of length {net.n} over 0/1, got {s!r}"
-        )
+def _check_string(s, length: int, alphabet: str, what: str, over: str = "") -> str:
+    """s, if it is a string of the given length over alphabet; otherwise a
+    ValueError that expects what (over, if given, shows the alphabet).  The
+    one check of the state and pattern strings the API takes."""
+    if not isinstance(s, str) or len(s) != length or any(c not in alphabet for c in s):
+        raise ValueError(f"expected {what} of length {length}{over}, got {s!r}")
     return s
+
+
+def check_bool_state(net: BooleanNetwork, s: str) -> str:
+    return _check_string(s, net.n, "01", "a Boolean state", " over 0/1")
 
 
 def check_component(net: BooleanNetwork, j: int) -> None:

@@ -268,7 +268,6 @@ def check_equivalence(
     # side, over successor maps filled only by these searches
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
     mp_adj, unf_adj = _Lazy(lambda x: sorted(mp_step(x), key=order)), _Lazy(unf_step)
-    width = f"0{ev.n}b"
     for k, x in enumerate(bool_states):
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:
@@ -282,7 +281,7 @@ def check_equivalence(
             if a:
                 witness = _path(mp_parents, y)
             else:
-                witness = [format(t, width) for t in _path(unf_parents, enc[i])]
+                witness = [ev.decode(t) for t in _path(unf_parents, enc[i])]
             report.mismatches.append(Mismatch(x, y, a, b, witness))
     # async runs of the input must stay within most permissive reachability;
     # integer state k is bool_states[k]

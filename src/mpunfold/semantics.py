@@ -26,17 +26,15 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .network import BooleanNetwork, RuleEvaluator, check_bool_state, check_component
+from .network import (
+    BooleanNetwork, RuleEvaluator, _check_string, check_bool_state, check_component,
+)
 
 MP_LEVELS = "0id1"
 
 
 def check_mp_state(net: BooleanNetwork, x: str) -> str:
-    if not isinstance(x, str) or len(x) != net.n or any(c not in MP_LEVELS for c in x):
-        raise ValueError(
-            f"expected a most permissive state of length {net.n} over 0/i/d/1, got {x!r}"
-        )
-    return x
+    return _check_string(x, net.n, MP_LEVELS, "a most permissive state", " over 0/i/d/1")
 
 
 def is_boolean_state(x: str) -> bool:
@@ -141,15 +139,7 @@ def _space(
 
 
 def _matcher(net: BooleanNetwork, encode: Callable, alphabet: str, top: str, pattern: str):
-    if (
-        not isinstance(pattern, str)
-        or len(pattern) != net.n
-        or any(c not in alphabet for c in pattern)
-    ):
-        raise ValueError(
-            f"expected a target pattern of length {net.n} over {alphabet}, "
-            f"got {pattern!r}"
-        )
+    _check_string(pattern, net.n, alphabet, "a target pattern", f" over {alphabet}")
     care = encode("".join("0" if p == "*" else top for p in pattern))
     value = encode(pattern.replace("*", "0"))
     return lambda s: s & care == value

@@ -10,8 +10,9 @@ unreachable from encoded states.  A triplet reads as activatable iff c = 1
 and as inactivatable iff b = 0.
 
 Each rule of the unfolded network is one bit of a component's synchronous
-image, and the table _IMAGE is the one definition of that image (triplet_step
-looks it up too).  The image is driven by two conditions per component j:
+image, and the per-letter table _LETTER_RULES is the one definition of that
+image (triplet_step reads it too).  The image is driven by two conditions per
+component j:
 
     plus_j   "f_j can evaluate to 1 given what each regulator may read as"
     minus_j  "f_j can evaluate to 0 ..."
@@ -44,7 +45,7 @@ from functools import reduce
 
 from . import expr as ex
 from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
-from .network import BooleanNetwork, build_function, check_component
+from .network import BooleanNetwork, _check_string, build_function, check_component
 from .semantics import _space, check_mp_state
 
 LEVEL_TO_TRIPLET = {"0": "000", "i": "001", "d": "101", "1": "111"}
@@ -57,48 +58,41 @@ LETTERS = ("a", "b", "c")
 
 MODES = ("exact", "syntactic")
 
-# _IMAGE[own][2 * plus + minus]: the synchronous image of a component's own
-# pattern (a triplet, or a plain component's bit) under its two conditions
-_IMAGE = {
-    "000": ("000", "000", "001", "001"),
-    "001": ("011", "111", "011", "111"),
-    "011": ("111",) * 4,
-    "111": ("111", "101", "111", "101"),
-    "101": ("100", "100", "000", "000"),
-    "100": ("000",) * 4,
+# _LETTER_RULES[own][p]: when the synchronous image of a component's own
+# pattern (a triplet, or a plain component's bit) sets its bit p: never (0),
+# always (1), or when a condition holds, plus (+) or minus (-), or when it
+# fails (!+, !-).  Read per letter, this is
+#     rule_a = own{011,110,111} | own 001 & minus | own 101 & !plus
+#     rule_b = own{001,011,110} | own 111 & !minus
+#     rule_c = own{001,011,110,111} | own 000 & plus
+_LETTER_RULES = {
+    "000": ("0", "0", "+"),
+    "001": ("-", "1", "1"),
+    "011": ("1", "1", "1"),
+    "111": ("1", "!-", "1"),
+    "101": ("!+", "0", "0"),
+    "100": ("0", "0", "0"),
     # artifacts drain toward the nearest level
-    "010": ("000",) * 4,
-    "110": ("111",) * 4,
-    # a plain component may rise under plus and fall under minus
-    "0": ("0", "0", "1", "1"),
-    "1": ("1", "0", "1", "0"),
-}
-
-# the condition that sets an image bit, by the bit's four values in _IMAGE:
-# None (always), or (0 for plus or 1 for minus, whether negated)
-_SETTER_OF = {
-    (1, 1, 1, 1): None,
-    (0, 0, 1, 1): (0, False),
-    (1, 1, 0, 0): (0, True),
-    (0, 1, 0, 1): (1, False),
-    (1, 0, 1, 0): (1, True),
+    "010": ("0", "0", "0"),
+    "110": ("1", "1", "1"),
+    # a plain component rises under plus and falls under minus
+    "0": ("+",),
+    "1": ("!-",),
 }
 
 
-def _setters(width: int, position: int) -> list:
-    """The own patterns of the given width whose image sets the bit at the
-    given position, grouped by the condition that sets it, the unconditional
-    group first."""
-    groups: dict = {}
-    for own, images in _IMAGE.items():
-        if len(own) == width:
-            bits = tuple(int(image[position]) for image in images)
-            if any(bits):
-                groups.setdefault(_SETTER_OF[bits], []).append(own)
-    return sorted(groups.items(), key=lambda group: group[0] is not None)
+def _setter_groups(width: int, position: int) -> list:
+    """(setter, own patterns) for the bit at the given position of the own
+    patterns of the given width: the patterns whose image bit each setter
+    sets, the unconditional group first."""
+    groups: dict = {"1": []}
+    for own, bits in _LETTER_RULES.items():
+        if len(own) == width and bits[position] != "0":
+            groups.setdefault(bits[position], []).append(own)
+    return [group for group in groups.items() if group[1]]
 
 
-_SETTERS = {(w, p): _setters(w, p) for w in (1, 3) for p in range(w)}
+_SETTERS = {(w, p): _setter_groups(w, p) for w in (1, 3) for p in range(w)}
 
 
 @dataclass(frozen=True)
@@ -212,8 +206,9 @@ class _Unfolding:
         return [self.rule_node(out_index) for out_index in range(len(self.out_names))]
 
     def rule_node(self, out_index: int) -> int:
-        """Output out_index's bit of _IMAGE's image of its component's own
-        pattern: per condition, the own patterns it sets the bit on."""
+        """Output out_index's bit of the image of its component's own
+        pattern, from _LETTER_RULES: per setter, the own patterns it sets
+        the bit on."""
         m = self.manager
         k, position = self.origin[out_index]
         slots = self.slots[k]
@@ -226,10 +221,9 @@ class _Unfolding:
                     lits = {slot: int(bit) for slot, bit in zip(slots, own)}
                     cube = self._cubes[k, own] = m.cube(lits)
                 cubes = m.disj(cubes, cube)
-            if setter is not None:
-                which, negated = setter
-                condition = self.conditions(k)[which]
-                cubes = m.conj(cubes, m.neg(condition) if negated else condition)
+            if setter != "1":
+                condition = self.conditions(k)[setter[-1] == "-"]
+                cubes = m.conj(cubes, m.neg(condition) if setter[0] == "!" else condition)
             node = m.disj(node, cubes)
         return node
 
@@ -263,12 +257,12 @@ def _node_to_expr(manager: DiagramManager, node: int) -> ex.BooleanExpr:
 def unfold(net: BooleanNetwork, spec: UnfoldSpec | None = None) -> BooleanNetwork:
     """The unfolded Boolean network.
 
-    Each output rule is one bit of _IMAGE's image of its component's own
-    pattern under the component's conditions.  A component left plain gets
-    (not x and plus) or (x and not minus), which degenerates to the original
-    rule when no regulator is unfolded.  Asynchronous runs of the result
-    simulate the most permissive runs of the input (exactly, in exact mode,
-    on encoded states).
+    Each output rule is one bit of the image of its component's own pattern
+    under the component's conditions, as _LETTER_RULES defines it.  A
+    component left plain gets (not x and plus) or (x and not minus), which
+    degenerates to the original rule when no regulator is unfolded.
+    Asynchronous runs of the result simulate the most permissive runs of the
+    input (exactly, in exact mode, on encoded states).
 
     The result's rule diagrams are the nodes built here, in this
     construction's manager; its rule trees are their sums of products."""
@@ -303,11 +297,7 @@ def encode_state(net: BooleanNetwork, x: str, spec: UnfoldSpec | None = None) ->
 def decode_state(net: BooleanNetwork, xt: str, spec: UnfoldSpec | None = None) -> str:
     """Inverse of encode_state; rejects transient and artifact triplets."""
     layout = _slots(net, spec or UnfoldSpec())
-    expected = layout[-1][-1] + 1
-    if not isinstance(xt, str) or len(xt) != expected or any(c not in "01" for c in xt):
-        raise ValueError(
-            f"expected an unfolded Boolean state of length {expected}, got {xt!r}"
-        )
+    _check_string(xt, layout[-1][-1] + 1, "01", "an unfolded Boolean state")
     parts = []
     for k, slots in enumerate(layout):
         own = xt[slots[0] : slots[-1] + 1]
@@ -322,10 +312,13 @@ def decode_state(net: BooleanNetwork, xt: str, spec: UnfoldSpec | None = None) -
 
 def triplet_step(own: str, plus_cond: bool, minus_cond: bool) -> str:
     """Synchronous image of a single triplet given its condition values:
-    its entry in _IMAGE, the table every unfolded rule is built from."""
+    each bit as its setter in _LETTER_RULES, the table every unfolded rule
+    is built from, decides."""
     if own not in VALID_TRIPLETS + ARTIFACT_TRIPLETS:
         raise ValueError(f"not a triplet: {own!r}")
-    return _IMAGE[own][2 * bool(plus_cond) + bool(minus_cond)]
+    plus, minus = bool(plus_cond), bool(minus_cond)
+    holds = {"0": False, "1": True, "+": plus, "-": minus, "!+": not plus, "!-": not minus}
+    return "".join("1" if holds[setter] else "0" for setter in _LETTER_RULES[own])
 
 
 # per-coordinate move -> successive own-triplet values, one bit flip each

@@ -442,6 +442,45 @@ def test_neg_makes_the_nodes_of_the_recursive_negation():
             assert m._triples == reference._triples
 
 
+def _reference_restrict(m, u, assignment, memo):
+    """The recursive cofactor, low branch first."""
+    if u < 2:
+        return u
+    if u not in memo:
+        var, low, high = m.triple(u)
+        if var in assignment:
+            child = high if assignment[var] else low
+            memo[u] = _reference_restrict(m, child, assignment, memo)
+        else:
+            memo[u] = m.mk(
+                var,
+                _reference_restrict(m, low, assignment, memo),
+                _reference_restrict(m, high, assignment, memo),
+            )
+    return memo[u]
+
+
+def test_restrict_is_the_recursive_cofactor():
+    rng = random.Random(7)
+    for m, nodes in _sample_diagrams():
+        reference = DiagramManager(m.nvars)
+        for triple in m._triples:
+            reference.mk(*triple)
+        # one fixed variable: the same nodes, made in the same order
+        for u in nodes:
+            for var in range(m.nvars):
+                for bit in (0, 1):
+                    expected = _reference_restrict(reference, u, {var: bit}, {})
+                    assert m.restrict(u, {var: bit}) == expected
+                    assert m._triples == reference._triples
+        # several: the same functions
+        for u in nodes:
+            chosen = rng.sample(range(m.nvars), min(m.nvars, rng.randint(2, 4)))
+            assignment = {var: rng.randrange(2) for var in chosen}
+            expected = _reference_restrict(reference, u, assignment, {})
+            assert m.truth_table(m.restrict(u, assignment)) == reference.truth_table(expected)
+
+
 def test_a_5000_variable_cube_and_its_negation():
     n = 5000
     m = DiagramManager(n)

@@ -27,6 +27,8 @@ from mpunfold.cli import main
 MODELS = Path(__file__).resolve().parent.parent / "models"
 EXAMPLE_A = str(MODELS / "example_a.bnet")
 SIGNAL = str(MODELS / "signal.bnet")
+# the frozen unfold output of each bundled model
+UNFOLDED = Path(__file__).resolve().parent / "unfolded"
 
 DIVERGENT = "x, !x\ny, y\nz, z\nw, (x | y) & (!x | z)\n"
 
@@ -258,6 +260,19 @@ def test_unfold_stdout_matches_library(capsys):
     assert code == 0
     assert out == print_bnet(unfold(example_a()))
     assert out.startswith("targets, factors\n")
+
+
+@pytest.mark.parametrize("model, first", [("example_a", "x1"), ("signal", "signal")])
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_unfold_stdout_of_the_bundled_models_is_frozen(capsys, model, first, mode, partial):
+    # every component, or only the first: the others stay plain
+    selection = ["--components", first] if partial else []
+    path = str(MODELS / f"{model}.bnet")
+    code, out, err = run(capsys, "unfold", path, "--mode", mode, *selection)
+    assert (code, err) == (0, "")
+    name = f"{model}.{mode}.partial.bnet" if partial else f"{model}.{mode}.bnet"
+    assert out == (UNFOLDED / name).read_text()
 
 
 def test_unfold_partial_and_output_file(capsys, tmp_path):

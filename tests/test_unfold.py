@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from mpunfold import (
+    ARTIFACT_TRIPLETS,
     LEVEL_TO_TRIPLET,
     RandomNetSpec,
     UnfoldSpec,
@@ -30,6 +31,7 @@ from mpunfold.expr import And, Const, Not, Or, Var, to_nnf
 from mpunfold.network import BooleanNetwork, RuleEvaluator
 from mpunfold.oracle import _eval
 from mpunfold.unfold import MODES, _Unfolding
+from triplet_image import IMAGE
 
 EXACT = UnfoldSpec(mode="exact")
 SYNTACTIC = UnfoldSpec(mode="syntactic")
@@ -439,12 +441,20 @@ def test_triplet_step_table():
         triplet_step("012", True, True)
 
 
+def test_triplet_step_is_the_frozen_image():
+    triplets = [own for own in IMAGE if len(own) == 3]
+    assert sorted(triplets) == sorted(VALID_TRIPLETS + ARTIFACT_TRIPLETS)
+    for own in triplets:
+        for plus, minus in product((False, True), repeat=2):
+            assert triplet_step(own, plus, minus) == IMAGE[own][2 * plus + minus]
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
 def test_unfolded_rules_are_triplet_step_images(mode, partial):
     # on every Boolean state, artifacts included: each unfolded letter is its
     # place in triplet_step's image of the own triplet under the component's
-    # conditions, and a plain component rises under plus and falls under minus
+    # conditions, and a plain component's bit is its row of the frozen image
     for n in range(1, 5):
         for seed in range(4):
             net = random_network(RandomNetSpec(n=n, seed=seed))
@@ -466,8 +476,7 @@ def test_unfolded_rules_are_triplet_step_images(mode, partial):
                     if width == 3:
                         expected = triplet_step(own, plus, minus)
                     else:
-                        x = own == "1"
-                        expected = str(int((not x and plus) or (x and not minus)))
+                        expected = IMAGE[own][2 * plus + minus]
                     got = "".join(str(rules[o] >> i & 1) for o in range(pos, pos + width))
                     assert got == expected, (n, seed, net.names[k], s)
                     pos += width
