@@ -12,12 +12,14 @@ writes (a sum of products that are the paths of a decision tree, as every
 `unfold -o` file is) becomes its diagram with one mk per node and no apply;
 any other body, and every error, goes through the grammar, which stays the
 one definition of the language and builds with from_expr's diagram builder
-the same nodes as from_expr of the body's tree.  Only a network built from
-trees (random_network, BooleanNetwork called directly) builds its diagrams
-from them, lazily, in build_function.  The trees of a read network are parsed
-from the kept rule bodies on the first access to `rules` (show, syntactic
-unfolding, the oracle); exploration, fixpoints, regulatory graphs and
-exact unfolding never build them.
+the same nodes as from_expr of the body's tree.  The property `nodes` owns
+the diagrams, and every reader of a rule's diagram goes through it.  Only a
+network built from trees (random_network, BooleanNetwork called directly)
+builds its diagrams from them: all of them, in declaration order, with
+from_expr, when `nodes` is first read.  The trees of a read network are
+parsed from the kept rule bodies on the first access to `rules` (show,
+syntactic unfolding, the oracle); exploration, fixpoints, regulatory graphs
+and exact unfolding never build them.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .bdd import FALSE, DiagramManager, FunctionRep
+from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
 from .expr import BnetParseError, BooleanExpr, IDENT_RE
 
 
@@ -70,7 +72,7 @@ class BooleanNetwork:
         self.names: tuple[str, ...] = tuple(names)
         self._index = {name: j for j, name in enumerate(names)}
         self._manager: DiagramManager | None = None
-        self._functions: list[FunctionRep | None] = [None] * len(names)
+        self._nodes: tuple[int, ...] | None = None
         self._evaluator: RuleEvaluator | None = None
 
     @property
@@ -103,10 +105,16 @@ class BooleanNetwork:
         return self._manager
 
     @property
+    def nodes(self) -> tuple[int, ...]:
+        """Rule j's diagram node in `manager`, for every j."""
+        if self._nodes is None:
+            self._nodes = tuple(map(self.manager.from_expr, self.rules))
+        return self._nodes
+
+    @property
     def evaluator(self) -> "RuleEvaluator":
         if self._evaluator is None:
-            nodes = [build_function(self, j).node for j in range(self.n)]
-            self._evaluator = RuleEvaluator(self.manager, nodes)
+            self._evaluator = RuleEvaluator(self.manager, self.nodes)
         return self._evaluator
 
     def _adopt(self, manager: DiagramManager, nodes) -> None:
@@ -114,7 +122,7 @@ class BooleanNetwork:
         made the rules (the .bnet reader, unfold)."""
         _check_width(manager, self.n)
         self._manager = manager
-        self._functions = [FunctionRep(manager, u) for u in nodes]
+        self._nodes = tuple(nodes)
 
     def __repr__(self):
         return f"BooleanNetwork({', '.join(self.names)})"
@@ -300,13 +308,10 @@ def eval_rule(net: BooleanNetwork, j: int, s: str) -> int:
 
 
 def build_function(net: BooleanNetwork, j: int) -> FunctionRep:
-    """Canonical diagram of rule j in the network's shared manager: the node
-    the reader or unfold built, or, for a network built from trees, the
-    rule's tree converted once by from_expr."""
+    """Canonical diagram of rule j in the network's shared manager,
+    net.nodes[j], with its index checked."""
     check_component(net, j)
-    if net._functions[j] is None:
-        net._functions[j] = FunctionRep(net.manager, net.manager.from_expr(net.rules[j]))
-    return net._functions[j]
+    return FunctionRep(net.manager, net.nodes[j])
 
 
 def support(fr: FunctionRep) -> set[int]:
@@ -371,15 +376,14 @@ def print_bnet(net: BooleanNetwork) -> str:
     output is deterministic and round-trips to the same functions."""
     names = net.names
     lines = ["targets, factors"]
-    for j, name in enumerate(names):
-        fr = build_function(net, j)
-        if fr.is_false:
+    for name, node in zip(names, net.nodes):
+        if node == FALSE:
             body = "0"
-        elif fr.is_true:
+        elif node == TRUE:
             body = "1"
         else:
             products = net.manager.paths(
-                fr.node,
+                node,
                 lambda var, bit: names[var] if bit else "!" + names[var],
                 lambda prefix, lit: prefix + " & " + lit,
             )
@@ -406,7 +410,7 @@ class RegGraph:
 def _sign_nodes(net: BooleanNetwork, k: int, j: int) -> tuple[int, int]:
     """Diagram nodes for the positive and negative witness sets of k -> j."""
     m = net.manager
-    f = build_function(net, j).node
+    f = net.nodes[j]
     high = m.restrict(f, {k: 1})
     low = m.restrict(f, {k: 0})
     pos = m.conj(high, m.neg(low))  # f(s[k:=1]) > f(s[k:=0])
@@ -417,9 +421,8 @@ def _sign_nodes(net: BooleanNetwork, k: int, j: int) -> tuple[int, int]:
 def infer_regulatory_graph(net: BooleanNetwork) -> RegGraph:
     """Exact signed regulations by cofactor comparison on the diagrams."""
     edges = []
-    for j in range(net.n):
-        fr = build_function(net, j)
-        for k in sorted(fr.support()):
+    for j, node in enumerate(net.nodes):
+        for k in sorted(net.manager.support(node)):
             pos, neg = _sign_nodes(net, k, j)
             if pos != FALSE and neg != FALSE:
                 sign = "dual"

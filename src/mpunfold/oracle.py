@@ -43,7 +43,8 @@ from functools import partial
 from itertools import product
 
 from . import expr as ex
-from .network import BooleanNetwork, _ImageTable, build_function
+from .bdd import FALSE, TRUE
+from .network import BooleanNetwork, _ImageTable
 from .reach import _bfs as _search, _condense, _path
 from .semantics import _async
 from .unfold import UnfoldSpec, _Unfolding, encode_state
@@ -168,10 +169,7 @@ def random_network(spec: RandomNetSpec) -> BooleanNetwork:
             regulators = sorted(rng.sample(range(spec.n), width))
             components.append((name, _random_expr(rng, regulators, spec.depth)))
         net = BooleanNetwork(components)
-        if any(
-            not (fr := build_function(net, j)).is_true and not fr.is_false
-            for j in range(net.n)
-        ):
+        if any(u not in (FALSE, TRUE) for u in net.nodes):
             return net
     raise RuntimeError("could not draw a network with a non-constant rule")
 
@@ -285,7 +283,7 @@ def check_equivalence(
             report.mismatches.append(Mismatch(x, y, a, b, witness))
     # async runs of the input must stay within most permissive reachability;
     # integer state k is bool_states[k]
-    async_step = partial(_async, _ImageTable(net.manager, net.evaluator.nodes))
+    async_step = partial(_async, _ImageTable(net.manager, net.nodes))
     states = range(len(bool_states))
     async_reach = _reach(async_step, states, {k: 1 << k for k in states})
     async_adj = _Lazy(async_step)

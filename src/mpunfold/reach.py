@@ -24,13 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .network import (
-    BooleanNetwork,
-    RegGraph,
-    _ImageTable,
-    build_function,
-    check_bool_state,
-)
+from .network import BooleanNetwork, RegGraph, _ImageTable, check_bool_state
 from .semantics import BOOLEAN_SEMANTICS, _general, _mp, _space
 
 DEFAULT_CAP = 10**6
@@ -86,8 +80,7 @@ def fixed_points(net: BooleanNetwork) -> list[str]:
     order."""
     m = net.manager
     constraints = []
-    for j in range(net.n):
-        f = build_function(net, j).node
+    for j, f in enumerate(net.nodes):
         deepest = max(m.support(f) | {j})
         constraints.append((deepest, j, m.equiv(f, m.var_node(j))))
     node = 1
@@ -262,7 +255,7 @@ def attractors(
                 f"supply roots to restrict the search"
             )
         # every state is stepped: tabulate every image at once
-        space = _space(net, semantics, _ImageTable(net.manager, net.evaluator.nodes))
+        space = _space(net, semantics, _ImageTable(net.manager, net.nodes))
         starts = range(1 << net.n)  # integer order: string order
     else:
         space = _space(net, semantics)

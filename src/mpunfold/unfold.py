@@ -45,7 +45,7 @@ from functools import reduce
 
 from . import expr as ex
 from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
-from .network import BooleanNetwork, _check_string, build_function, check_component
+from .network import BooleanNetwork, _check_string, check_component
 from .semantics import _space, check_mp_state
 
 LEVEL_TO_TRIPLET = {"0": "000", "i": "001", "d": "101", "1": "111"}
@@ -179,7 +179,7 @@ class _Unfolding:
         m = self.manager
         # u -> (image of u for target 1, image for target 0)
         memo: dict[int, tuple[int, int]] = {TRUE: (TRUE, FALSE), FALSE: (FALSE, TRUE)}
-        root = build_function(self.net, j).node
+        root = self.net.nodes[j]
         for u in src.postorder(root):
             k, low, high = src.triple(u)
             allow1, allow0 = self.allow1[k], self.allow0[k]

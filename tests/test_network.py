@@ -3,16 +3,22 @@ import pytest
 
 from mpunfold import (
     BooleanNetwork,
+    RandomNetSpec,
     RegEdge,
+    UnfoldSpec,
+    attractors,
     build_condition,
     build_function,
+    check_equivalence,
     eval_rule,
     example_a,
     gamma_can_be,
     infer_regulatory_graph,
     parse_bnet,
+    random_network,
     sign_witness,
     support,
+    unfold,
 )
 from mpunfold.expr import And, Not, Var
 
@@ -140,3 +146,32 @@ def test_sign_witness_checks_direction_before_building_diagrams():
     # a valid direction does build the sign diagrams of a -> a
     assert sign_witness(net, "a", "a", "positive") == "010"
     assert len(net.manager._triples) > before
+
+
+# a network of each origin: read, drawn, built from trees, unfolded
+NETWORK_OF_ORIGIN = {
+    "read": example_a,
+    "random": lambda: random_network(RandomNetSpec(n=5, seed=2)),
+    "direct": lambda: BooleanNetwork([("a", And(Var(0), Not(Var(1)))), ("b", Var(0))]),
+    "unfolded": lambda: unfold(example_a(), UnfoldSpec(components=("x1",))),
+}
+
+
+@pytest.mark.parametrize("origin", NETWORK_OF_ORIGIN)
+def test_nodes_are_the_diagrams_build_function_and_the_evaluator_read(origin):
+    net = NETWORK_OF_ORIGIN[origin]()
+    nodes = net.nodes
+    assert isinstance(nodes, tuple) and len(nodes) == net.n
+    assert nodes == tuple(build_function(net, j).node for j in range(net.n))
+    assert net.evaluator.nodes == nodes
+    with pytest.raises(AttributeError):
+        net.nodes = ()
+
+
+def test_whole_space_questions_build_no_walking_evaluator():
+    net = example_a()
+    for semantics in ("sync", "async", "general"):
+        attractors(net, semantics)
+    for mode in ("exact", "syntactic"):
+        check_equivalence(net, mode=mode)
+    assert net._evaluator is None

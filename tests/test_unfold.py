@@ -1,5 +1,6 @@
 """Triplet encoding, condition construction, unfolding, translation."""
 import importlib
+import random
 from itertools import product
 
 import pytest
@@ -482,6 +483,87 @@ def test_unfolded_rules_are_triplet_step_images(mode, partial):
                     pos += width
 
 
+# --- a local oracle for every unfolded rule, at any size ---------------------
+
+def _may_read(state, widths):
+    """Per input component, (may read 1, may read 0) on an unfolded state: 1
+    iff its last slot is set, 0 iff its middle slot is clear; a plain bit
+    reads as itself, and the artifact 010 as neither."""
+    out, pos = [], 0
+    for width in widths:
+        own = state[pos : pos + width]
+        out.append((own[-1] == "1", own[width // 2] == "0"))
+        pos += width
+    return out
+
+
+def _exact_pair(net, j, may):
+    """(plus, minus) of rule j: which terminals a walk of its diagram reaches,
+    following high where 1 may be read and low where 0 may be read."""
+    m = net.manager
+    reached, todo, seen = set(), [build_function(net, j).node], set()
+    while todo:
+        u = todo.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        if u < 2:
+            reached.add(u)
+            continue
+        k, low, high = m.triple(u)
+        may1, may0 = may[k]
+        if may1:
+            todo.append(high)
+        if may0:
+            todo.append(low)
+    return 1 in reached, 0 in reached
+
+
+def _syntactic_pair(e, may):
+    """(plus, minus) of a rule tree, folded with Boolean pairs."""
+    if isinstance(e, Var):
+        return may[e.index]
+    if isinstance(e, Const):
+        return bool(e.value), not e.value
+    if isinstance(e, Not):
+        plus, minus = _syntactic_pair(e.operand, may)
+        return minus, plus
+    (p1, m1), (p2, m2) = _syntactic_pair(e.left, may), _syntactic_pair(e.right, may)
+    if isinstance(e, And):
+        return p1 and p2, m1 or m2
+    return p1 or p2, m1 and m2
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_unfolded_rules_agree_with_a_local_oracle_at_any_size(mode, partial):
+    # each rule of the unfolding, on states drawn over all eight triplets
+    # (artifacts included), is its bit of the frozen image of the own
+    # pattern under conditions read off the input rule directly
+    for n in (6, 20, 60, 150):
+        for seed in range(4):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            chosen = range(0, n, 2) if partial else range(n)
+            widths = [3 if k in chosen else 1 for k in range(n)]
+            spec = UnfoldSpec(components=[net.names[k] for k in chosen], mode=mode)
+            ctx = _Unfolding(net, spec)
+            ev = RuleEvaluator(ctx.manager, ctx.rule_nodes())
+            rng = random.Random(f"{n}/{seed}/{partial}")
+            for _ in range(50):
+                state = "".join(format(rng.randrange(1 << w), f"0{w}b") for w in widths)
+                may = _may_read(state, widths)
+                expected, pos = [], 0
+                for j, width in enumerate(widths):
+                    if mode == "exact":
+                        plus, minus = _exact_pair(net, j, may)
+                    else:
+                        plus, minus = _syntactic_pair(net.rules[j], may)
+                    expected.append(IMAGE[state[pos : pos + width]][2 * plus + minus])
+                    pos += width
+                got = format(ev.image(int(state, 2)), f"0{len(state)}b")
+                assert got == "".join(expected), (n, seed, state)
+
+
 def _x2_flip_targets(ext, state):
     """Successors of state that change exactly one of x2's letters."""
     out = {}
@@ -526,6 +608,40 @@ def test_route_steps_controlled_by_conditions():
     # and the controlled first steps fire when their condition holds
     assert "001" in _x2_flip_targets(ext, high("000"))
     assert "101" in _x2_flip_targets(ext, low("111"))
+
+
+# a 9-component CNF model with four 3-literal clauses per rule; its exact
+# unfolding has rules whose sums of products run to over a thousand cubes
+CNF9_4X3_BNET = """\
+targets, factors
+c1, (c1 | !c3 | c7) & (!c7 | c8 | c9) & (c2 | c4 | !c7) & (c4 | c6 | c8)
+c2, (c2 | c7 | !c8) & (!c3 | !c6 | !c9) & (c1 | !c2 | !c6) & (!c6 | !c7 | c9)
+c3, (c7 | !c8 | c9) & (c1 | !c3 | c8) & (c7 | !c8 | c9) & (!c2 | c4 | !c5)
+c4, (c3 | !c7 | c9) & (c2 | c3 | !c8) & (!c2 | !c3 | !c8) & (!c3 | c5 | !c8)
+c5, (!c1 | c4 | c9) & (c2 | !c3 | c4) & (c4 | !c6 | c9) & (c4 | c5 | c6)
+c6, (c3 | c4 | !c6) & (!c2 | c3 | c8) & (!c7 | c8 | c9) & (!c3 | !c7 | c9)
+c7, (!c1 | c2 | !c7) & (c1 | !c3 | c8) & (c3 | c6 | c7) & (!c2 | !c7 | c8)
+c8, (c6 | c8 | !c9) & (!c5 | !c6 | !c9) & (!c1 | c7 | !c9) & (!c1 | c4 | !c8)
+c9, (c2 | c5 | c6) & (c6 | !c7 | c9) & (!c1 | c4 | !c8) & (c1 | !c8 | c9)
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="ROADMAP item 2: unfold gives its output rule trees, and "
+    "expr.variables recurses through their long sums of products",
+)
+def test_exact_unfolding_of_a_cnf_model_reads_back():
+    net = parse_bnet(CNF9_4X3_BNET)
+    ext = unfold(net, EXACT)
+    back = parse_bnet(print_bnet(ext))
+    ctx = _Unfolding(net, EXACT)
+    ev = RuleEvaluator(ctx.manager, ctx.rule_nodes())
+    rng = random.Random(0)
+    for _ in range(200):
+        s = rng.randrange(1 << ev.n)
+        assert back.evaluator.image(s) == ev.image(s), format(s, f"0{ev.n}b")
 
 
 # --- trajectory translation --------------------------------------------------
