@@ -268,6 +268,4 @@ def _read_paths(text: str, name_to_index: dict[str, int], manager) -> int | None
                 return None
             lits[k] = bit
         products.append(lits)
-    if len(products) == 1:  # one path: its cube
-        return manager.cube(lits)
     return manager.from_paths(sorted(sorted(lits.items()) for lits in products))

@@ -11,7 +11,9 @@ and as inactivatable iff b = 0.
 
 Each rule of the unfolded network is one bit of a component's synchronous
 image, and the per-letter table _LETTER_RULES is the one definition of that
-image (triplet_step reads it too).  The image is driven by two conditions per
+image.  _setter_values is its one reading: triplet_step applies it to
+Booleans, and _Unfolding.rule_nodes to diagrams, building all bits of a
+component in one pass.  The image is driven by two conditions per
 component j:
 
     plus_j   "f_j can evaluate to 1 given what each regulator may read as"
@@ -32,13 +34,15 @@ construction modes are provided:
 
 Either mode builds plus_j and minus_j together, in one walk of rule j's
 diagram or tree; syntactic mode builds no normal-form tree, since a
-negation just swaps the pair.  Negated conditions are the complements of the built ones in both modes.
+negation just swaps the pair.  Negated conditions are the complements of
+the built ones in both modes.
 
 One helper, _slots, places every component in the output; the output names,
 the rules, encode_state, decode_state and translate_trajectory all read it.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -61,7 +65,9 @@ MODES = ("exact", "syntactic")
 # _LETTER_RULES[own][p]: when the synchronous image of a component's own
 # pattern (a triplet, or a plain component's bit) sets its bit p: never (0),
 # always (1), or when a condition holds, plus (+) or minus (-), or when it
-# fails (!+, !-).  Read per letter, this is
+# fails (!+, !-).  _setter_values is the one reading of these setters, for
+# Booleans (triplet_step) and for diagrams (_Unfolding.rule_nodes).  Read
+# per letter, this is
 #     rule_a = own{011,110,111} | own 001 & minus | own 101 & !plus
 #     rule_b = own{001,011,110} | own 111 & !minus
 #     rule_c = own{001,011,110,111} | own 000 & plus
@@ -81,18 +87,10 @@ _LETTER_RULES = {
 }
 
 
-def _setter_groups(width: int, position: int) -> list:
-    """(setter, own patterns) for the bit at the given position of the own
-    patterns of the given width: the patterns whose image bit each setter
-    sets, the unconditional group first."""
-    groups: dict = {"1": []}
-    for own, bits in _LETTER_RULES.items():
-        if len(own) == width and bits[position] != "0":
-            groups.setdefault(bits[position], []).append(own)
-    return [group for group in groups.items() if group[1]]
-
-
-_SETTERS = {(w, p): _setter_groups(w, p) for w in (1, 3) for p in range(w)}
+def _setter_values(zero, one, plus, minus, neg) -> dict:
+    """What each setter of _LETTER_RULES sets a bit to, in the algebra of
+    the given constants, conditions and negation."""
+    return {"0": zero, "1": one, "+": plus, "-": minus, "!+": neg(plus), "!-": neg(minus)}
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,6 @@ class _Unfolding:
         self.net = net
         self.spec = spec
         self.slots = _slots(net, spec)
-        # origin[i]: (k, place of output index i among k's slots)
-        self.origin = [(k, p) for k, s in enumerate(self.slots) for p in range(len(s))]
         self.out_names = unfolded_names(net, spec)
         counts = Counter(self.out_names)
         dupes = sorted(n for n, count in counts.items() if count > 1)
@@ -162,17 +158,10 @@ class _Unfolding:
         # as 0 iff its middle slot (b, or its plain bit) is clear
         self.allow1 = [m.var_node(slots[-1]) for slots in self.slots]
         self.allow0 = [m.neg(m.var_node(slots[len(slots) // 2])) for slots in self.slots]
-        self._conditions: dict[int, tuple[int, int]] = {}
-        self._cubes: dict[tuple[int, str], int] = {}  # (k, own pattern) -> cube
 
     def conditions(self, j: int) -> tuple[int, int]:
-        """(plus_j, minus_j), built together once."""
-        if j not in self._conditions:
-            if self.spec.mode == "exact":
-                self._conditions[j] = self._exact(j)
-            else:
-                self._conditions[j] = self._syntactic(j)
-        return self._conditions[j]
+        """(plus_j, minus_j), built together in the spec's mode."""
+        return self._exact(j) if self.spec.mode == "exact" else self._syntactic(j)
 
     def _exact(self, j: int) -> tuple[int, int]:
         src = self.net.manager
@@ -202,30 +191,32 @@ class _Unfolding:
 
     def rule_nodes(self) -> list[int]:
         """Every output's rule node, in output order: the rules that unfold
-        gives its network and that the theorem check evaluates."""
-        return [self.rule_node(out_index) for out_index in range(len(self.out_names))]
-
-    def rule_node(self, out_index: int) -> int:
-        """Output out_index's bit of the image of its component's own
-        pattern, from _LETTER_RULES: per setter, the own patterns it sets
-        the bit on."""
+        gives its network and that the theorem check evaluates.  One pass
+        per component k builds its conditions and the cube of each own
+        pattern of its width once; bit p of k's image is the sum over those
+        patterns of cube and the value of the pattern's setter for p.  The
+        cubes of the patterns that always set the bit are summed first, on
+        their own, so the conditional terms meet their sum once, not each
+        cube."""
         m = self.manager
-        k, position = self.origin[out_index]
-        slots = self.slots[k]
-        node = FALSE
-        for setter, patterns in _SETTERS[len(slots), position]:
-            cubes = FALSE
-            for own in patterns:
-                cube = self._cubes.get((k, own))
-                if cube is None:
-                    lits = {slot: int(bit) for slot, bit in zip(slots, own)}
-                    cube = self._cubes[k, own] = m.cube(lits)
-                cubes = m.disj(cubes, cube)
-            if setter != "1":
-                condition = self.conditions(k)[setter[-1] == "-"]
-                cubes = m.conj(cubes, m.neg(condition) if setter[0] == "!" else condition)
-            node = m.disj(node, cubes)
-        return node
+        nodes = []
+        for k, slots in enumerate(self.slots):
+            value = _setter_values(FALSE, TRUE, *self.conditions(k), m.neg)
+            own = [
+                (m.cube(dict(zip(slots, map(int, pattern)))), setters)
+                for pattern, setters in _LETTER_RULES.items()
+                if len(pattern) == len(slots)
+            ]
+            for p in range(len(slots)):
+                always = conditional = FALSE
+                for cube, setters in own:
+                    v = value[setters[p]]
+                    if v == TRUE:
+                        always = m.disj(always, cube)
+                    elif v != FALSE:
+                        conditional = m.disj(conditional, m.conj(cube, v))
+                nodes.append(m.disj(always, conditional))
+        return nodes
 
 
 def build_condition(
@@ -316,9 +307,8 @@ def triplet_step(own: str, plus_cond: bool, minus_cond: bool) -> str:
     is built from, decides."""
     if own not in VALID_TRIPLETS + ARTIFACT_TRIPLETS:
         raise ValueError(f"not a triplet: {own!r}")
-    plus, minus = bool(plus_cond), bool(minus_cond)
-    holds = {"0": False, "1": True, "+": plus, "-": minus, "!+": not plus, "!-": not minus}
-    return "".join("1" if holds[setter] else "0" for setter in _LETTER_RULES[own])
+    value = _setter_values(False, True, bool(plus_cond), bool(minus_cond), operator.not_)
+    return "".join("1" if value[setter] else "0" for setter in _LETTER_RULES[own])
 
 
 # per-coordinate move -> successive own-triplet values, one bit flip each

@@ -555,9 +555,7 @@ def test_read_networks_explore_and_unfold_exactly_without_trees(monkeypatch):
         infer_regulatory_graph(net)
         for semantics in ("async", "mp"):
             reaches(net, semantics, "0" * net.n, "1" * net.n)
-        ctx = _Unfolding(net, UnfoldSpec(mode="exact"))
-        for out_index in range(len(ctx.out_names)):
-            ctx.rule_node(out_index)
+        _Unfolding(net, UnfoldSpec(mode="exact")).rule_nodes()
         nets.append(net)
     monkeypatch.undo()
     # unfold writes its output's trees, but reads no tree of its input

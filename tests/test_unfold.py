@@ -710,6 +710,28 @@ def test_unfold_hands_over_its_diagrams(mode, partial):
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+def test_rule_nodes_build_each_condition_pair_once(monkeypatch, mode, partial):
+    """One rule_nodes call builds each component's (plus, minus) pair once,
+    not once per output bit, whichever components are unfolded."""
+    built = []
+    for name in ("_exact", "_syntactic"):
+        method = getattr(_Unfolding, name)
+        monkeypatch.setattr(
+            _Unfolding, name, lambda self, j, method=method: built.append(j) or method(self, j)
+        )
+    for n in range(1, 6):
+        for seed in range(3):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
+            components = net.names[1:] if partial else None
+            ctx = _Unfolding(net, UnfoldSpec(components=components, mode=mode))
+            built.clear()
+            nodes = ctx.rule_nodes()
+            assert len(nodes) == len(ctx.out_names)
+            assert built == list(range(n)), (n, seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_rule_nodes_evaluate_as_the_unfolded_network(mode):
     """The theorem check's evaluator over _Unfolding.rule_nodes, built with
     no network, gives unfold's network's image, and its rule trees' values,
