@@ -12,13 +12,12 @@ No complement edges; the node-wise transforms in unfold.py rely on plain
 conj, disj and equiv share one recursion, _apply, which is handed its
 operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
 It is the one method that recurses, one frame per diagram level.  Every pass
-over a whole diagram (neg, restrict, support, the truth tables, and the
-rule evaluator's table and the exact conditions elsewhere) is a loop over
-postorder, which finishes the low child before the high child, as _apply
-builds the low branch first: that fixes the numbering of new nodes.  paths
-makes each path to 1 with a caller's builders; from_paths, its inverse,
-makes a decision tree's diagram from its paths with mk alone, for the .bnet
-reader.
+over a whole diagram (neg, restrict, support, the truth tables and unfold's
+exact conditions) is a loop over postorder, which finishes the low child
+before the high child, as _apply builds the low branch first: that fixes
+the numbering of new nodes.  paths makes each path to 1 with a caller's
+builders; from_paths, its inverse, makes a decision tree's diagram from its
+paths with mk alone, for the .bnet reader.
 build is the one diagram builder of from_expr and of the .bnet grammar: it
 keeps a product of literals as a {var: bit} dict and makes it with cube, so
 no product of literals reaches _apply.

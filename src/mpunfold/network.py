@@ -19,7 +19,8 @@ builds its diagrams from them: all of them, in declaration order, with
 from_expr, when `nodes` is first read.  The trees of a read network are
 parsed from the kept rule bodies on the first access to `rules` (show,
 syntactic unfolding, the oracle); exploration, fixpoints, regulatory graphs
-and exact unfolding never build them.
+and exact unfolding never build them.  A RuleEvaluator walks the diagrams
+in the manager itself, and keeps no copy of them.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expr as ex
 from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
@@ -135,38 +137,25 @@ def _check_width(manager: DiagramManager, n: int) -> None:
 
 
 class RuleEvaluator:
-    """The rules nodes[0..n-1] of a manager over n variables, compiled once,
-    evaluated on integer states: a network's own rule diagrams (its
-    `evaluator`), or those of an unfolding that built no network.
+    """The rules nodes[0..n-1] of a manager over n variables, evaluated on
+    integer states by walking the manager's own diagrams, read live (a
+    manager only appends nodes): a network's rules (its `evaluator`), or
+    those of an unfolding that built no network.  Building one walks no
+    diagram; the mp step's rows are made on first mp use.
 
     An integer state holds component j in bit n-1-j: component 0 is the most
     significant bit, so integer order is the order of state strings.  A most
     permissive state is one integer (val << n) | free in the encoding the
-    semantics module describes.  Rule j is nodes[j], evaluated by walking
-    the diagram in a loop; _ImageTable, for questions that step every
-    state, looks the image up instead.  Nothing is checked here but the
-    manager's width: callers validate states at the API boundary."""
+    semantics module describes.  Nothing is checked here but the manager's
+    width: callers validate states at the API boundary."""
 
     def __init__(self, manager: DiagramManager, nodes):
         self.nodes = tuple(nodes)
         n = self.n = len(self.nodes)
         _check_width(manager, n)
+        self.manager = manager
         self.masks = masks = tuple(1 << (n - 1 - j) for j in range(n))
-        # _table[u] = (bit of u's variable, low, high) for the nodes the rules
-        # reach; 0 and 1 are the terminals
-        table: list = [None] * (max(self.nodes) + 1)
-        keys = []  # per rule: its support's bits in both halves of an mp state
-        for node in self.nodes:
-            support = 0
-            for u in manager.postorder(node):
-                var, low, high = manager.triple(u)
-                table[u] = (masks[var], low, high)
-                support |= masks[var]
-            keys.append(support << n | support)
-        self._table = table
         self._rules = tuple(zip(self.nodes, masks))
-        self._mp_keys = tuple(keys)
-        self._mp_memo = tuple({} for _ in range(n))
         self._format = f"0{n}b"
 
     @staticmethod
@@ -186,25 +175,36 @@ class RuleEvaluator:
 
     def value(self, j: int, s: int) -> int:
         """Rule j on state s."""
-        table = self._table
+        triples, masks = self.manager._triples, self.masks
         u = self.nodes[j]
         while u > 1:
-            bit, low, high = table[u]
-            u = high if s & bit else low
+            var, low, high = triples[u - 2]
+            u = high if s & masks[var] else low
         return u
 
     def image(self, s: int) -> int:
         """The synchronous image f(s): every rule on s."""
         # value's walk, inlined: this is the explorers' innermost loop
-        table = self._table
+        triples, masks = self.manager._triples, self.masks
         out = 0
         for u, own in self._rules:
             while u > 1:
-                bit, low, high = table[u]
-                u = high if s & bit else low
+                var, low, high = triples[u - 2]
+                u = high if s & masks[var] else low
             if u:
                 out |= own
         return out
+
+    @cached_property
+    def _mp_rows(self) -> tuple:
+        """Per rule j: (j, bit, bit << n, its support in both halves of an
+        mp state, mp_values' memo keyed by x & that support)."""
+        n, masks, support = self.n, self.masks, self.manager.support
+        rows = []
+        for j, (node, bit) in enumerate(self._rules):
+            care = sum(masks[var] for var in support(node))
+            rows.append((j, bit, bit << n, care << n | care, {}))
+        return tuple(rows)
 
     def mp_values(self, j: int, x: int) -> int:
         """The values rule j takes on gamma(x), the Boolean readings of the
@@ -212,18 +212,18 @@ class RuleEvaluator:
         gives v.  The walk follows both branches at free levels and creates
         no diagram node; its result depends on x only through rule j's
         support, which keys the memo."""
-        memo = self._mp_memo[j]
-        key = x & self._mp_keys[j]
-        found = memo.get(key)
+        *_, care, memo = self._mp_rows[j]
+        found = memo.get(x & care)
         if found is None:
-            table = self._table
+            triples, masks = self.manager._triples, self.masks
             val = x >> self.n
             found, todo, seen = 0, [self.nodes[j]], set()
             while todo:
                 u = todo.pop()
                 while u > 1 and u not in seen:
                     seen.add(u)
-                    bit, low, high = table[u]
+                    var, low, high = triples[u - 2]
+                    bit = masks[var]
                     if x & bit:  # free: both readings
                         todo.append(high)
                         u = low
@@ -231,7 +231,7 @@ class RuleEvaluator:
                         u = high if val & bit else low
                 if u < 2:
                     found |= 1 << u
-            memo[key] = found
+            memo[x & care] = found
         return found
 
 

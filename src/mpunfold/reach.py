@@ -14,9 +14,10 @@ each state once: attractors (the components no edge leaves) and the
 reachable sets of the theorem check.  Both count the cap the same way.
 
 Each explorer walks a semantics through semantics._space, its one owner,
-on the network's evaluator, which walks the rule diagrams per state.
-attractors without roots steps every state, so it hands _space an
-_ImageTable built for that one question, whose image is a table lookup.
+on the network's evaluator, which walks the manager's rule diagrams per
+state (the mp step reads its per-rule memos in line).  attractors without
+roots steps every state, so it hands _space an _ImageTable built for that
+one question, whose image is a table lookup.
 """
 from __future__ import annotations
 

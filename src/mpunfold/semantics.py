@@ -80,14 +80,14 @@ def _general(ev: RuleEvaluator, s: int) -> list[int]:
 
 
 def _mp(ev: RuleEvaluator, x: int) -> list[int]:
-    """mp_successors on an encoded state, in the same order."""
-    n = ev.n
-    values = ev.mp_values
+    """mp_successors on an encoded state, in order; memos are read in line."""
     out = []
-    for j, bit in enumerate(ev.masks):
-        up = bit << n
+    for j, bit, up, care, memo in ev._mp_rows:
+        values = memo.get(x & care)
+        if values is None:
+            values = ev.mp_values(j, x)
         # (a)/(b): f_j can take the value the level does not hold
-        if values(j, x) & (1 if x & up else 2):
+        if values & (1 if x & up else 2):
             out.append((x ^ up) | bit)
         if x & bit:  # (c)/(d): an i or d level settles
             out.append(x ^ bit)
@@ -159,7 +159,7 @@ def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:
     walk reaches the terminal v."""
     check_component(net, j)
     check_mp_state(net, x)
-    if v not in (0, 1):
+    if not isinstance(v, int) or v not in (0, 1):
         raise ValueError("v must be 0 or 1")
     ev = net.evaluator
     return bool(ev.mp_values(j, ev.mp_encode(x)) >> v & 1)

@@ -20,8 +20,10 @@ from mpunfold import (
     RandomNetSpec,
     async_successors,
     attractors,
+    check_equivalence,
     eval_rule,
     general_successors,
+    infer_regulatory_graph,
     mp_boolean_projection,
     mp_successors,
     parse_bnet,
@@ -31,7 +33,7 @@ from mpunfold import (
     sync_successor,
 )
 from mpunfold import semantics
-from mpunfold.bdd import DiagramManager
+from mpunfold.bdd import TRUE, DiagramManager
 from mpunfold.network import RuleEvaluator, _ImageTable
 from mpunfold.oracle import _eval, naive_mp_successors
 from mpunfold.reach import _space
@@ -172,12 +174,77 @@ def test_mp_pattern_matcher(n, seed):
 @pytest.mark.parametrize("n,seed", [(3, 0), (4, 1), (6, 1)])
 def test_mp_exploration_builds_no_diagram_nodes(n, seed):
     net = _net(n, seed)
-    net.evaluator  # compiling the rules builds their diagrams
+    net.evaluator  # reading the rules' nodes builds their diagrams
     before = len(net.manager._triples)
     for x in _states(n):
         reaches(net, "mp", x, "1" * n)
     mp_boolean_projection(net, "0" * n)
     assert len(net.manager._triples) == before
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not expected here")
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (4, 1), (6, 2)])
+def test_evaluators_walk_no_diagram_when_built(n, seed, monkeypatch):
+    net = _net(n, seed)
+    net.nodes  # building a random network's diagrams is not the evaluator's
+    tables = net.manager._truth_tables(net.nodes)
+    walk = RuleEvaluator(net.manager, net.nodes)
+    monkeypatch.setattr(DiagramManager, "postorder", _refuse)
+    monkeypatch.setattr(DiagramManager, "support", _refuse)
+    net.evaluator
+    # the truth tables are an _ImageTable's one pass over the diagrams
+    monkeypatch.setattr(DiagramManager, "_truth_tables", lambda m, nodes: tables)
+    table = _ImageTable(net.manager, net.nodes)
+    states = range(1 << n)
+    assert [table.image(s) for s in states] == [walk.image(s) for s in states]
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (4, 1)])
+def test_boolean_questions_build_no_mp_rows(n, seed, monkeypatch):
+    net = _net(n, seed)
+    # refused to every evaluator: the image tables of attractors and of
+    # check_equivalence included
+    monkeypatch.setattr(RuleEvaluator, "_mp_rows", property(_refuse))
+    for name in BOOLEAN:
+        reaches(net, name, "0" * n, "1" * n)
+        attractors(net, name)
+        attractors(net, name, roots=["0" * n])
+    check_equivalence(net)
+    monkeypatch.undo()
+    assert "_mp_rows" not in vars(net.evaluator)
+    reaches(net, "mp", "0" * n, "1" * n)
+    assert "_mp_rows" in vars(net.evaluator)
+
+
+@pytest.mark.parametrize("n,seed", [(n, seed) for n in range(2, 6) for seed in range(3)])
+def test_walks_read_the_live_manager(n, seed):
+    # the manager only appends nodes, so the walks give the same answers
+    # after it grows (over one variable it may already hold every node)
+    net = _net(n, seed)
+    bool_states, mp_states = _states(n), _states(n, "0id1")
+
+    def answers():
+        out = [_public(net, name)(s) for name in BOOLEAN for s in bool_states]
+        out += [mp_successors(net, x) for x in mp_states]
+        out += [
+            semantics.gamma_can_be(net, j, x, v)
+            for j in range(n) for x in mp_states for v in (0, 1)
+        ]
+        return out
+
+    before = answers()
+    size = len(net.manager._triples)
+    m = net.manager
+    infer_regulatory_graph(net)
+    parity = TRUE  # an equivalence chain over every variable
+    for j, node in enumerate(net.nodes):
+        m.conj(m.restrict(node, {j: 1}), m.neg(m.var_node(n - 1 - j)))
+        parity = m.equiv(parity, m.var_node(j))
+    assert len(m._triples) > size
+    assert answers() == before
 
 
 # --- reference explorers: plain string BFS over the public functions ---------

@@ -63,6 +63,14 @@ def test_gamma_can_be_examples():
         gamma_can_be(net, 0, "00i", 2)
 
 
+@pytest.mark.parametrize("v", [1.0, 0.0, "1", 2, None])
+def test_gamma_can_be_refuses_a_value_other_than_int_0_or_1(v):
+    # 1.0 == 1, so a membership test alone lets floats through to a shift
+    net = parse_bnet("a, b\nb, !a\n")
+    with pytest.raises(ValueError, match="v must be 0 or 1"):
+        gamma_can_be(net, 0, "i0", v)
+
+
 def test_gamma_on_boolean_states_is_rule_evaluation():
     net = signal_model()
     for bits in product("01", repeat=net.n):
