@@ -121,8 +121,8 @@ class BooleanNetwork:
 
     def _adopt(self, manager: DiagramManager, nodes) -> None:
         """Take rule j's diagram to be nodes[j] in manager, built by whoever
-        made the rules (the .bnet reader, unfold)."""
-        _check_width(manager, self.n)
+        made the rules (the .bnet reader, unfold) in a manager over the
+        network's n variables."""
         self._manager = manager
         self._nodes = tuple(nodes)
 
@@ -130,18 +130,15 @@ class BooleanNetwork:
         return f"BooleanNetwork({', '.join(self.names)})"
 
 
-def _check_width(manager: DiagramManager, n: int) -> None:
-    """A manager holds the rules of n components only over n variables."""
-    if manager.nvars != n:
-        raise ValueError(f"manager has {manager.nvars} variables, the network {n}")
-
-
 class RuleEvaluator:
-    """The rules nodes[0..n-1] of a manager over n variables, evaluated on
-    integer states by walking the manager's own diagrams, read live (a
-    manager only appends nodes): a network's rules (its `evaluator`), or
-    those of an unfolding that built no network.  Building one walks no
-    diagram; the mp step's rows are made on first mp use.
+    """The rules nodes[0..n-1] of a manager over n variables, as the
+    explorers step them: the synchronous image of an integer state and the
+    values a rule takes on an mp state, by walking the manager's own
+    diagrams, read live (a manager only appends nodes).  They are a
+    network's rules (its `evaluator`), or those of an unfolding that built
+    no network.  Building one walks no diagram; the mp step's rows are made
+    on first mp use.  One rule on one state string is eval_rule's, by the
+    manager's walk.
 
     An integer state holds component j in bit n-1-j: component 0 is the most
     significant bit, so integer order is the order of state strings.  A most
@@ -152,7 +149,8 @@ class RuleEvaluator:
     def __init__(self, manager: DiagramManager, nodes):
         self.nodes = tuple(nodes)
         n = self.n = len(self.nodes)
-        _check_width(manager, n)
+        if manager.nvars != n:
+            raise ValueError(f"manager has {manager.nvars} variables, the network {n}")
         self.manager = manager
         self.masks = masks = tuple(1 << (n - 1 - j) for j in range(n))
         self._rules = tuple(zip(self.nodes, masks))
@@ -173,18 +171,8 @@ class RuleEvaluator:
         free = format(x & ~(-1 << self.n), self._format)
         return "".join([_MP_LEVEL[v + f] for v, f in zip(val, free)])
 
-    def value(self, j: int, s: int) -> int:
-        """Rule j on state s."""
-        triples, masks = self.manager._triples, self.masks
-        u = self.nodes[j]
-        while u > 1:
-            var, low, high = triples[u - 2]
-            u = high if s & masks[var] else low
-        return u
-
     def image(self, s: int) -> int:
         """The synchronous image f(s): every rule on s."""
-        # value's walk, inlined: this is the explorers' innermost loop
         triples, masks = self.manager._triples, self.masks
         out = 0
         for u, own in self._rules:
@@ -300,11 +288,11 @@ def check_component(net: BooleanNetwork, j: int) -> None:
 
 
 def eval_rule(net: BooleanNetwork, j: int, s: str) -> int:
-    """Value of component j's rule on a Boolean state string."""
+    """Value of component j's rule on a Boolean state string, by the
+    manager's walk of its diagram, DiagramManager.evaluate."""
     check_component(net, j)
     check_bool_state(net, s)
-    ev = net.evaluator
-    return ev.value(j, ev.encode(s))
+    return net.manager.evaluate(net.nodes[j], tuple(map(int, s)))
 
 
 def build_function(net: BooleanNetwork, j: int) -> FunctionRep:

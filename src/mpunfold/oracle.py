@@ -12,9 +12,9 @@ reachability between their encodings in the fully unfolded network.  Each
 side is a graph whose successors are computed on first lookup, so only the
 states the Boolean sources reach are expanded:
 
-    mp side        the naive definition above, with every rule's value on
-                   a Boolean reading computed once per check and looked up
-                   afterwards (at most 2^n readings);
+    mp side        the naive definition above, reading every rule's value
+                   on a Boolean reading from one table of all 2^n readings,
+                   built once per check;
     unfolded side  the asynchronous step that reach --semantics async runs,
                    on the unfolding's integer states, from the encodings of
                    the 2^n Boolean states; its evaluator is an _ImageTable
@@ -31,7 +31,8 @@ steps each state once; so does the plain asynchronous graph of the
 subsumption check, stepped on integer states with an _ImageTable of the
 input network's rules and decoded only for its report.  Only a source with
 a mismatch or a violation gets a breadth-first search, reach._bfs, for its
-witness and the report's order.
+witness and the report's order, over the same steps behind functools.cache,
+so a state any of these searches meets again is stepped once.
 The tests check both routines against searches of their own.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 from . import expr as ex
@@ -154,6 +155,8 @@ def _random_expr(rng: random.Random, regulators: list[int], depth: int) -> ex.Bo
 
 def random_network(spec: RandomNetSpec) -> BooleanNetwork:
     """Deterministic in the spec: same spec, same network, always."""
+    if not all(isinstance(v, int) for v in (spec.n, spec.max_regulators, spec.depth)):
+        raise ValueError("n, max_regulators and depth must be integers")
     if spec.n < 1:
         raise ValueError("need at least one component")
     if spec.max_regulators < 1 or spec.depth < 0:
@@ -201,26 +204,6 @@ class EquivalenceReport:
         return {**asdict(self), "ok": self.ok}
 
 
-class _Lazy(dict):
-    """A map that computes a missing value on first lookup, as fn(key)."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self._fn(key)
-        return value
-
-
-def _bfs(adjacency, start):
-    """The parent map of a breadth-first search from start over a map of
-    successor lists, by the explorers' own search."""
-    return _search(adjacency.__getitem__, [start], math.inf)[0]
-
-
 def _reach(step, sources, bit):
     """Each source's reachable set, as the OR of bit[s] over the states s it
     reaches, from one _condense pass that steps each state once."""
@@ -249,7 +232,8 @@ def check_equivalence(
     bit = {x: 1 << k for k, x in enumerate(bool_states)}
     # most permissive side, via the naive oracle; each rule is evaluated
     # once per Boolean reading, each state expanded once
-    readings = _Lazy(_rule_values(net))
+    values = _rule_values(net)
+    readings = {bits: values(bits) for bits in product((0, 1), repeat=net.n)}
     mp_step = lambda x: _naive_mp_step(x, readings.__getitem__)
     mp_reach = _reach(mp_step, bool_states, bit)
     # unfolded side: the asynchronous graph of the unfolding's rule diagrams,
@@ -263,15 +247,15 @@ def check_equivalence(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
     # witnesses: shortest paths, in sorted mp successor order on the mp
-    # side, over successor maps filled only by these searches
+    # side, over steps cached only for these searches
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
-    mp_adj, unf_adj = _Lazy(lambda x: sorted(mp_step(x), key=order)), _Lazy(unf_step)
+    mp_adj, unf_adj = cache(lambda x: sorted(mp_step(x), key=order)), cache(unf_step)
     for k, x in enumerate(bool_states):
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:
             continue
-        mp_parents = _bfs(mp_adj, x) if a_set & ~b_set else None
-        unf_parents = _bfs(unf_adj, enc[k]) if b_set & ~a_set else None
+        mp_parents = _search(mp_adj, [x], math.inf)[0] if a_set & ~b_set else None
+        unf_parents = _search(unf_adj, [enc[k]], math.inf)[0] if b_set & ~a_set else None
         for i, y in enumerate(bool_states):
             a, b = bool(a_set >> i & 1), bool(b_set >> i & 1)
             if a == b:
@@ -286,10 +270,10 @@ def check_equivalence(
     async_step = partial(_async, _ImageTable(net.manager, net.nodes))
     states = range(len(bool_states))
     async_reach = _reach(async_step, states, {k: 1 << k for k in states})
-    async_adj = _Lazy(async_step)
+    async_adj = cache(async_step)
     for k, x in enumerate(bool_states):
         if async_reach[k] & ~mp_reach[k]:
-            for t in _bfs(async_adj, k):
+            for t in _search(async_adj, [k], math.inf)[0]:
                 if not mp_reach[k] >> t & 1:
                     report.subsumption_violations.append((x, bool_states[t]))
     return report

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .network import BooleanNetwork, RegGraph, _ImageTable, check_bool_state
-from .semantics import BOOLEAN_SEMANTICS, _general, _mp, _space
+from .semantics import BOOLEAN_SEMANTICS, _mp, _space
 
 DEFAULT_CAP = 10**6
 
@@ -97,9 +97,7 @@ def reachable_set(
     _check_cap(cap)
     space = _space(net, semantics)
     edges = []
-    parent, _, exceeded = _bfs(
-        space.successors, [space.encode(space.check(start))], cap, edges=edges
-    )
+    parent, _, exceeded = _bfs(space.successors, [space.encode(start)], cap, edges=edges)
     name = {s: space.decode(s) for s in parent}
     return Stg(
         nodes=list(name.values()),
@@ -122,7 +120,6 @@ def reaches(
     start?  The witness is a shortest path found by the BFS."""
     _check_cap(cap)
     space = _space(net, semantics)
-    space.check(start)
     origin, match = space.encode(start), space.match(target)
     if match(origin):
         return ReachResult("reachable", 1, [start])
@@ -260,7 +257,7 @@ def attractors(
         starts = range(1 << net.n)  # integer order: string order
     else:
         space = _space(net, semantics)
-        starts = [space.encode(space.check(r)) for r in roots]
+        starts = [space.encode(r) for r in roots]
     components, leaves, _, exceeded = _condense(space.successors, starts, cap)
     if exceeded:
         raise CapExceeded(f"closure of the root set passed the cap of {cap} states")
@@ -307,11 +304,16 @@ def mp_boolean_projection(
         exceeded = hit or len(explored) > cap
         if exceeded:
             break
-        one_step = set(_general(ev, x >> n))
+        # t is one general step from x iff it flips at least one component
+        # and only components unstable at x
+        b = x >> n
+        unstable = ev.image(b) ^ b
         for t in reached:
             if t & free:
                 continue
-            edges.append((x, t, "solid" if t >> n in one_step else "dotted"))
+            flips = (t ^ x) >> n
+            solid = flips and not flips & ~unstable
+            edges.append((x, t, "solid" if solid else "dotted"))
             if t not in bool_seen:
                 bool_seen.add(t)
                 bool_nodes.append(t)

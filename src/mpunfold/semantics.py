@@ -18,8 +18,9 @@ n-1-j of each half:
 so x is Boolean iff x & ((1 << n) - 1) == 0.
 
 SEMANTICS names each semantics' step on integer states; _space(net, name),
-the one accessor, pairs it with its state check, codec and target alphabet.
-Every successor function, the CLI's succ and every explorer go through it.
+the one accessor, pairs it with one checking encoder (the semantics' state
+check, then its codec), its decoder and its target alphabet.  Every
+successor function, the CLI's succ and every explorer go through it.
 """
 from __future__ import annotations
 
@@ -101,16 +102,15 @@ BOOLEAN_SEMANTICS = tuple(name for name in SEMANTICS if name != "mp")
 
 
 class _Space(NamedTuple):
-    """How one semantics' states are walked, on integer states.  check
-    validates a state string of the API; encode and decode convert from and
-    to the state strings; match checks a target pattern against the
-    semantics' alphabet and turns it into a test on integer states."""
+    """How one semantics' states are walked, on integer states.  encode
+    checks a state string of the API and converts it, decode converts back;
+    match checks a target pattern against the semantics' alphabet and turns
+    it into a test on integer states."""
 
     successors: Callable
     encode: Callable
     decode: Callable
     match: Callable
-    check: Callable
 
 
 def _space(
@@ -133,8 +133,8 @@ def _space(
         codec = ev.encode, ev.decode, check_bool_state, "01*", "1"
     encode, decode, check, alphabet, top = codec
     return _Space(
-        partial(step, ev), encode, decode,
-        partial(_matcher, net, encode, alphabet, top), partial(check, net),
+        partial(step, ev), lambda s: encode(check(net, s)), decode,
+        partial(_matcher, net, encode, alphabet, top),
     )
 
 
@@ -148,7 +148,7 @@ def _matcher(net: BooleanNetwork, encode: Callable, alphabet: str, top: str, pat
 def _successors(net: BooleanNetwork, semantics: str, s: str) -> list[str]:
     """Checked successors of one state under a named semantics, via its space."""
     space = _space(net, semantics)
-    return [space.decode(t) for t in space.successors(space.encode(space.check(s)))]
+    return [space.decode(t) for t in space.successors(space.encode(s))]
 
 
 def gamma_can_be(net: BooleanNetwork, j: int, x: str, v: int) -> bool:

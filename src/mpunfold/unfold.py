@@ -332,7 +332,7 @@ def translate_trajectory(net: BooleanNetwork, path: list[str]) -> list[str]:
         return []
     out = [encode_state(net, path[0])]  # checks path[0]
     space = _space(net, "mp")
-    codes = [space.encode(x) for x in (path[0], *map(space.check, path[1:]))]
+    codes = list(map(space.encode, path))
     layout = _slots(net, UnfoldSpec())
     for step, (x, y) in enumerate(zip(path, path[1:])):
         if codes[step + 1] not in space.successors(codes[step]):

@@ -8,6 +8,7 @@ from mpunfold import (
     RandomNetSpec,
     UnfoldSpec,
     build_function,
+    eval_rule,
     parse_bnet,
     print_bnet,
     random_network,
@@ -492,13 +493,13 @@ def test_a_5000_variable_cube_and_its_negation():
     assert m.neg(cube) == negation
     assert m.neg(m.neg(cube)) == cube
     assert m.support(cube) == m.support(negation) == set(range(n))
-    # the same rule read from text, evaluated by the network's evaluator
+    # the same rule read from text, evaluated by eval_rule
     names = [f"x{k}" for k in range(n)]
     text = f"x0, !({' & '.join(names)})\n" + "".join(
         f"{names[k]}, {names[k - 1]}\n" for k in range(1, n)
     )
-    ev = parse_bnet(text).evaluator
-    ones = (1 << n) - 1
-    assert ev.value(0, ones) == 0
-    assert ev.value(0, ones - 1) == 1
-    assert ev.value(1, ones) == 1
+    net = parse_bnet(text)
+    ones = "1" * n
+    assert eval_rule(net, 0, ones) == 0
+    assert eval_rule(net, 0, ones[:-1] + "0") == 1
+    assert eval_rule(net, 1, ones) == 1

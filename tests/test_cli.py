@@ -176,6 +176,46 @@ def test_fixpoints_and_succ_answer_on_long_path_shaped_rules(
     assert json.loads(out) == successors
 
 
+def _copy_chain(n, first):
+    """x0's rule is first; every other rule copies its predecessor."""
+    return f"x0, {first}\n" + "".join(f"x{k}, x{k - 1}\n" for k in range(1, n))
+
+
+def _flat(n, op):
+    return f" {op} ".join(f"x{k}" for k in range(n))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: conj/disj/equiv recurse once per diagram level "
+    "in bdd._apply, so these exit 4 with RecursionError",
+)
+@pytest.mark.parametrize(
+    "command,model,expected",
+    [
+        # read as a chain of disj, each descending the chain built so far
+        ("show", _copy_chain(1200, _flat(1200, "|")), json.dumps(
+            {"n": 1200, "components": [{"name": "x0", "rule": _flat(1200, "|")}]
+             + [{"name": f"x{k}", "rule": f"x{k - 1}"} for k in range(1, 1200)]},
+            separators=(",", ":"),
+        ) + "\n"),
+        # every component equals x0, which is on iff all are
+        ("fixpoints", _copy_chain(1500, _flat(1500, "&")),
+         json.dumps(["0" * 1500, "1" * 1500], separators=(",", ":")) + "\n"),
+        # every component equals x0, which is the negation of x1499 = x0
+        ("fixpoints", _copy_chain(1500, "!x1499"), "[]\n"),
+        ("fixpoints", _copy_chain(1500, f"!({_flat(1500, '&')})"), "[]\n"),
+    ],
+    ids=["flat-or-1200", "flat-and-1500", "negative-ring-1500", "deep-negation-1500"],
+)
+def test_long_flat_rules_and_rings_get_their_closed_form_answers(
+    capsys, tmp_path, command, model, expected
+):
+    path = tmp_path / "long.bnet"
+    path.write_text(model)
+    assert run(capsys, command, str(path)) == (0, expected, "")
+
+
 def test_fixpoints_compact_and_pretty(capsys):
     code, out, _ = run(capsys, "fixpoints", EXAMPLE_A)
     assert code == 0

@@ -1,4 +1,6 @@
 """The naive successor oracle, random nets, and the equivalence check."""
+import math
+
 import pytest
 
 from mpunfold import (
@@ -13,6 +15,7 @@ from mpunfold import (
 )
 from mpunfold.expr import And, Not, Or, Var, to_nnf
 from mpunfold.network import build_function, support
+from mpunfold.reach import _bfs
 from mpunfold.semantics import async_successors
 from mpunfold.unfold import UnfoldSpec, encode_state
 
@@ -133,6 +136,15 @@ def test_random_network_validation():
         random_network(RandomNetSpec(n=0))
     with pytest.raises(ValueError):
         random_network(RandomNetSpec(n=2, max_regulators=0))
+    # a size that is no int is refused before drawing, not deep inside it
+    for spec in (
+        RandomNetSpec(n=3, depth=1.5),
+        RandomNetSpec(n=2.5),
+        RandomNetSpec(n=3, max_regulators=2.5),
+        RandomNetSpec(n="3"),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            random_network(spec)
 
 
 # --- equivalence check ---------------------------------------------------------
@@ -231,6 +243,12 @@ def test_equivalence_guard():
 
 # --- the check explores only what the encoded states reach -------------------
 
+def _parents(adjacency, start):
+    """The parent map of a breadth-first search from start over a map of
+    successor lists, by the explorers' own search."""
+    return _bfs(adjacency.__getitem__, [start], math.inf)[0]
+
+
 def _all_states_report(net, mode, label=""):
     """check_equivalence as first written, kept as a reference: the mp graph
     over all 4^n states from naive_mp_successors, and the async graph of the
@@ -241,7 +259,6 @@ def _all_states_report(net, mode, label=""):
         EquivalenceReport,
         Mismatch,
         _LEVEL_ORDER,
-        _bfs,
         _path,
         naive_mp_successors,
     )
@@ -252,7 +269,7 @@ def _all_states_report(net, mode, label=""):
         for x in ("".join(t) for t in product("0id1", repeat=net.n))
     }
     bool_states = ["".join(t) for t in product("01", repeat=net.n)]
-    mp_parents = {x: _bfs(mp_adj, x) for x in bool_states}
+    mp_parents = {x: _parents(mp_adj, x) for x in bool_states}
     ext = unfold(net, UnfoldSpec(components=None, mode=mode))
     m = ext.n
     size = 1 << m
@@ -270,7 +287,7 @@ def _all_states_report(net, mode, label=""):
             ]
         )
     enc = {x: int(encode_state(net, x), 2) for x in bool_states}
-    unf_parents = {x: _bfs(adjacency, enc[x]) for x in bool_states}
+    unf_parents = {x: _parents(adjacency, enc[x]) for x in bool_states}
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
@@ -286,7 +303,7 @@ def _all_states_report(net, mode, label=""):
                 report.mismatches.append(Mismatch(x, y, a, b, witness))
     async_adj = {x: async_successors(net, x) for x in bool_states}
     for x in bool_states:
-        for y in _bfs(async_adj, x):
+        for y in _parents(async_adj, x):
             if y not in mp_parents[x]:
                 report.subsumption_violations.append((x, y))
     return report
@@ -323,23 +340,16 @@ def _closure_size(step, starts):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_check_steps_each_state_once_per_side(monkeypatch, n):
-    """With no successor memo to lean on, each side's step runs once per
-    state it reaches, not once per Boolean source that reaches the state."""
+    """Each side's step runs once per state it reaches, not once per Boolean
+    source that reaches the state; the check is ok, so no witness search
+    steps a state again."""
     from itertools import product
 
     import mpunfold.oracle as oracle
     from mpunfold.oracle import naive_mp_successors
 
-    class Unmemoised:  # a successor map that computes every lookup afresh
-        def __init__(self, fn):
-            self._fn = fn
-
-        def __getitem__(self, key):
-            return self._fn(key)
-
     stepped = {"mp": [], "unfolded": [], "async": []}  # the states each step got
     mp_step, unf_step, async_step = oracle._naive_mp_step, oracle._async, async_successors
-    monkeypatch.setattr(oracle, "_Lazy", Unmemoised)
     monkeypatch.setattr(
         oracle, "_naive_mp_step", lambda x, v: stepped["mp"].append(x) or mp_step(x, v)
     )
@@ -376,7 +386,7 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     from itertools import product
 
     import mpunfold.oracle as oracle
-    from mpunfold.oracle import _LEVEL_ORDER, Mismatch, _bfs, _path, naive_mp_successors
+    from mpunfold.oracle import _LEVEL_ORDER, Mismatch, _path, naive_mp_successors
     from mpunfold.semantics import _async
 
     def lossy(ev, s):  # the unfolded side keeps only its first move
@@ -402,12 +412,12 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
                 x: sorted(naive_mp_successors(net, x), key=order)
                 for x in ("".join(t) for t in product("0id1", repeat=n))
             }
-            unf_adj = oracle._Lazy(lambda s: lossy(ext.evaluator, s))
+            unf_adj = {s: lossy(ext.evaluator, s) for s in range(1 << ext.n)}
             async_adj = {x: jumpy(net, x) for x in bool_states}
             enc = {x: int(encode_state(net, x), 2) for x in bool_states}
             mismatches, violating = [], []
             for x in bool_states:
-                mp_parents, unf_parents = _bfs(mp_adj, x), _bfs(unf_adj, enc[x])
+                mp_parents, unf_parents = _parents(mp_adj, x), _parents(unf_adj, enc[x])
                 for y in bool_states:
                     a, b = y in mp_parents, enc[y] in unf_parents
                     if a and not b:
@@ -416,7 +426,7 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
                         path = _path(unf_parents, enc[y])
                         witness = [format(t, f"0{ext.n}b") for t in path]
                         mismatches.append(Mismatch(x, y, a, b, witness))
-                violating += [(x, y) for y in _bfs(async_adj, x) if y not in mp_parents]
+                violating += [(x, y) for y in _parents(async_adj, x) if y not in mp_parents]
             report = oracle.check_equivalence(net)
             assert report.mismatches == mismatches, (n, seed)
             assert report.subsumption_violations == violating, (n, seed)
@@ -425,23 +435,33 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     assert mp_witnesses and violations
 
 
-def test_memoised_step_equals_naive_mp_successors():
+def test_memoised_step_equals_naive_mp_successors(monkeypatch):
     from itertools import product
 
-    from mpunfold.oracle import _Lazy, _naive_mp_step, _rule_values, naive_mp_successors
+    import mpunfold.oracle as oracle
+    from mpunfold.oracle import _naive_mp_step, _rule_values, naive_mp_successors
 
+    calls = []  # the readings the check's table evaluated
+
+    def counted(net):
+        values = _rule_values(net)
+        return lambda bits: calls.append(bits) or values(bits)
+
+    monkeypatch.setattr(oracle, "_rule_values", counted)
     for n in (1, 2, 3, 4):
         for seed in range(4):
             net = random_network(RandomNetSpec(n=n, seed=seed))
-            values, calls = _rule_values(net), []
-            readings = _Lazy(lambda bits: calls.append(bits) or values(bits))
+            values = _rule_values(net)
+            table = {bits: values(bits) for bits in product((0, 1), repeat=n)}
             for levels in product("0id1", repeat=n):
                 x = "".join(levels)
-                assert _naive_mp_step(x, readings.__getitem__) == (
+                assert _naive_mp_step(x, table.__getitem__) == (
                     naive_mp_successors(net, x)
                 ), (n, seed, x)
-            # every Boolean reading was evaluated exactly once
-            assert sorted(calls) == list(product((0, 1), repeat=n))
+            # the check evaluates every Boolean reading exactly once
+            calls.clear()
+            oracle.check_equivalence(net)
+            assert sorted(calls) == list(product((0, 1), repeat=n)), (n, seed)
 
 
 def _long_rule_text(terms=1500):
