@@ -18,9 +18,9 @@ before the high child, as _apply builds the low branch first: that fixes
 the numbering of new nodes.  paths makes each path to 1 with a caller's
 builders; from_paths, its inverse, makes a decision tree's diagram from its
 paths with mk alone, for the .bnet reader.
-build is the one diagram builder of from_expr and of the .bnet grammar: it
-keeps a product of literals as a {var: bit} dict and makes it with cube, so
-no product of literals reaches _apply.
+build is the one diagram builder of every walk (see expr), a tree's or a
+rule body's: it keeps a product of literals as a {var: bit} dict and makes
+it with cube, so no product of literals reaches _apply.
 """
 from __future__ import annotations
 
@@ -291,8 +291,8 @@ class DiagramManager:
 
     def build(self, walk, *args) -> int:
         """The node of walk(*args, var, const, neg, conj, disj), a walk that
-        calls the five builders as ex.fold does over a tree: ex.fold itself,
-        or the .bnet grammar over a rule body.  These builders make a
+        calls the five builders as ex.fold does over a tree (see expr): fold
+        itself, or the .bnet grammar over a rule body.  These builders make a
         product of literals on distinct variables a {var: bit} dict,
         extended in place, and its cube only once another operation meets
         it, so no product of literals recurses in _apply, however long."""

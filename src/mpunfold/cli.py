@@ -20,7 +20,7 @@ import os
 import sys
 import traceback
 
-from .expr import BnetParseError, format_expr
+from .expr import BnetParseError, _format
 from .network import infer_regulatory_graph, parse_bnet_file, print_bnet
 from .oracle import MAX_EQUIV_N, RandomNetSpec, check_equivalence, random_network
 from .reach import (
@@ -95,20 +95,14 @@ def _unfold_spec(args) -> UnfoldSpec:
 
 
 def _cmd_show(net, args) -> int:
+    rules = [_format(walk, net.names) for walk in net._walks]  # no tree
     if args.pretty:
         width = max(len(n) for n in net.names)
-        for name, rule in net.components():
-            print(f"{name:<{width}}  <-  {format_expr(rule, net.names)}")
+        for name, rule in zip(net.names, rules):
+            print(f"{name:<{width}}  <-  {rule}")
     else:
-        _emit(
-            {
-                "n": net.n,
-                "components": [
-                    {"name": name, "rule": format_expr(rule, net.names)}
-                    for name, rule in net.components()
-                ],
-            }
-        )
+        components = [{"name": name, "rule": rule} for name, rule in zip(net.names, rules)]
+        _emit({"n": net.n, "components": components})
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
-"""Boolean expression trees and the .bnet expression grammar.
+"""Boolean expression trees, walks, and the .bnet expression grammar.
 
-Expressions are immutable trees over component indices.  A body shaped as
-print_bnet writes it, the paths of a decision tree with no "(", is read by
-_read_paths, one mk per node; _parse, one loop over the grammar below, folds
-every other body with fold's five builders and reports every error.
+Expressions are immutable trees over component indices.  A walk is a rule's
+syntax as a callable that calls the five builders (var, const, neg, conj,
+disj) as fold calls them over the rule's tree: partial(fold, tree), or
+partial(_parse, body, ...), the grammar below, one loop over the body's
+tokens that reports every error and builds no tree.  A body shaped as
+print_bnet writes it, the paths of a decision tree with no "(", is read
+into its diagram by _read_paths instead, one mk per node.
 Grammar:
     expr := conj {"|" conj}
     conj := lit {"&" lit}
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 
@@ -107,29 +111,19 @@ def variables(expr: BooleanExpr) -> set[int]:
     raise TypeError(f"not a BooleanExpr: {expr!r}")
 
 
-def to_nnf(expr: BooleanExpr, negate: bool = False) -> BooleanExpr:
-    """Negation normal form: Not only applies to Var."""
-    # each value is the pair (normal form, normal form of the negation)
-    forms = fold(
-        expr,
-        lambda k: (Var(k), Not(Var(k))),
-        lambda c: (Const(c), Const(1 - c)),
-        lambda v: (v[1], v[0]),
-        lambda v, w: (And(v[0], w[0]), Or(v[1], w[1])),
-        lambda v, w: (Or(v[0], w[0]), And(v[1], w[1])),
-    )
-    return forms[bool(negate)]
-
-
 def format_expr(expr: BooleanExpr, names) -> str:
     """Render with minimal parentheses under the grammar's precedence."""
+    return _format(partial(fold, expr), names)
+
+
+def _format(walk, names) -> str:
+    """The text of a walk's rule, as format_expr renders its tree."""
     # each value is (text, level): 1 for "|", 2 for "&", 3 for the rest; an
     # operand below its operator's level is parenthesised
     def wrap(v, level):
         return v[0] if v[1] >= level else f"({v[0]})"
 
-    return fold(
-        expr,
+    return walk(
         lambda k: (names[k], 3),
         lambda c: (str(c), 3),
         lambda v: ("!" + wrap(v, 3), 3),
@@ -145,7 +139,6 @@ def format_expr(expr: BooleanExpr, names) -> str:
 _TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[01&|!()]|\S)")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _GOOD_START = _IDENT_START | frozenset("01&|!()")
-_CONST = (Const(0), Const(1))
 
 
 def _found(tok: str) -> str:
@@ -229,7 +222,12 @@ def parse_expression(
     """Parse one rule body into its tree; identifiers resolve through
     name_to_index.  An error reports `line` and its column, counted from
     `col`, the column where the body starts."""
-    return _parse(text, name_to_index, line, col, Var, _CONST.__getitem__, Not, And, Or)
+    return _tree(partial(_parse, text, name_to_index, line, col))
+
+
+def _tree(walk) -> BooleanExpr:
+    """The tree of a walk: its value under the tree constructors."""
+    return walk(Var, Const, Not, And, Or)
 
 
 def parse_diagram(

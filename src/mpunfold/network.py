@@ -4,23 +4,16 @@ A BooleanNetwork is an ordered list of (name, rule) pairs.  Declaration
 order is the variable order everywhere: state strings, diagram variable
 order, successor enumeration.
 
-Each rule is a diagram node in the network's DiagramManager, and an
-expression tree.  The diagram is built once, where the rule is made:
-parse_bnet reads each rule body straight into its diagram, and unfold hands
-over the nodes it built for its output.  A body in the shape print_bnet
-writes (a sum of products that are the paths of a decision tree, as every
-`unfold -o` file is) becomes its diagram with one mk per node and no apply;
-any other body, and every error, goes through the grammar, which stays the
-one definition of the language and builds with from_expr's diagram builder
-the same nodes as from_expr of the body's tree.  The property `nodes` owns
-the diagrams, and every reader of a rule's diagram goes through it.  Only a
-network built from trees (random_network, BooleanNetwork called directly)
-builds its diagrams from them: all of them, in declaration order, with
-from_expr, when `nodes` is first read.  The trees of a read network are
-parsed from the kept rule bodies on the first access to `rules` (show,
-syntactic unfolding, the oracle); exploration, fixpoints, regulatory graphs
-and exact unfolding never build them.  A RuleEvaluator walks the diagrams
-in the manager itself, and keeps no copy of them.
+Each rule is a diagram node in the network's DiagramManager, and a walk
+(see expr), the one stored form of its syntax: the grammar over its body
+in a read network, fold over its tree in one built from trees.  The
+diagram is built once, where the rule is made: parse_bnet reads each body
+straight into it, unfold hands over the nodes it built, and a network
+built from trees builds them all from its walks when `nodes`, their one
+owner, is first read.  show and syntactic unfolding call the walks with
+their own builders; `rules` makes trees from them only for the callers
+that ask (the oracle, the public API).  A RuleEvaluator walks the diagrams
+in the manager itself, and keeps no copy.
 """
 from __future__ import annotations
 
@@ -28,7 +21,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import expr as ex
 from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
@@ -48,8 +41,8 @@ class BooleanNetwork:
         if dupes:
             raise ValueError(f"duplicate component names: {', '.join(dupes)}")
         self._set_names(names)
-        self._rules: tuple[BooleanExpr, ...] | None = tuple(r for _, r in components)
-        for j, rule in enumerate(self._rules):
+        self._walks = tuple(partial(ex.fold, rule) for _, rule in components)
+        for j, (_, rule) in enumerate(components):
             for k in ex.variables(rule):
                 if not 0 <= k < len(names):
                     raise ValueError(
@@ -58,15 +51,14 @@ class BooleanNetwork:
                     )
 
     @classmethod
-    def _read(cls, names, bodies, manager: DiagramManager, nodes) -> "BooleanNetwork":
+    def _read(cls, names, walks, manager: DiagramManager, nodes) -> "BooleanNetwork":
         """A network read from .bnet text, with names checked by the reader:
-        rule j's diagram is nodes[j] in manager, and its tree is parsed from
-        bodies[j] = (text, line, col) when `rules` is first read.  Every name
-        in a body went through the name table, so no index needs a check."""
+        rule j's diagram is nodes[j] in manager, and its walk walks[j], the
+        grammar over its body.  Every name in a body went through the name
+        table, so no index needs a check."""
         net = cls.__new__(cls)
         net._set_names(names)
-        net._rules = None
-        net._bodies = bodies
+        net._walks = tuple(walks)
         net._adopt(manager, nodes)
         return net
 
@@ -77,15 +69,10 @@ class BooleanNetwork:
         self._nodes: tuple[int, ...] | None = None
         self._evaluator: RuleEvaluator | None = None
 
-    @property
+    @cached_property
     def rules(self) -> tuple[BooleanExpr, ...]:
-        if self._rules is None:
-            self._rules = tuple(
-                ex.parse_expression(text, self._index, line, col)
-                for text, line, col in self._bodies
-            )
-            del self._bodies
-        return self._rules
+        """Every rule's expression tree, made from its walk on first access."""
+        return tuple(map(ex._tree, self._walks))
 
     @property
     def n(self) -> int:
@@ -110,7 +97,7 @@ class BooleanNetwork:
     def nodes(self) -> tuple[int, ...]:
         """Rule j's diagram node in `manager`, for every j."""
         if self._nodes is None:
-            self._nodes = tuple(map(self.manager.from_expr, self.rules))
+            self._nodes = tuple(map(self.manager.build, self._walks))
         return self._nodes
 
     @property
@@ -312,8 +299,9 @@ def support(fr: FunctionRep) -> set[int]:
 def parse_bnet(text: str) -> BooleanNetwork:
     """Parse .bnet text: one "target, expression" per line, '#' comments,
     an optional case-insensitive "targets, factors" header.  Each rule body
-    is read straight into its diagram; its tree is parsed only when the
-    network's `rules` are first read.  Error columns count within the line."""
+    is read straight into its diagram and kept as its walk, which makes its
+    tree only when the network's `rules` are first read.  Error columns
+    count within the line."""
     bodies = []  # (text, line_no, column of the text's first character)
     seen: dict[str, int] = {}  # name -> line_no, in declaration order
     first_content = True
@@ -343,13 +331,11 @@ def parse_bnet(text: str) -> BooleanNetwork:
         bodies.append((expr_text, line_no, len(target) + 2))
     if not bodies:
         raise BnetParseError("no rules found", 1, 1)
-    name_to_index = {name: j for j, name in enumerate(seen)}
+    index = {name: j for j, name in enumerate(seen)}
     manager = DiagramManager(len(seen))
-    nodes = [
-        ex.parse_diagram(text, name_to_index, manager, line, col)
-        for text, line, col in bodies
-    ]
-    return BooleanNetwork._read(list(seen), bodies, manager, nodes)
+    nodes = [ex.parse_diagram(text, index, manager, line, col) for text, line, col in bodies]
+    walks = [partial(ex._parse, text, index, line, col) for text, line, col in bodies]
+    return BooleanNetwork._read(list(seen), walks, manager, nodes)
 
 
 def parse_bnet_file(path: str) -> BooleanNetwork:

@@ -56,7 +56,8 @@ def general_successors(net: BooleanNetwork, s: str) -> list[str]:
     """Any non-empty subset of unstable components updates at once.
 
     Enumerated by increasing subset bitmask, bit t of the mask selecting the
-    t-th unstable component in declaration order."""
+    t-th unstable component in declaration order: all 2^k - 1 successors of
+    a state with k unstable components, here and in the CLI's succ."""
     return _successors(net, "general", s)
 
 
@@ -71,13 +72,12 @@ def _async(ev: RuleEvaluator, s: int) -> list[int]:
     return [s ^ bit for bit in ev.masks if diff & bit]
 
 
-def _general(ev: RuleEvaluator, s: int) -> list[int]:
+def _general(ev: RuleEvaluator, s: int):
+    """general_successors' order, one at a time: explorers stop at the cap."""
     diff = ev.image(s) ^ s
-    flips = [0]  # flips[mask]: the bits of the unstable components mask selects
-    for bit in ev.masks:
-        if diff & bit:
-            flips += [f | bit for f in flips]
-    return [s ^ f for f in flips[1:]]
+    bits = [bit for bit in ev.masks if diff & bit]
+    for mask in range(1, 1 << len(bits)):
+        yield s ^ sum(bit for t, bit in enumerate(bits) if mask >> t & 1)
 
 
 def _mp(ev: RuleEvaluator, x: int) -> list[int]:

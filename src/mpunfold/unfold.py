@@ -33,9 +33,15 @@ construction modes are provided:
                single polarity, an over-approximation otherwise.
 
 Either mode builds plus_j and minus_j together, in one walk of rule j's
-diagram or tree; syntactic mode builds no normal-form tree, since a
-negation just swaps the pair.  Negated conditions are the complements of
-the built ones in both modes.
+diagram or of its syntax (the network's walk of rule j, see expr); syntactic
+mode builds no tree, since a negation just swaps the pair.  Negated
+conditions are the complements of the built ones in both modes.
+
+Exact mode promises nothing at artifact triplets, which are unreachable
+from encoded states.  An artifact reads as neither value, and the transform
+asks for a reading only on the paths that test it, so the declaration
+order decides: with x, x | y and y, y, x at 010 and y at 111, plus_x is 0
+when x is declared first and 1 when y is (syntactic mode: 1 in both).
 
 One helper, _slots, places every component in the output; the output names,
 the rules, encode_state, decode_state and translate_trajectory all read it.
@@ -180,8 +186,7 @@ class _Unfolding:
 
     def _syntactic(self, j: int) -> tuple[int, int]:
         m = self.manager
-        return ex.fold(
-            self.net.rules[j],
+        return self.net._walks[j](
             lambda k: (self.allow1[k], self.allow0[k]),
             lambda c: (TRUE, FALSE) if c else (FALSE, TRUE),
             lambda v: (v[1], v[0]),

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv): outputs and exit codes."""
 import json
 import re
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -375,6 +376,33 @@ def test_reach_unreachable_is_exit_1(capsys):
     )
     assert code == 1
     assert json.loads(out)["verdict"] == "unreachable"
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_general_explorers_stop_at_the_cap_in_bounded_memory(capsys, tmp_path, k):
+    # every component of xj, !xj is unstable everywhere, so each state has
+    # 2^k - 1 general successors: the explorers take them one at a time and
+    # hold none past the cap (k = 20 first, where holding them all is 2^20
+    # states, not 2^40)
+    model = tmp_path / "flips.bnet"
+    model.write_text("".join(f"x{j}, !x{j}\n" for j in range(k)))
+    run(capsys, "show", str(model))  # the parser is built outside the measure
+    zeros = "0" * k
+    for argv in (
+        ("reach", "--from", zeros, "--to", "1" * k),
+        ("stg", "--from", zeros),
+        ("attractors", "--roots", zeros),
+    ):
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                capsys, argv[0], str(model), "--semantics", "general", "--cap", "10", *argv[1:]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3, argv[0]
+        assert peak < 512 * 1024, (argv[0], peak)
 
 
 def test_reach_cap_is_exit_3(capsys):

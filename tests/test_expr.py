@@ -1,4 +1,5 @@
 """Expression and .bnet parsing."""
+import json
 from itertools import product
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from mpunfold import (
     random_network,
     unfold,
 )
+from mpunfold import cli
 from mpunfold import expr as ex
 from mpunfold.bdd import DiagramManager
 from mpunfold.expr import (
@@ -26,7 +28,6 @@ from mpunfold.expr import (
     format_expr,
     parse_diagram,
     parse_expression,
-    to_nnf,
     variables,
 )
 from mpunfold.models import EXAMPLE_A_BNET
@@ -34,6 +35,7 @@ from mpunfold.network import infer_regulatory_graph
 from mpunfold.oracle import _eval
 from mpunfold.reach import fixed_points, reaches
 from mpunfold.unfold import UnfoldSpec, _Unfolding, unfold
+from nnf import to_nnf
 from test_bdd import _cubes
 
 NAMES = {"a": 0, "b": 1, "c": 2}
@@ -541,27 +543,48 @@ def test_lazy_rules_are_the_trees_of_their_bodies():
         assert net.rules == tuple(parse_expression(b, names) for b in _bodies(text))
 
 
-def test_read_networks_explore_and_unfold_exactly_without_trees(monkeypatch):
+def test_read_networks_explore_and_unfold_exactly_without_trees(monkeypatch, tmp_path, capsys):
     def no_tree(*args):
         raise AssertionError("an expression tree was built")
 
     texts = list(_reader_inputs())
+    paths = [tmp_path / f"{i}.bnet" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
     for cls in ("Var", "Not", "And", "Or"):
         monkeypatch.setattr(ex, cls, no_tree)
     nets = []
-    for text in texts:
+    for path, text in zip(paths, texts):
         net = parse_bnet(text)
         fixed_points(net)
         infer_regulatory_graph(net)
         for semantics in ("async", "mp"):
             reaches(net, semantics, "0" * net.n, "1" * net.n)
-        _Unfolding(net, UnfoldSpec(mode="exact")).rule_nodes()
+        for mode in ("exact", "syntactic"):
+            _Unfolding(net, UnfoldSpec(mode=mode)).rule_nodes()
+        # show renders each rule from its walk (an internal error exits 4)
+        for pretty in ((), ("--pretty",)):
+            assert cli.main(["show", str(path), *pretty]) == 0
         nets.append(net)
     monkeypatch.undo()
+    capsys.readouterr()
     # unfold writes its output's trees, but reads no tree of its input
     for net in nets:
         unfold(net)
-        assert net._rules is None
+        assert "rules" not in vars(net)
+
+
+def test_show_renders_each_body_as_format_expr_of_its_tree(tmp_path, capsys):
+    path = tmp_path / "net.bnet"
+    for text in _reader_inputs():
+        path.write_text(text)
+        assert cli.main(["show", str(path)]) == 0
+        shown = json.loads(capsys.readouterr().out)["components"]
+        names = [c["name"] for c in shown]
+        index = {name: j for j, name in enumerate(names)}
+        assert [c["rule"] for c in shown] == [
+            format_expr(parse_expression(body, index), names) for body in _bodies(text)
+        ]
 
 
 # --- walkers on deep trees ---------------------------------------------------

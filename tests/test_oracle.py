@@ -13,12 +13,13 @@ from mpunfold import (
     signal_model,
     unfold,
 )
-from mpunfold.expr import And, Not, Or, Var, to_nnf
+from mpunfold.expr import And, Not, Or, Var
 from mpunfold.network import build_function, support
 from mpunfold.reach import _bfs
 from mpunfold.semantics import async_successors
 from mpunfold.unfold import UnfoldSpec, encode_state
 
+from nnf import to_nnf
 from table1 import TABLE1, expand
 
 DIVERGENT = "x, !x\ny, y\nz, z\nw, (x | y) & (!x | z)\n"

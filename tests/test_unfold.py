@@ -28,10 +28,11 @@ from mpunfold import (
     unfold,
     unfolded_names,
 )
-from mpunfold.expr import And, Const, Not, Or, Var, to_nnf
+from mpunfold.expr import And, Const, Not, Or, Var
 from mpunfold.network import BooleanNetwork, RuleEvaluator
 from mpunfold.oracle import _eval
 from mpunfold.unfold import MODES, _Unfolding
+from nnf import to_nnf
 from triplet_image import IMAGE
 
 EXACT = UnfoldSpec(mode="exact")
@@ -214,6 +215,21 @@ def test_conditions_not_complementary_between_levels():
     b = bits_of(encode_state(net, "i00"))
     assert build_condition(net, 0, EXACT, "plus").evaluate(b) == 1
     assert build_condition(net, 0, EXACT, "minus").evaluate(b) == 1
+
+
+@pytest.mark.parametrize("mode,plus", [("exact", [0, 1]), ("syntactic", [1, 1])])
+def test_plus_at_an_artifact_triplet_by_declaration_order(mode, plus):
+    # x at the artifact 010 reads as neither value, y at 111 reads as 1:
+    # exact mode asks for a reading of x only on the diagram paths that
+    # test x, so the declaration order decides; syntactic mode reads every
+    # literal (the module docstring states both)
+    got = []
+    for text in ("x, x | y\ny, y\n", "y, y\nx, x | y\n"):
+        net = parse_bnet(text)
+        state = "".join({"x": "010", "y": "111"}[name] for name in net.names)
+        fr = build_condition(net, net.index_of("x"), UnfoldSpec(mode=mode), "plus")
+        got.append(fr.evaluate(bits_of(state)))
+    assert got == plus
 
 
 def test_condition_polarity_validation():
