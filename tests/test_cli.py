@@ -11,7 +11,6 @@ from mpunfold import (
     RandomNetSpec,
     UnfoldSpec,
     async_successors,
-    build_function,
     example_a,
     export_dot,
     general_successors,
@@ -63,158 +62,6 @@ def test_show_pretty(capsys):
         "x2  <-  x1",
         "x3  <-  !x1",
     ]
-
-
-def test_show_answers_on_a_1500_term_rule(capsys, tmp_path):
-    import random
-
-    rng = random.Random(0)
-    literals = ["t1", "!t1", "t2", "!t2", "t3", "!t3", "t4", "!t4"]
-    body = " | ".join(" & ".join(rng.sample(literals, 2)) for _ in range(1500))
-    path = tmp_path / "long.bnet"
-    path.write_text(f"t1, {body}\nt2, t1\nt3, !t2\nt4, t3\n")
-    code, out, err = run(capsys, "show", str(path))
-    assert (code, err) == (0, "")
-    shown = json.loads(out)["components"]
-    again = parse_bnet("".join(f"{c['name']}, {c['rule']}\n" for c in shown))
-    net = parse_bnet(path.read_text())
-    for j in range(net.n):
-        assert build_function(again, j).truth_table() == build_function(
-            net, j
-        ).truth_table()
-
-
-def test_show_succ_and_reach_answer_on_a_deep_negation(capsys, tmp_path):
-    # rule x0 negates a 1500-literal product: its diagram is 1500 levels deep
-    n = 1500
-    names = [f"x{k}" for k in range(n)]
-    path = tmp_path / "deep.bnet"
-    path.write_text(
-        f"x0, !({' & '.join(names)})\n"
-        + "".join(f"{names[k]}, {names[k - 1]}\n" for k in range(1, n))
-    )
-    code, out, err = run(capsys, "show", str(path))
-    assert (code, err) == (0, "")
-    assert json.loads(out)["n"] == n
-    ones = "1" * n
-    code, out, err = run(capsys, "succ", str(path), "--state", ones, "--semantics", "async")
-    assert (code, err) == (0, "")
-    assert json.loads(out) == ["0" + "1" * (n - 1)]
-    code, out, err = run(
-        capsys, "reach", str(path), "--semantics", "async",
-        "--from", ones, "--to", "0" + "*" * (n - 1),
-    )
-    assert (code, err) == (0, "")
-    answer = json.loads(out)
-    assert (answer["verdict"], answer["states_explored"]) == ("reachable", 2)
-
-
-def test_show_and_succ_answer_on_750_parenthesised_pairs(capsys, tmp_path):
-    # x0's rule is (x0 & !x1) & (x2 & !x3) & ...: one product of 1500
-    # literals, read as one cube, with no apply of pair onto pair
-    n = 1500
-    pairs = [f"x{k} & !x{k + 1}" for k in range(0, n, 2)]
-    path = tmp_path / "pairs.bnet"
-    path.write_text(
-        f"x0, {' & '.join(f'({pair})' for pair in pairs)}\n"
-        + "".join(f"x{k}, x{k - 1}\n" for k in range(1, n))
-    )
-    code, out, err = run(capsys, "show", str(path))
-    assert (code, err) == (0, "")
-    assert json.loads(out)["components"][0] == {"name": "x0", "rule": " & ".join(pairs)}
-    code, out, err = run(capsys, "succ", str(path), "--state", "0" * n, "--semantics", "async")
-    assert (code, out, err) == (0, "[]\n", "")
-
-
-@pytest.mark.parametrize(
-    "body,shown",
-    [
-        ("!" * 5000 + "x", "!" * 5000 + "x"),
-        ("(" * 1000 + "x" + ")" * 1000, "x"),
-        ("!(" * 1000 + "x" + ")" * 1000, "!" * 1000 + "x"),
-    ],
-    ids=["5000-negations", "1000-parentheses", "1000-negated-groups"],
-)
-def test_show_and_fixpoints_answer_on_deeply_nested_bodies(capsys, tmp_path, body, shown):
-    path = tmp_path / "nested.bnet"
-    path.write_text(f"x, {body}\n")
-    code, out, err = run(capsys, "show", str(path))
-    assert (code, err) == (0, "")
-    assert json.loads(out)["components"] == [{"name": "x", "rule": shown}]
-    code, out, err = run(capsys, "fixpoints", str(path))
-    assert (code, out, err) == (0, '["0","1"]\n', "")
-
-
-def _long_rule_model(n, body):
-    """x0's rule is body over x0..x{n-1}; x1 negates itself, so no state is
-    fixed, and every other component keeps its value."""
-    return f"x0, {body}\nx1, !x1\n" + "".join(f"x{k}, x{k}\n" for k in range(2, n))
-
-
-@pytest.mark.parametrize(
-    "n,body,state,successors",
-    [
-        # one product of 5000 literals: x0 falls where the last one is off
-        (5000, " & ".join(f"x{k}" for k in range(5000)), "1" * 4999 + "0",
-         ["0" + "1" * 4998 + "0", "10" + "1" * 4997 + "0"]),
-        # two products 2000 variables deep that part at x1500: x1500 <->
-        # x1999 and all others on.  disj would recurse 1500 levels to join them
-        (2000, " & ".join(f"x{k}" for k in range(2000)) + " | "
-         + " & ".join(f"x{k}" if k not in (1500, 1999) else f"!x{k}" for k in range(2000)),
-         "1" * 1999 + "0", ["0" + "1" * 1998 + "0", "10" + "1" * 1997 + "0"]),
-    ],
-    ids=["5000-literal-product", "2000-deep-sum-of-paths"],
-)
-def test_fixpoints_and_succ_answer_on_long_path_shaped_rules(
-    capsys, tmp_path, n, body, state, successors
-):
-    path = tmp_path / "long.bnet"
-    path.write_text(_long_rule_model(n, body))
-    code, out, err = run(capsys, "fixpoints", str(path))
-    assert (code, out, err) == (0, "[]\n", "")
-    code, out, err = run(capsys, "succ", str(path), "--state", state, "--semantics", "async")
-    assert (code, err) == (0, "")
-    assert json.loads(out) == successors
-
-
-def _copy_chain(n, first):
-    """x0's rule is first; every other rule copies its predecessor."""
-    return f"x0, {first}\n" + "".join(f"x{k}, x{k - 1}\n" for k in range(1, n))
-
-
-def _flat(n, op):
-    return f" {op} ".join(f"x{k}" for k in range(n))
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: conj/disj/equiv recurse once per diagram level "
-    "in bdd._apply, so these exit 4 with RecursionError",
-)
-@pytest.mark.parametrize(
-    "command,model,expected",
-    [
-        # read as a chain of disj, each descending the chain built so far
-        ("show", _copy_chain(1200, _flat(1200, "|")), json.dumps(
-            {"n": 1200, "components": [{"name": "x0", "rule": _flat(1200, "|")}]
-             + [{"name": f"x{k}", "rule": f"x{k - 1}"} for k in range(1, 1200)]},
-            separators=(",", ":"),
-        ) + "\n"),
-        # every component equals x0, which is on iff all are
-        ("fixpoints", _copy_chain(1500, _flat(1500, "&")),
-         json.dumps(["0" * 1500, "1" * 1500], separators=(",", ":")) + "\n"),
-        # every component equals x0, which is the negation of x1499 = x0
-        ("fixpoints", _copy_chain(1500, "!x1499"), "[]\n"),
-        ("fixpoints", _copy_chain(1500, f"!({_flat(1500, '&')})"), "[]\n"),
-    ],
-    ids=["flat-or-1200", "flat-and-1500", "negative-ring-1500", "deep-negation-1500"],
-)
-def test_long_flat_rules_and_rings_get_their_closed_form_answers(
-    capsys, tmp_path, command, model, expected
-):
-    path = tmp_path / "long.bnet"
-    path.write_text(model)
-    assert run(capsys, command, str(path)) == (0, expected, "")
 
 
 def test_fixpoints_compact_and_pretty(capsys):
