@@ -4,7 +4,8 @@ JSON on stdout for machine consumption (human tables behind --pretty),
 structured JSON errors on stderr.  A result's JSON is its fields, in the
 order its class declares them.  Exit codes: 0 success, 1 reachability
 query answered "unreachable" (or verification found mismatches), 2 usage or
-input error, 3 cap exceeded, 4 internal error (an unexpected exception,
+input error, 3 cap exceeded (for succ --semantics general, a state with
+more successors than the cap), 4 internal error (an unexpected exception,
 reported as an error of type "internal" naming the exception and the file
 and function that raised it, "(at file.py in func)": no line number, so the
 message stays put when the code around it moves).  The default exploration
@@ -24,8 +25,6 @@ from .expr import BnetParseError, _format
 from .network import infer_regulatory_graph, parse_bnet_file, print_bnet
 from .oracle import MAX_EQUIV_N, RandomNetSpec, check_equivalence, random_network
 from .reach import (
-    DEFAULT_CAP,
-    CapExceeded,
     Edge,
     attractors,
     export_dot,
@@ -34,7 +33,10 @@ from .reach import (
     reachable_set,
     reaches,
 )
-from .semantics import BOOLEAN_SEMANTICS, SEMANTICS, _successors
+from .semantics import (
+    BOOLEAN_SEMANTICS, DEFAULT_CAP, SEMANTICS, CapExceeded, _successors,
+    general_successors,
+)
 from .unfold import MODES, UnfoldSpec, unfold
 
 EXIT_OK = 0
@@ -117,7 +119,10 @@ def _cmd_fixpoints(net, args) -> int:
 
 
 def _cmd_succ(net, args) -> int:
-    _emit(_successors(net, args.semantics, args.state))
+    if args.semantics == "general":  # 2^k - 1 of them: the cap bounds the list
+        _emit(general_successors(net, args.state, cap=_cap(args)))
+    else:
+        _emit(_successors(net, args.semantics, args.state))
     return EXIT_OK
 
 
@@ -210,6 +215,7 @@ def _build_parser() -> _Parser:
     p = add("succ", "successors of one state")
     p.add_argument("--state", required=True)
     p.add_argument("--semantics", required=True, choices=tuple(SEMANTICS))
+    p.add_argument("--cap", type=int, help="most general successors to list")
 
     p = add("unfold", "emit the unfolded network as .bnet")
     p.add_argument("--components", help="comma-separated names (default: all)")

@@ -1,10 +1,15 @@
 """Independent checks for the semantics and the unfolding theorem.
 
 naive_mp_successors re-derives most permissive successors straight from the
-definition, enumerating Boolean completions and evaluating rule trees
-directly.  It deliberately shares no code with the diagram-based
-implementation in semantics.py; agreement between the two is evidence, not
-tautology.
+definition: it enumerates the Boolean completions of a state and evaluates
+rule trees directly, with an evaluator of its own, _eval.  It deliberately
+shares no code with the diagram-based implementation in semantics.py, its
+state encoding included; agreement between the two is evidence, not
+tautology.  Its step, _mp_step, runs on integers in the oracle's own
+encoding (see _encode) and reads every rule's values on a reading from a
+table that _readings makes with one walk of each rule's tree over bit
+masks, one bit per reading; naive_mp_successors tabulates only the
+state's own completions.
 
 check_equivalence is the desk-scale theorem check: most permissive
 reachability between Boolean states coincides with asynchronous
@@ -12,16 +17,16 @@ reachability between their encodings in the fully unfolded network.  Each
 side is a graph whose successors are computed on first lookup, so only the
 states the Boolean sources reach are expanded:
 
-    mp side        the naive definition above, reading every rule's value
-                   on a Boolean reading from one table of all 2^n readings,
-                   built once per check;
+    mp side        _mp_step on the oracle's integer states, over one table
+                   of all 2^n readings built once per check;
     unfolded side  the asynchronous step that reach --semantics async runs,
                    on the unfolding's integer states, from the encodings of
-                   the 2^n Boolean states; its evaluator is an _ImageTable
-                   of the rule diagrams of unfold's _Unfolding, which looks
-                   up the image of each of the 2^(3n) states in a table made
-                   at once from their truth tables, so no unfolded network
-                   and no rule tree is built.
+                   the 2^n Boolean states (made from one layout); its
+                   evaluator is an _ImageTable of the rule diagrams of
+                   unfold's _Unfolding, which looks up the image of each of
+                   the 2^(3n) states in a table made at once from their
+                   truth tables, so no unfolded network and no rule tree is
+                   built.
 
 The mp side stays on rule trees and the oracle's own evaluator, so a fault
 in the diagrams or in semantics.py cannot hide on both sides at once.  Each
@@ -32,7 +37,8 @@ subsumption check, stepped on integer states with an _ImageTable of the
 input network's rules and decoded only for its report.  Only a source with
 a mismatch or a violation gets a breadth-first search, reach._bfs, for its
 witness and the report's order, over the same steps behind functools.cache,
-so a state any of these searches meets again is stepped once.
+so a state any of these searches meets again is stepped once; mp witnesses
+are decoded to level strings only then.
 The tests check both routines against searches of their own.
 """
 from __future__ import annotations
@@ -48,7 +54,7 @@ from .bdd import FALSE, TRUE
 from .network import BooleanNetwork, _ImageTable
 from .reach import _bfs as _search, _condense, _path
 from .semantics import _async
-from .unfold import UnfoldSpec, _Unfolding, encode_state
+from .unfold import UnfoldSpec, _Unfolding
 
 MAX_NAIVE_N = 10
 MAX_EQUIV_N = 4
@@ -56,10 +62,36 @@ MAX_EQUIV_N = 4
 _LEVEL_ORDER = {c: k for k, c in enumerate("0id1")}
 
 
-_NEGATE = object()  # on _eval's stack: negate the last value
+# The mp side's own state encoding, unlike semantics.py's: a most permissive
+# state of n components is one integer free << n | val, component j in bit j
+# of each half,
+#
+#     level   0  d  1  i
+#     val     0  0  1  1
+#     free    0  1  0  1
+#
+# so gamma(x) is the readings ones | sub, ones = val & ~free and sub any
+# subset of free.  A reading holds component j in bit j, and a rule value
+# mask holds rule j's value on one reading in bit j.
+
+def _encode(x: str) -> int:
+    val = sum(1 << j for j, c in enumerate(x) if c in "1i")
+    free = sum(1 << j for j, c in enumerate(x) if c in "id")
+    return free << len(x) | val
 
 
-def _eval(e, bits) -> int:
+def _decode(n: int, x: int) -> str:
+    return "".join("01di"[x >> j & 1 | (x >> n + j & 1) << 1] for j in range(n))
+
+
+# on _eval's stack: complement the last value; AND, OR it into the one before
+_NEGATE, _AND, _OR = object(), object(), object()
+
+
+def _eval(e, bits, full: int = 1) -> int:
+    """Rule e's value on readings packed one per bit: bits[k] is the mask of
+    the readings where variable k is 1, full the mask of them all (with
+    full = 1 and bits of 0/1, e's value on one reading)."""
     # local evaluator on purpose (see the module docstring); a loop with an
     # explicit stack, so a rule's depth is not bounded by Python's stack
     todo = [e]
@@ -69,27 +101,55 @@ def _eval(e, bits) -> int:
         if isinstance(e, ex.Var):
             done.append(bits[e.index])
         elif isinstance(e, ex.Const):
-            done.append(e.value)
+            done.append(full if e.value else 0)
         elif isinstance(e, ex.Not):
             todo.append(_NEGATE)
             todo.append(e.operand)
         elif e is _NEGATE:
-            done[-1] = 1 - done[-1]
-        elif isinstance(e, tuple):  # (right operand, value deciding without it)
-            right, decisive = e
-            if done[-1] != decisive:
-                done.pop()
+            done[-1] ^= full
+        elif e is _AND:
+            right = done.pop()
+            done[-1] &= right
+        elif e is _OR:
+            right = done.pop()
+            done[-1] |= right
+        elif isinstance(e, tuple):  # (right operand, its operator, absorbing value)
+            right, op, absorbing = e
+            if done[-1] != absorbing:  # else the left operand decides
+                todo.append(op)
                 todo.append(right)
+        elif isinstance(e, ex.And):
+            todo.append((e.right, _AND, 0))
+            todo.append(e.left)
         else:
-            todo.append((e.right, 0 if isinstance(e, ex.And) else 1))
+            todo.append((e.right, _OR, full))
             todo.append(e.left)
     return done[0]
 
 
-def _rule_values(net: BooleanNetwork):
-    """values(bits): every rule's value on the Boolean reading bits, by _eval."""
-    rules = net.rules
-    return lambda bits: [_eval(rule, bits) for rule in rules]
+def _readings(rules, ones: int, free: int) -> dict[int, int]:
+    """Every rule's values on the readings ones | sub, sub a subset of free:
+    reading -> rule value mask, in increasing order of sub.  Each rule is
+    walked once, by _eval over masks with one bit per reading."""
+    size = 1 << free.bit_count()
+    full = (1 << size) - 1
+    subs, bits = [0], []  # bit i of bits[k]: component k reads 1 on subs[i]
+    for k in range(len(rules)):
+        if free >> k & 1:
+            # the t-th free coordinate, h = 2^t, is bit t of a position:
+            # blocks of h ones above h zeros
+            h = len(subs)
+            bits.append(full // ((1 << 2 * h) - 1) * (((1 << h) - 1) << h))
+            subs += [sub | 1 << k for sub in subs]
+        else:
+            bits.append(full if ones >> k & 1 else 0)
+    values = [0] * size
+    for j, rule in enumerate(rules):
+        mask = _eval(rule, bits, full)
+        for i in range(size):
+            if mask >> i & 1:
+                values[i] |= 1 << j
+    return dict(zip((ones | sub for sub in subs), values))
 
 
 def naive_mp_successors(net: BooleanNetwork, x: str) -> set[str]:
@@ -98,34 +158,41 @@ def naive_mp_successors(net: BooleanNetwork, x: str) -> set[str]:
         raise ValueError(f"naive enumeration is limited to n <= {MAX_NAIVE_N}")
     if not isinstance(x, str) or len(x) != net.n or any(c not in "0id1" for c in x):
         raise ValueError(f"not a most permissive state of size {net.n}: {x!r}")
-    return _naive_mp_step(x, _rule_values(net))
+    n, s = net.n, _encode(x)
+    free = s >> n
+    # x's own completions only: no table of all 2^n readings per call
+    values = _readings(net.rules, s & ~free & ((1 << n) - 1), free)
+    return {_decode(n, t) for t in _mp_step(values, n, s)}
 
 
-def _naive_mp_step(x: str, values) -> set[str]:
-    """naive_mp_successors of a checked state x, where values(bits) gives
-    every rule's value on the Boolean reading bits (a tuple of 0/1)."""
-    free = [k for k, c in enumerate(x) if c in "id"]
+def _mp_step(values, n: int, x: int) -> list[int]:
+    """naive_mp_successors on the encoded state x of n components, where
+    values[r] is every rule's value mask on each reading r in gamma(x)."""
+    free = x >> n
+    val = x & ((1 << n) - 1)
+    ones = val & ~free
     rise = fall = 0  # bit j: rule j reads 1 (rise), 0 (fall) on some completion
-    # one reading, its free coordinates overwritten by each completion
-    bits = [int(c) if c in "01" else 0 for c in x]
-    for choice in product((0, 1), repeat=len(free)):
-        for k, b in zip(free, choice):
-            bits[k] = b
-        for j, value in enumerate(values(tuple(bits))):
-            if value:
-                rise |= 1 << j
-            else:
-                fall |= 1 << j
-    out = set()
-    for j, c in enumerate(x):
-        if c in "0d" and rise >> j & 1:
-            out.add(x[:j] + "i" + x[j + 1 :])
-        if c in "1i" and fall >> j & 1:
-            out.add(x[:j] + "d" + x[j + 1 :])
-        if c == "i":
-            out.add(x[:j] + "1" + x[j + 1 :])
-        if c == "d":
-            out.add(x[:j] + "0" + x[j + 1 :])
+    sub = free  # every subset of free, down to 0
+    while True:
+        v = values[ones | sub]
+        rise |= v
+        fall |= ~v
+        if not sub:
+            break
+        sub = sub - 1 & free
+    up = rise & ~val  # 0 or d, and f_j can be 1
+    down = fall & val  # 1 or i, and f_j can be 0
+    out = []
+    moves = up | down | free
+    while moves:
+        bit = moves & -moves
+        moves ^= bit
+        if up & bit:  # to i
+            out.append(x | bit | bit << n)
+        if down & bit:  # to d
+            out.append(x & ~bit | bit << n)
+        if free & bit:  # i settles to 1, d to 0
+            out.append(x ^ bit << n)
     return out
 
 
@@ -227,41 +294,47 @@ def check_equivalence(
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
     spec = UnfoldSpec(components=None, mode=mode)  # rejects a bad mode first
+    n = net.n
     # Boolean state k (in string order) is bit k of a reachable-set mask
-    bool_states = ["".join(t) for t in product("01", repeat=net.n)]
-    bit = {x: 1 << k for k, x in enumerate(bool_states)}
-    # most permissive side, via the naive oracle; each rule is evaluated
-    # once per Boolean reading, each state expanded once
-    values = _rule_values(net)
-    readings = {bits: values(bits) for bits in product((0, 1), repeat=net.n)}
-    mp_step = lambda x: _naive_mp_step(x, readings.__getitem__)
-    mp_reach = _reach(mp_step, bool_states, bit)
+    bool_states = ["".join(t) for t in product("01", repeat=n)]
+    masks = [1 << k for k in range(len(bool_states))]
+    # most permissive side, in the oracle's encoding: every rule is walked
+    # once for the values on all 2^n readings (0, 1, ..., in order, so a
+    # list indexed by reading), each state expanded once
+    values = list(_readings(net.rules, 0, (1 << n) - 1).values())
+    mp_step = partial(_mp_step, values, n)
+    mp_src = [_encode(x) for x in bool_states]
+    mp_reach = _reach(mp_step, mp_src, dict(zip(mp_src, masks)))
     # unfolded side: the asynchronous graph of the unfolding's rule diagrams,
     # expanded from the encoded Boolean states only as far as they reach
     ctx = _Unfolding(net, spec)
     ev = _ImageTable(ctx.manager, ctx.rule_nodes())
     unf_step = partial(_async, ev)
-    enc = [int(encode_state(net, x), 2) for x in bool_states]
-    unf_reach = _reach(unf_step, enc, dict(zip(enc, bit.values())))
+    # encode_state's ints from one layout: a Boolean level sets every slot
+    # of its component to its value
+    width = ctx.slots[-1][-1] + 1
+    at_1 = [sum(1 << width - 1 - p for p in slots) for slots in ctx.slots]
+    enc = [sum(m for m, c in zip(at_1, x) if c == "1") for x in bool_states]
+    unf_reach = _reach(unf_step, enc, dict(zip(enc, masks)))
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
     # witnesses: shortest paths, in sorted mp successor order on the mp
     # side, over steps cached only for these searches
-    order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
+    order = lambda s: tuple(_LEVEL_ORDER[c] for c in _decode(n, s))
     mp_adj, unf_adj = cache(lambda x: sorted(mp_step(x), key=order)), cache(unf_step)
     for k, x in enumerate(bool_states):
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:
             continue
-        mp_parents = _search(mp_adj, [x], math.inf)[0] if a_set & ~b_set else None
+        mp_parents = _search(mp_adj, [mp_src[k]], math.inf)[0] if a_set & ~b_set else None
         unf_parents = _search(unf_adj, [enc[k]], math.inf)[0] if b_set & ~a_set else None
         for i, y in enumerate(bool_states):
             a, b = bool(a_set >> i & 1), bool(b_set >> i & 1)
             if a == b:
                 continue
             if a:
-                witness = _path(mp_parents, y)
+                witness = [_decode(n, s) for s in _path(mp_parents, mp_src[i])]
             else:
                 witness = [ev.decode(t) for t in _path(unf_parents, enc[i])]
             report.mismatches.append(Mismatch(x, y, a, b, witness))
@@ -269,7 +342,7 @@ def check_equivalence(
     # integer state k is bool_states[k]
     async_step = partial(_async, _ImageTable(net.manager, net.nodes))
     states = range(len(bool_states))
-    async_reach = _reach(async_step, states, {k: 1 << k for k in states})
+    async_reach = _reach(async_step, states, dict(zip(states, masks)))
     async_adj = cache(async_step)
     for k, x in enumerate(bool_states):
         if async_reach[k] & ~mp_reach[k]:

@@ -26,13 +26,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .network import BooleanNetwork, RegGraph, _ImageTable, check_bool_state
-from .semantics import BOOLEAN_SEMANTICS, _mp, _space
-
-DEFAULT_CAP = 10**6
-
-
-class CapExceeded(RuntimeError):
-    """State count passed the cap before the analysis could finish."""
+from .semantics import (
+    BOOLEAN_SEMANTICS, DEFAULT_CAP, CapExceeded, _check_cap, _mp, _space,
+)
 
 
 class Edge(NamedTuple):
@@ -62,12 +58,6 @@ class ReachResult:
 class Attractor:
     states: tuple[str, ...]
     kind: str  # "stable-state" | "complex"
-
-
-def _check_cap(cap: int) -> int:
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    return cap
 
 
 def fixed_points(net: BooleanNetwork) -> list[str]:

@@ -32,6 +32,17 @@ from .network import (
 )
 
 MP_LEVELS = "0id1"
+DEFAULT_CAP = 10**6
+
+
+class CapExceeded(RuntimeError):
+    """State count passed the cap before the analysis could finish."""
+
+
+def _check_cap(cap: int) -> int:
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    return cap
 
 
 def check_mp_state(net: BooleanNetwork, x: str) -> str:
@@ -52,13 +63,24 @@ def async_successors(net: BooleanNetwork, s: str) -> list[str]:
     return _successors(net, "async", s)
 
 
-def general_successors(net: BooleanNetwork, s: str) -> list[str]:
+def general_successors(net: BooleanNetwork, s: str, cap: int = DEFAULT_CAP) -> list[str]:
     """Any non-empty subset of unstable components updates at once.
 
     Enumerated by increasing subset bitmask, bit t of the mask selecting the
     t-th unstable component in declaration order: all 2^k - 1 successors of
-    a state with k unstable components, here and in the CLI's succ."""
-    return _successors(net, "general", s)
+    a state with k unstable components, here and in the CLI's succ.  A
+    state with more than cap successors raises CapExceeded before any is
+    listed."""
+    _check_cap(cap)
+    space = _space(net, "general")
+    x = space.encode(s)
+    k = (net.evaluator.image(x) ^ x).bit_count()
+    if (1 << k) - 1 > cap:
+        raise CapExceeded(
+            f"{k} unstable components give 2^{k} - 1 general successors, "
+            f"past the cap of {cap} states"
+        )
+    return [space.decode(t) for t in space.successors(x)]
 
 
 # Unchecked forms on integer states (see RuleEvaluator), for the explorers.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mpunfold import (
+    CapExceeded,
     RandomNetSpec,
     UnfoldSpec,
     async_successors,
@@ -29,6 +30,7 @@ EXAMPLE_A = str(MODELS / "example_a.bnet")
 SIGNAL = str(MODELS / "signal.bnet")
 # the frozen unfold output of each bundled model
 UNFOLDED = Path(__file__).resolve().parent / "unfolded"
+VERIFIED = Path(__file__).resolve().parent / "verified"
 
 DIVERGENT = "x, !x\ny, y\nz, z\nw, (x | y) & (!x | z)\n"
 
@@ -95,6 +97,39 @@ def test_succ_invalid_state_is_exit_2(capsys):
     )
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "invalid-input"
+
+
+def test_succ_general_refuses_a_state_past_the_cap(capsys, tmp_path, monkeypatch):
+    # x0..x3 all negate themselves: every state has 2^4 - 1 = 15 general
+    # successors, refused before any is listed when the cap is smaller
+    model = tmp_path / "flips.bnet"
+    model.write_text("".join(f"x{j}, !x{j}\n" for j in range(4)))
+    net = parse_bnet(model.read_text())
+    assert len(general_successors(net, "0000", cap=15)) == 15
+    with pytest.raises(CapExceeded, match="4 unstable components .* past the cap of 14"):
+        general_successors(net, "0000", cap=14)
+    with pytest.raises(ValueError, match="cap must be a positive integer"):
+        general_successors(net, "0000", cap=0)
+    argv = ("succ", str(model), "--state", "0000", "--semantics")
+    for env, flag, code in ((None, (), 0), ("14", (), 3), ("14", ("--cap", "15"), 0),
+                            (None, ("--cap", "14"), 3)):
+        if env is None:
+            monkeypatch.delenv("MPU_CAP", raising=False)
+        else:
+            monkeypatch.setenv("MPU_CAP", env)
+        got, out, err = run(capsys, *argv, "general", *flag)
+        assert got == code, (env, flag)
+        if code == 3:
+            assert out == ""
+            assert json.loads(err)["error"]["type"] == "cap-exceeded"
+        else:
+            assert json.loads(out) == general_successors(net, "0000")
+    # the other semantics list at most 2n successors and ignore the cap
+    monkeypatch.setenv("MPU_CAP", "1")
+    for semantics in ("sync", "async", "mp"):
+        got, out, err = run(capsys, *argv, semantics)
+        assert (got, err) == (0, "")
+        assert len(json.loads(out)) == (1 if semantics == "sync" else 4)
 
 
 @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(1, 4) for seed in range(2)])
@@ -229,8 +264,8 @@ def test_reach_unreachable_is_exit_1(capsys):
 def test_general_explorers_stop_at_the_cap_in_bounded_memory(capsys, tmp_path, k):
     # every component of xj, !xj is unstable everywhere, so each state has
     # 2^k - 1 general successors: the explorers take them one at a time and
-    # hold none past the cap (k = 20 first, where holding them all is 2^20
-    # states, not 2^40)
+    # hold none past the cap, and succ refuses the state before listing any
+    # (k = 20 first, where holding them all is 2^20 states, not 2^40)
     model = tmp_path / "flips.bnet"
     model.write_text("".join(f"x{j}, !x{j}\n" for j in range(k)))
     run(capsys, "show", str(model))  # the parser is built outside the measure
@@ -239,6 +274,7 @@ def test_general_explorers_stop_at_the_cap_in_bounded_memory(capsys, tmp_path, k
         ("reach", "--from", zeros, "--to", "1" * k),
         ("stg", "--from", zeros),
         ("attractors", "--roots", zeros),
+        ("succ", "--state", zeros),
     ):
         tracemalloc.start()
         try:
@@ -564,6 +600,18 @@ def test_verify_output_bytes(capsys, tmp_path):
         ])
         + '],"subsumption_violations":[],"ok":false}]\n'
     )
+
+
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+@pytest.mark.parametrize("model", ["example_a", "signal"])
+def test_verify_reproduces_the_frozen_reports(capsys, model, mode):
+    # tests/verified/<model>.<mode>.json: verify's output at --seeds 4 --n 3,
+    # frozen; the syntactic ones pin each mismatch, its witness and order
+    code, out, err = run(
+        capsys, "verify", str(MODELS / f"{model}.bnet"), "--mode", mode, "--seeds", "4", "--n", "3"
+    )
+    assert (code, err) == ((0, "") if mode == "exact" else (1, ""))
+    assert out == (VERIFIED / f"{model}.{mode}.json").read_text()
 
 
 @pytest.mark.parametrize(

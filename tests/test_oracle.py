@@ -164,9 +164,9 @@ def test_equivalence_rejects_a_bad_mode_before_stepping(monkeypatch):
     import mpunfold.oracle as oracle
 
     steps = []
-    step = oracle._naive_mp_step
+    step = oracle._mp_step
     monkeypatch.setattr(
-        oracle, "_naive_mp_step", lambda x, v: steps.append(x) or step(x, v)
+        oracle, "_mp_step", lambda v, n, x: steps.append(x) or step(v, n, x)
     )
     with pytest.raises(ValueError, match="mode must be one of .*got 'bogus'"):
         check_equivalence(example_a(), mode="bogus")
@@ -350,9 +350,9 @@ def test_check_steps_each_state_once_per_side(monkeypatch, n):
     from mpunfold.oracle import naive_mp_successors
 
     stepped = {"mp": [], "unfolded": [], "async": []}  # the states each step got
-    mp_step, unf_step, async_step = oracle._naive_mp_step, oracle._async, async_successors
+    mp_step, unf_step, async_step = oracle._mp_step, oracle._async, async_successors
     monkeypatch.setattr(
-        oracle, "_naive_mp_step", lambda x, v: stepped["mp"].append(x) or mp_step(x, v)
+        oracle, "_mp_step", lambda v, n, x: stepped["mp"].append(x) or mp_step(v, n, x)
     )
     # one asynchronous step serves the unfolding (3n components) and the
     # plain asynchronous graph of the input (n components)
@@ -436,33 +436,87 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     assert mp_witnesses and violations
 
 
-def test_memoised_step_equals_naive_mp_successors(monkeypatch):
+def _brute_mp_successors(net, x):
+    """Most permissive successors from the definition, on strings: the
+    values of each rule on every completion of x by eval_rule, then the
+    four cases of each component."""
     from itertools import product
 
-    import mpunfold.oracle as oracle
-    from mpunfold.oracle import _naive_mp_step, _rule_values, naive_mp_successors
+    from mpunfold import eval_rule
 
-    calls = []  # the readings the check's table evaluated
+    free = [k for k, c in enumerate(x) if c in "id"]
+    seen = [set() for _ in range(net.n)]  # the values rule j takes on gamma(x)
+    for choice in product("01", repeat=len(free)):
+        y = list(x)
+        for k, c in zip(free, choice):
+            y[k] = c
+        for j in range(net.n):
+            seen[j].add(eval_rule(net, j, "".join(y)))
+    out = set()
+    for j, c in enumerate(x):
+        moves = {"0": "i" if 1 in seen[j] else "", "1": "d" if 0 in seen[j] else ""}
+        moves["i"] = "1" + ("d" if 0 in seen[j] else "")
+        moves["d"] = "0" + ("i" if 1 in seen[j] else "")
+        out |= {x[:j] + level + x[j + 1 :] for level in moves[c]}
+    return out
 
-    def counted(net):
-        values = _rule_values(net)
-        return lambda bits: calls.append(bits) or values(bits)
 
-    monkeypatch.setattr(oracle, "_rule_values", counted)
+def test_naive_mp_successors_equal_the_definition_on_random_nets():
+    from itertools import product
+
+    from mpunfold.oracle import naive_mp_successors
+
     for n in (1, 2, 3, 4):
         for seed in range(4):
             net = random_network(RandomNetSpec(n=n, seed=seed))
-            values = _rule_values(net)
-            table = {bits: values(bits) for bits in product((0, 1), repeat=n)}
             for levels in product("0id1", repeat=n):
                 x = "".join(levels)
-                assert _naive_mp_step(x, table.__getitem__) == (
-                    naive_mp_successors(net, x)
-                ), (n, seed, x)
-            # the check evaluates every Boolean reading exactly once
+                assert naive_mp_successors(net, x) == _brute_mp_successors(net, x), (
+                    n, seed, x,
+                )
+
+
+def test_the_oracle_codec_round_trips():
+    from itertools import product
+
+    from mpunfold.oracle import _decode, _encode
+
+    for n in (1, 2, 3, 4):
+        codes = set()
+        for levels in product("0id1", repeat=n):
+            x = "".join(levels)
+            code = _encode(x)
+            assert 0 <= code < 1 << 2 * n
+            assert _decode(n, code) == x
+            codes.add(code)
+        assert len(codes) == 4**n
+    # component j in bit j of each half: val low, free high
+    assert [_encode(c) for c in "0d1i"] == [0b00, 0b10, 0b01, 0b11]
+    assert _encode("1i0d") == 0b1010_0011
+
+
+def test_each_rule_is_walked_once(monkeypatch):
+    """The check walks every rule's tree once, over all 2^n readings at
+    once; naive_mp_successors walks each once over x's own completions."""
+    import mpunfold.oracle as oracle
+    from mpunfold.oracle import naive_mp_successors
+
+    calls = []  # (rule, full) of every walk
+    walk = oracle._eval
+    monkeypatch.setattr(
+        oracle, "_eval", lambda e, bits, full=1: calls.append((e, full)) or walk(e, bits, full)
+    )
+    for n in (1, 2, 3, 4):
+        for seed in range(4):
+            net = random_network(RandomNetSpec(n=n, seed=seed))
             calls.clear()
             oracle.check_equivalence(net)
-            assert sorted(calls) == list(product((0, 1), repeat=n)), (n, seed)
+            assert calls == [(rule, (1 << 2**n) - 1) for rule in net.rules], (n, seed)
+    net = random_network(RandomNetSpec(n=10, seed=0))
+    for x, completions in (("0110100101", 1), ("01i01d0101", 4)):
+        calls.clear()
+        assert naive_mp_successors(net, x) == _brute_mp_successors(net, x)
+        assert calls == [(rule, (1 << completions) - 1) for rule in net.rules], x
 
 
 def _long_rule_text(terms=1500):
