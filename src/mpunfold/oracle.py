@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
 
@@ -268,7 +268,24 @@ class EquivalenceReport:
         return not self.mismatches and not self.subsumption_violations
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        """The fields as plain values, witnesses and lists copied, and ok."""
+        return {
+            "label": self.label,
+            "mode": self.mode,
+            "pairs_checked": self.pairs_checked,
+            "mismatches": [
+                {
+                    "source": m.source,
+                    "target": m.target,
+                    "mp_reachable": m.mp_reachable,
+                    "unfolded_reachable": m.unfolded_reachable,
+                    "witness": None if m.witness is None else list(m.witness),
+                }
+                for m in self.mismatches
+            ],
+            "subsumption_violations": list(self.subsumption_violations),
+            "ok": self.ok,
+        }
 
 
 def _reach(step, sources, bit):

@@ -6,12 +6,15 @@ byte-stable across runs.  Every explorer takes a cap on the number of
 states; hitting the cap is reported, never silently truncated into a wrong
 answer.
 
-Every exploration runs one of two cores.  Searches run _bfs, a
+Every exploration runs one of three cores.  Searches run _bfs, a
 breadth-first search: reaches, reachable_set, each inner search of
 mp_boolean_projection, and the witnesses of the oracle's theorem check.
 Component questions run _condense, one iterative Tarjan pass that steps
-each state once: attractors (the components no edge leaves) and the
-reachable sets of the theorem check.  Both count the cap the same way.
+each state once: async and general attractors (the components no edge
+leaves) and the reachable sets of the theorem check.  Under sync the state
+graph is the function f, whose terminal components are its cycles, so sync
+attractors run _cycles, one walk along f that takes each image once.  All
+three count the cap the same way.
 
 Each explorer walks a semantics through semantics._space, its one owner,
 on the network's evaluator, which walks the manager's rule diagrams per
@@ -219,6 +222,35 @@ def _condense(succ, starts, cap, tag=None):
     return components, leaves, masks, False
 
 
+def _cycles(image, starts, cap):
+    """The cycles of the function image that the states from starts reach,
+    by one walk that takes each state's image once.
+
+    From each start not met before, image is followed to a state met
+    before; when that state was met on this same walk, the walk from it on
+    is a cycle.  Returns the cycles (lists of states in walk order) and
+    whether the cap was passed, counted as _condense counts it: starts are
+    all admitted, so it is passed iff the closure has more than max(cap,
+    distinct starts) states, and passing it ends the walk."""
+    starts = dict.fromkeys(starts)  # distinct, in order
+    limit = max(cap, len(starts))
+    walk: dict = {}  # state -> number of the walk that met it
+    cycles = []
+    for k, s in enumerate(starts):
+        if s in walk:
+            continue
+        path = []
+        while s not in walk:
+            if len(walk) >= limit:
+                return cycles, True
+            walk[s] = k
+            path.append(s)
+            s = image(s)
+        if walk[s] == k:
+            cycles.append(path[path.index(s):])
+    return cycles, False
+
+
 def attractors(
     net: BooleanNetwork,
     semantics: str,
@@ -228,9 +260,11 @@ def attractors(
     """Terminal strongly connected components of the explicit graph.
 
     Without roots the whole state space is enumerated (needs 2^n <= cap);
-    with roots, the forward closure of the root set.  Most permissive
-    semantics is excluded: its transient levels make terminal SCCs the
-    wrong notion there."""
+    with roots, the forward closure of the root set.  Under sync each state
+    has the one successor f(s), so the terminal components are the cycles
+    of f, found by one walk along f (_cycles); async and general run one
+    Tarjan pass (_condense).  Most permissive semantics is excluded: its
+    transient levels make terminal SCCs the wrong notion there."""
     _check_cap(cap)
     if semantics not in BOOLEAN_SEMANTICS:
         raise ValueError(
@@ -243,18 +277,23 @@ def attractors(
                 f"supply roots to restrict the search"
             )
         # every state is stepped: tabulate every image at once
-        space = _space(net, semantics, _ImageTable(net.manager, net.nodes))
+        ev = _ImageTable(net.manager, net.nodes)
+    else:
+        ev = net.evaluator
+    space = _space(net, semantics, ev)
+    if roots is None:
         starts = range(1 << net.n)  # integer order: string order
     else:
-        space = _space(net, semantics)
         starts = [space.encode(r) for r in roots]
-    components, leaves, _, exceeded = _condense(space.successors, starts, cap)
+    if semantics == "sync":
+        terminal, exceeded = _cycles(ev.image, starts, cap)
+    else:
+        components, leaves, _, exceeded = _condense(space.successors, starts, cap)
+        terminal = [c for c, leaving in zip(components, leaves) if not leaving]
     if exceeded:
         raise CapExceeded(f"closure of the root set passed the cap of {cap} states")
     out = []
-    for component, leaving in zip(components, leaves):
-        if leaving:
-            continue
+    for component in terminal:
         states = tuple(space.decode(s) for s in sorted(component))
         kind = "stable-state" if len(states) == 1 else "complex"
         out.append(Attractor(states=states, kind=kind))

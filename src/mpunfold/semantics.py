@@ -90,8 +90,14 @@ def _sync(ev: RuleEvaluator, s: int) -> list[int]:
 
 
 def _async(ev: RuleEvaluator, s: int) -> list[int]:
+    """One flip per unstable component, highest bit (first component) first."""
     diff = ev.image(s) ^ s
-    return [s ^ bit for bit in ev.masks if diff & bit]
+    out = []
+    while diff:
+        top = 1 << diff.bit_length() - 1
+        out.append(s ^ top)
+        diff ^= top
+    return out
 
 
 def _general(ev: RuleEvaluator, s: int):

@@ -32,7 +32,7 @@ from mpunfold import (
     reaches,
     sync_successor,
 )
-from mpunfold import semantics
+from mpunfold import reach, semantics
 from mpunfold.bdd import TRUE, DiagramManager
 from mpunfold.network import RuleEvaluator, _ImageTable
 from mpunfold.oracle import _eval, naive_mp_successors
@@ -385,6 +385,35 @@ def test_full_space_attractors_step_each_state_once(monkeypatch):
     assert sorted(stepped) == _states(8)
 
 
+@pytest.mark.parametrize("roots", [None, ["00000000", "11111111"]])
+def test_sync_attractors_walk_f_once_without_tarjan(monkeypatch, roots):
+    """Under sync the terminal components are the cycles of f: one walk
+    takes the image of each state of the closure once, and no Tarjan pass
+    runs, whole space or rooted."""
+    net = _net(8, 1)
+    closure = _states(8) if roots is None else _closure(_public(net, "sync"), roots)
+    imaged = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sync attractors ran _condense")
+
+    def counted(image):
+        return lambda s: imaged.append(s) or image(s)
+
+    class CountedTable(_ImageTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.image = counted(self.image)
+
+    monkeypatch.setattr(reach, "_condense", refuse)
+    monkeypatch.setattr(reach, "_ImageTable", CountedTable)
+    ev = net.evaluator
+    monkeypatch.setattr(ev, "image", counted(ev.image))
+    found = attractors(net, "sync", roots=roots)
+    assert sorted(ev.decode(s) for s in imaged) == sorted(closure)
+    assert found
+
+
 @pytest.mark.parametrize("n,seed", NETS)
 def test_reachable_set_matches_string_bfs(n, seed):
     net = _net(n, seed)
@@ -405,16 +434,22 @@ def test_attractors_match_string_bfs(n, seed):
     everything = _states(n)
     for semantics in BOOLEAN:
         succ = _public(net, semantics)
-        got = [(a.kind, a.states) for a in attractors(net, semantics)]
-        assert got == _terminal_sccs(succ, everything)
+        want = _terminal_sccs(succ, everything)
+        for cap in (10**6, len(everything)):  # the whole space fits a cap of 2^n
+            got = [(a.kind, a.states) for a in attractors(net, semantics, cap)]
+            assert got == want
         for _ in range(3):
             roots = rng.sample(everything, min(3, len(everything)))
             closure = _closure(succ, roots)
-            got = [(a.kind, a.states) for a in attractors(net, semantics, roots=roots)]
-            assert got == _terminal_sccs(succ, sorted(closure))
+            want = _terminal_sccs(succ, sorted(closure))
+            # a cap of the closure's size answers; a root given twice counts once
+            for cap, given in ((10**6, roots), (len(closure), roots), (len(closure), roots * 2)):
+                got = [(a.kind, a.states) for a in attractors(net, semantics, cap, given)]
+                assert got == want
             if len(closure) > len(set(roots)):  # roots never count against the cap
-                with pytest.raises(CapExceeded):
-                    attractors(net, semantics, cap=len(closure) - 1, roots=roots)
+                for given in (roots, roots * 2):
+                    with pytest.raises(CapExceeded):
+                        attractors(net, semantics, cap=len(closure) - 1, roots=given)
 
 
 def _projection(net, start, cap):
