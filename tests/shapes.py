@@ -1,13 +1,12 @@
-"""Input shapes at any size, as .bnet text, for tests/test_ladder.py and CI:
-
-    python tests/shapes.py SHAPE N > model.bnet
-    python tests/shapes.py            # the shape names
+"""Input shapes at any size, as .bnet text, for tests/test_ladder.py and
+tests/cli_runs.py, and FAILS, the size ladder's cells that fail today.
 
 N counts a chain's or a ring's components, a nested body's depth or the long
 sum's products.  A chain's rules after the first copy their predecessor.
 """
 import random
-import sys
+
+TOP = 1500  # the size ladder's top rung
 
 
 def _chain(n, first):
@@ -63,9 +62,18 @@ SHAPES = {
 }
 
 
-if __name__ == "__main__":
-    if len(sys.argv) == 1:
-        print(*SHAPES)
-    else:
-        shape, n = sys.argv[1:]
-        print(SHAPES[shape](int(n)), end="")
+# the size ladder's cells (shape, n, command) that fail today, each naming the
+# raising function and the ROADMAP item that mends it: strict xfails in
+# tests/test_ladder.py, runs that tests/cli_runs.py skips
+_VARIABLES = "expr.variables recurses through unfold's sums of products: ROADMAP item 2"
+_APPLY = "bdd._apply recurses once per diagram level: ROADMAP item 8"
+FAILS = {
+    **{(s, 300, "unfold-exact"): _VARIABLES for s in ("or-flat", "or-nested")},
+    **{(s, TOP, "show"): "reading folds the OR with disj; " + _APPLY
+       for s in ("or-flat", "or-nested")},
+    **{(s, TOP, "fixpoints"): "fixed_points conjoins the copy constraints; " + _APPLY
+       for s in ("and-flat", "deep-negation", "pairs", "copy-ring", "negative-ring")},
+    **{(s, TOP, "unfold-exact"): _VARIABLES for s in ("and-flat", "deep-negation", "pairs")},
+    **{(s, TOP, "unfold-syntactic"): "syntactic conditions conjoin in " + _APPLY
+       for s in ("and-flat", "deep-negation", "pairs")},
+}

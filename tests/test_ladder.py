@@ -18,9 +18,8 @@ from mpunfold import (
     DEFAULT_CAP, async_successors, eval_rule, general_successors, mp_successors, parse_bnet,
 )
 from mpunfold.cli import main
-from shapes import SHAPES
+from shapes import FAILS, SHAPES, TOP
 
-TOP = 1500
 RUNGS = (10, 300, TOP)
 BRUTE = 10
 CAP = ("--cap", "200")
@@ -64,19 +63,6 @@ def _left_out(shape, n, command):
         or (top and shape == "cnf" and command == "fixpoints")
     )
 
-
-_VARIABLES = "expr.variables recurses through unfold's sums of products: ROADMAP item 2"
-_APPLY = "bdd._apply recurses once per diagram level: ROADMAP item 8"
-FAILS = {
-    **{(s, 300, "unfold-exact"): _VARIABLES for s in ("or-flat", "or-nested")},
-    **{(s, TOP, "show"): "reading folds the OR with disj; " + _APPLY
-       for s in ("or-flat", "or-nested")},
-    **{(s, TOP, "fixpoints"): "fixed_points conjoins the copy constraints; " + _APPLY
-       for s in ("and-flat", "deep-negation", "pairs", "copy-ring", "negative-ring")},
-    **{(s, TOP, "unfold-exact"): _VARIABLES for s in ("and-flat", "deep-negation", "pairs")},
-    **{(s, TOP, "unfold-syntactic"): "syntactic conditions conjoin in " + _APPLY
-       for s in ("and-flat", "deep-negation", "pairs")},
-}
 
 # closed forms: by shape, the start state of the state-taking commands, the
 # components unstable there, and every fixed point, each a function of n

@@ -1,0 +1,87 @@
+"""Metamorphic relations: two runs whose answers must agree, so they need no
+oracle and hold at any size (ROADMAP item 19).
+
+Permutation: the declaration order is the variable order of every diagram,
+so declaring the components in another order reshapes every diagram and
+leaves every answer the same up to the permutation.  Each random network is
+compared with itself declared in one fixed random order.
+"""
+import functools
+import random
+
+import pytest
+
+from mpunfold import (
+    VALID_TRIPLETS, RandomNetSpec, UnfoldSpec, eval_rule, fixed_points, format_expr,
+    infer_regulatory_graph, parse_bnet, random_network, reaches, unfold,
+)
+
+NETS = [(n, seed) for n in (6, 12) for seed in range(4)]
+CAP = 5000  # past the 4096 Boolean states at n = 12
+QUERIES = 8
+
+
+@functools.cache
+def _pair(n, seed):
+    """The network as written, the same rules declared in another order, and
+    that order: component k of the second is component order[k] of the first."""
+    net = random_network(RandomNetSpec(n=n, seed=seed))
+    lines = [f"{name}, {format_expr(rule, net.names)}\n" for name, rule in net.components()]
+    order = random.Random(seed).sample(range(n), n)
+    assert order != sorted(order)
+    return parse_bnet("".join(lines)), parse_bnet("".join(lines[k] for k in order)), order
+
+
+def _permute(s, order):
+    return "".join(s[k] for k in order)
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_fixed_points_permute(n, seed):
+    net, permuted, order = _pair(n, seed)
+    assert sorted(_permute(s, order) for s in fixed_points(net)) == sorted(fixed_points(permuted))
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_signed_regulations_are_the_same(n, seed):
+    net, permuted, _ = _pair(n, seed)
+    edges = [sorted(map(vars, infer_regulatory_graph(m).edges), key=str) for m in (net, permuted)]
+    assert edges[0] == edges[1]
+
+
+@pytest.mark.parametrize("n,seed,semantics", [
+    (n, seed, semantics) for n, seed in NETS
+    for semantics in ("sync", "async", "mp") + (("general",) if n == 6 else ())
+])
+def test_reach_verdicts_and_witness_lengths_permute(n, seed, semantics):
+    net, permuted, order = _pair(n, seed)
+    rng = random.Random(f"{n}/{seed}/{semantics}")
+    compared = 0
+    for _ in range(QUERIES):
+        start = "".join(rng.choice("01") for _ in range(n))
+        target = "".join(rng.choice("01***") for _ in range(n))
+        answers = [
+            reaches(net, semantics, start, target, cap=CAP),
+            reaches(permuted, semantics, _permute(start, order), _permute(target, order), cap=CAP),
+        ]
+        if all(a.verdict != "cap-exceeded" for a in answers):
+            compared += 1
+            first, second = ((a.verdict, len(a.witness or ())) for a in answers)
+            assert first == second, (start, target)
+    assert compared
+
+
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+@pytest.mark.parametrize("n,seed", NETS)
+def test_unfolded_rules_permute_on_valid_triplets(n, seed, mode):
+    net, permuted, order = _pair(n, seed)
+    unfolded = [unfold(m, UnfoldSpec(mode=mode)) for m in (net, permuted)]
+    rng = random.Random(seed)
+    for _ in range(8):
+        triplets = [rng.choice(VALID_TRIPLETS) for _ in range(n)]
+        states = ["".join(triplets), "".join(triplets[k] for k in order)]
+        values = [
+            {name: eval_rule(m, j, s) for j, name in enumerate(m.names)}
+            for m, s in zip(unfolded, states)
+        ]
+        assert values[0] == values[1], triplets
