@@ -10,10 +10,10 @@ in a read network, fold over its tree in one built from trees.  The
 diagram is built once, where the rule is made: parse_bnet reads each body
 straight into it, unfold hands over the nodes it built, and a network
 built from trees builds them all from its walks when `nodes`, their one
-owner, is first read.  show and syntactic unfolding call the walks with
-their own builders; `rules` makes trees from them only for the callers
-that ask (the oracle, the public API).  A RuleEvaluator walks the diagrams
-in the manager itself, and keeps no copy.
+owner, is first read.  show, syntactic unfolding and the oracle call the
+walks with their own builders; `rules` makes trees from them only for
+the callers of the public API that ask.  A RuleEvaluator walks the
+diagrams in the manager itself, and keeps no copy.
 """
 from __future__ import annotations
 

@@ -2,14 +2,14 @@
 
 naive_mp_successors re-derives most permissive successors straight from the
 definition: it enumerates the Boolean completions of a state and evaluates
-rule trees directly, with an evaluator of its own, _eval.  It deliberately
-shares no code with the diagram-based implementation in semantics.py, its
-state encoding included; agreement between the two is evidence, not
-tautology.  Its step, _mp_step, runs on integers in the oracle's own
-encoding (see _encode) and reads every rule's values on a reading from a
-table that _readings makes with one walk of each rule's tree over bit
-masks, one bit per reading; naive_mp_successors tabulates only the
-state's own completions.
+each rule by calling its walk (see expr) with builders of its own.  It
+deliberately shares no code with the diagram-based implementation in
+semantics.py, its state encoding included; agreement between the two is
+evidence, not tautology.  Its step, _mp_step, runs on integers in the
+oracle's own encoding (see _encode) and reads every rule's values on a
+reading from a table that _readings makes with one call of each rule's
+walk over bit masks, one bit per reading; naive_mp_successors tabulates
+only the state's own completions.
 
 check_equivalence is the desk-scale theorem check: most permissive
 reachability between Boolean states coincides with asynchronous
@@ -28,7 +28,8 @@ states the Boolean sources reach are expanded:
                    truth tables, so no unfolded network and no rule tree is
                    built.
 
-The mp side stays on rule trees and the oracle's own evaluator, so a fault
+The mp side stays on the rules' walks, the network's stored syntax from
+which its trees are made too, and on the oracle's own builders, so a fault
 in the diagrams or in semantics.py cannot hide on both sides at once.  Each
 side is one pass of the explorers' component routine, reach._condense,
 which gives every source's reachable Boolean states as a bit mask and
@@ -44,6 +45,7 @@ The tests check both routines against searches of their own.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -84,57 +86,15 @@ def _decode(n: int, x: int) -> str:
     return "".join("01di"[x >> j & 1 | (x >> n + j & 1) << 1] for j in range(n))
 
 
-# on _eval's stack: complement the last value; AND, OR it into the one before
-_NEGATE, _AND, _OR = object(), object(), object()
-
-
-def _eval(e, bits, full: int = 1) -> int:
-    """Rule e's value on readings packed one per bit: bits[k] is the mask of
-    the readings where variable k is 1, full the mask of them all (with
-    full = 1 and bits of 0/1, e's value on one reading)."""
-    # local evaluator on purpose (see the module docstring); a loop with an
-    # explicit stack, so a rule's depth is not bounded by Python's stack
-    todo = [e]
-    done: list[int] = []  # values of the operands evaluated so far
-    while todo:
-        e = todo.pop()
-        if isinstance(e, ex.Var):
-            done.append(bits[e.index])
-        elif isinstance(e, ex.Const):
-            done.append(full if e.value else 0)
-        elif isinstance(e, ex.Not):
-            todo.append(_NEGATE)
-            todo.append(e.operand)
-        elif e is _NEGATE:
-            done[-1] ^= full
-        elif e is _AND:
-            right = done.pop()
-            done[-1] &= right
-        elif e is _OR:
-            right = done.pop()
-            done[-1] |= right
-        elif isinstance(e, tuple):  # (right operand, its operator, absorbing value)
-            right, op, absorbing = e
-            if done[-1] != absorbing:  # else the left operand decides
-                todo.append(op)
-                todo.append(right)
-        elif isinstance(e, ex.And):
-            todo.append((e.right, _AND, 0))
-            todo.append(e.left)
-        else:
-            todo.append((e.right, _OR, full))
-            todo.append(e.left)
-    return done[0]
-
-
-def _readings(rules, ones: int, free: int) -> dict[int, int]:
+def _readings(walks, ones: int, free: int) -> dict[int, int]:
     """Every rule's values on the readings ones | sub, sub a subset of free:
-    reading -> rule value mask, in increasing order of sub.  Each rule is
-    walked once, by _eval over masks with one bit per reading."""
+    reading -> rule value mask, in increasing order of sub.  Each rule's
+    walk is called once, with builders of the oracle's own over masks with
+    one bit per reading."""
     size = 1 << free.bit_count()
     full = (1 << size) - 1
     subs, bits = [0], []  # bit i of bits[k]: component k reads 1 on subs[i]
-    for k in range(len(rules)):
+    for k in range(len(walks)):
         if free >> k & 1:
             # the t-th free coordinate, h = 2^t, is bit t of a position:
             # blocks of h ones above h zeros
@@ -143,9 +103,10 @@ def _readings(rules, ones: int, free: int) -> dict[int, int]:
             subs += [sub | 1 << k for sub in subs]
         else:
             bits.append(full if ones >> k & 1 else 0)
+    const = lambda c: full if c else 0
     values = [0] * size
-    for j, rule in enumerate(rules):
-        mask = _eval(rule, bits, full)
+    for j, walk in enumerate(walks):
+        mask = walk(bits.__getitem__, const, full.__xor__, operator.and_, operator.or_)
         for i in range(size):
             if mask >> i & 1:
                 values[i] |= 1 << j
@@ -161,7 +122,7 @@ def naive_mp_successors(net: BooleanNetwork, x: str) -> set[str]:
     n, s = net.n, _encode(x)
     free = s >> n
     # x's own completions only: no table of all 2^n readings per call
-    values = _readings(net.rules, s & ~free & ((1 << n) - 1), free)
+    values = _readings(net._walks, s & ~free & ((1 << n) - 1), free)
     return {_decode(n, t) for t in _mp_step(values, n, s)}
 
 
@@ -318,7 +279,7 @@ def check_equivalence(
     # most permissive side, in the oracle's encoding: every rule is walked
     # once for the values on all 2^n readings (0, 1, ..., in order, so a
     # list indexed by reading), each state expanded once
-    values = list(_readings(net.rules, 0, (1 << n) - 1).values())
+    values = list(_readings(net._walks, 0, (1 << n) - 1).values())
     mp_step = partial(_mp_step, values, n)
     mp_src = [_encode(x) for x in bool_states]
     mp_reach = _reach(mp_step, mp_src, dict(zip(mp_src, masks)))

@@ -67,18 +67,19 @@ def fixed_points(net: BooleanNetwork) -> list[str]:
     """All states with f(s) = s, by symbolic conjunction of f_j <-> x_j,
     in lexicographic order.
 
-    The constraints are conjoined by (deepest of j and the variables f_j
-    reads, j): each partial product then depends on the top variables only
-    and stays small, where declaration order lets it test every variable
-    read so far.  The conjunction, and so the answer, is the same in any
-    order."""
+    The constraints are conjoined from the bottom of the variable order up,
+    by descending (top of j and the variables f_j reads, j): each new
+    constraint then sits above the partial product and leaves its nodes as
+    they are, so on a chain each conj makes a few nodes, where conjoining
+    top-down rebuilds the whole product every time.  The conjunction, and
+    so the answer, is the same in any order."""
     m = net.manager
     constraints = []
     for j, f in enumerate(net.nodes):
-        deepest = max(m.support(f) | {j})
-        constraints.append((deepest, j, m.equiv(f, m.var_node(j))))
+        top = min(m.support(f) | {j})
+        constraints.append((top, j, m.equiv(f, m.var_node(j))))
     node = 1
-    for _, _, constraint in sorted(constraints):
+    for _, _, constraint in sorted(constraints, reverse=True):
         node = m.conj(node, constraint)
     return ["".join(str(b) for b in model) for model in m.iter_models(node)]
 

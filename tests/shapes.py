@@ -71,8 +71,8 @@ FAILS = {
     **{(s, 300, "unfold-exact"): _VARIABLES for s in ("or-flat", "or-nested")},
     **{(s, TOP, "show"): "reading folds the OR with disj; " + _APPLY
        for s in ("or-flat", "or-nested")},
-    **{(s, TOP, "fixpoints"): "fixed_points conjoins the copy constraints; " + _APPLY
-       for s in ("and-flat", "deep-negation", "pairs", "copy-ring", "negative-ring")},
+    **{(s, TOP, "fixpoints"): "fixed_points' last constraint spans the whole chain; " + _APPLY
+       for s in ("deep-negation", "copy-ring", "negative-ring")},
     **{(s, TOP, "unfold-exact"): _VARIABLES for s in ("and-flat", "deep-negation", "pairs")},
     **{(s, TOP, "unfold-syntactic"): "syntactic conditions conjoin in " + _APPLY
        for s in ("and-flat", "deep-negation", "pairs")},

@@ -16,7 +16,7 @@ from mpunfold import (
 )
 from mpunfold.bdd import FALSE, TRUE, DiagramManager, FunctionRep
 from mpunfold.expr import format_expr, parse_expression
-from mpunfold.oracle import _eval
+from tree_eval import _eval
 
 # the modules, not the functions of the same names that mpunfold exports
 network_module = importlib.import_module("mpunfold.network")

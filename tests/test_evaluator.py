@@ -35,9 +35,10 @@ from mpunfold import (
 from mpunfold import reach, semantics
 from mpunfold.bdd import TRUE, DiagramManager
 from mpunfold.network import RuleEvaluator, _ImageTable
-from mpunfold.oracle import _eval, naive_mp_successors
+from mpunfold.oracle import naive_mp_successors
 from mpunfold.reach import _space
 from mpunfold.unfold import UnfoldSpec, _Unfolding
+from tree_eval import _eval
 
 NETS = [(n, seed) for n in range(1, 7) for seed in range(3)]
 MP_NETS = [(n, seed) for n in range(1, 5) for seed in range(3)]

@@ -32,11 +32,11 @@ from mpunfold.expr import (
 )
 from mpunfold.models import EXAMPLE_A_BNET
 from mpunfold.network import infer_regulatory_graph
-from mpunfold.oracle import _eval
 from mpunfold.reach import fixed_points, reaches
 from mpunfold.unfold import UnfoldSpec, _Unfolding, unfold
 from nnf import to_nnf
 from test_bdd import _cubes
+from tree_eval import _eval
 
 NAMES = {"a": 0, "b": 1, "c": 2}
 

@@ -5,6 +5,11 @@ Permutation: the declaration order is the variable order of every diagram,
 so declaring the components in another order reshapes every diagram and
 leaves every answer the same up to the permutation.  Each random network is
 compared with itself declared in one fixed random order.
+
+Semantics inclusion: a sync or an async step is a general step, and every
+Boolean state a general run reaches an mp run reaches too (PAPER.md).  So
+a target reachable under sync or async from a Boolean state is reachable
+under general, and then under mp.
 """
 import functools
 import random
@@ -12,8 +17,9 @@ import random
 import pytest
 
 from mpunfold import (
-    VALID_TRIPLETS, RandomNetSpec, UnfoldSpec, eval_rule, fixed_points, format_expr,
-    infer_regulatory_graph, parse_bnet, random_network, reaches, unfold,
+    VALID_TRIPLETS, RandomNetSpec, UnfoldSpec, async_successors, eval_rule, fixed_points,
+    format_expr, infer_regulatory_graph, parse_bnet, random_network, reaches,
+    sync_successor, unfold,
 )
 
 NETS = [(n, seed) for n in (6, 12) for seed in range(4)]
@@ -85,3 +91,42 @@ def test_unfolded_rules_permute_on_valid_triplets(n, seed, mode):
             for m, s in zip(unfolded, states)
         ]
         assert values[0] == values[1], triplets
+
+
+def _run_end(step, start, rng):
+    """Where one to three steps of a run from start end (a step with no
+    successor ends it)."""
+    state = start
+    for _ in range(rng.randint(1, 3)):
+        state = rng.choice(step(state) or [state])
+    return state
+
+
+@pytest.mark.parametrize("n,seed", NETS)
+def test_reachability_grows_from_sync_and_async_to_general_to_mp(n, seed):
+    """Per start, three targets: a random pattern, and the ends of a short
+    sync run and of a short async run, which sync or async reach."""
+    net, _, _ = _pair(n, seed)
+    rng = random.Random(f"{n}/{seed}/inclusion")
+    compared = 0
+    for _ in range(QUERIES):
+        start = "".join(rng.choice("01") for _ in range(n))
+        targets = [
+            "".join(rng.choice("01***") for _ in range(n)),
+            _run_end(lambda s: [sync_successor(net, s)], start, rng),
+            _run_end(lambda s: async_successors(net, s), start, rng),
+        ]
+        for target in targets:
+            verdicts = {
+                semantics: reaches(net, semantics, start, target, cap=CAP).verdict
+                for semantics in ("sync", "async", "general", "mp")
+            }
+            if "cap-exceeded" in verdicts.values():
+                continue
+            compared += 1
+            reached = {semantics for semantics, v in verdicts.items() if v == "reachable"}
+            if reached & {"sync", "async"}:
+                assert "general" in reached, (start, target, verdicts)
+            if "general" in reached:
+                assert "mp" in reached, (start, target, verdicts)
+    assert compared

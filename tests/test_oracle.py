@@ -495,28 +495,80 @@ def test_the_oracle_codec_round_trips():
     assert _encode("1i0d") == 0b1010_0011
 
 
+def _count_walks(monkeypatch, net, calls):
+    """Wrap each of net's walks to append (j, its builders' const(1)) to
+    calls: the oracle's builders give full, the mask of every reading."""
+    def counted(j, walk):
+        def call(var, const, neg, conj, disj):
+            calls.append((j, const(1)))
+            return walk(var, const, neg, conj, disj)
+        return call
+
+    monkeypatch.setattr(net, "_walks", tuple(map(counted, range(net.n), net._walks)))
+
+
 def test_each_rule_is_walked_once(monkeypatch):
-    """The check walks every rule's tree once, over all 2^n readings at
-    once; naive_mp_successors walks each once over x's own completions."""
-    import mpunfold.oracle as oracle
+    """The check calls every rule's walk once, over all 2^n readings at
+    once; naive_mp_successors calls each once over x's own completions.
+    Syntactic mode's conditions call each walk once more, with builders of
+    their own."""
+    from mpunfold.bdd import FALSE, TRUE
     from mpunfold.oracle import naive_mp_successors
 
-    calls = []  # (rule, full) of every walk
-    walk = oracle._eval
-    monkeypatch.setattr(
-        oracle, "_eval", lambda e, bits, full=1: calls.append((e, full)) or walk(e, bits, full)
-    )
+    calls = []  # (j, full) of every walk
     for n in (1, 2, 3, 4):
         for seed in range(4):
             net = random_network(RandomNetSpec(n=n, seed=seed))
+            _count_walks(monkeypatch, net, calls)
+            full = (1 << 2**n) - 1
             calls.clear()
-            oracle.check_equivalence(net)
-            assert calls == [(rule, (1 << 2**n) - 1) for rule in net.rules], (n, seed)
+            check_equivalence(net)
+            assert calls == [(j, full) for j in range(n)], (n, seed)
+            calls.clear()
+            check_equivalence(net, mode="syntactic")
+            conditions = [(j, (TRUE, FALSE)) for j in range(n)]
+            assert calls == [(j, full) for j in range(n)] + conditions, (n, seed)
     net = random_network(RandomNetSpec(n=10, seed=0))
+    _count_walks(monkeypatch, net, calls)
     for x, completions in (("0110100101", 1), ("01i01d0101", 4)):
         calls.clear()
         assert naive_mp_successors(net, x) == _brute_mp_successors(net, x)
-        assert calls == [(rule, (1 << completions) - 1) for rule in net.rules], x
+        assert calls == [(j, (1 << completions) - 1) for j in range(10)], x
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["tree", "read"])
+def test_naive_successors_use_no_library_evaluator(monkeypatch, read):
+    """naive_mp_successors answers with the rule evaluators of semantics.py
+    and of the diagrams all raising, on a network built from trees and on
+    one read from text (its walks the grammar), and its answers are the
+    library's, taken before they were made to raise."""
+    from itertools import product
+
+    from mpunfold import semantics
+    from mpunfold.bdd import DiagramManager
+    from mpunfold.expr import format_expr
+    from mpunfold.network import RuleEvaluator
+    from mpunfold.oracle import naive_mp_successors
+
+    states = ["".join(t) for t in product("0id1", repeat=4)]
+    nets = []
+    for seed in range(4):
+        net = random_network(RandomNetSpec(n=4, seed=seed))
+        if read:
+            lines = [f"{a}, {format_expr(r, net.names)}\n" for a, r in net.components()]
+            net = parse_bnet("".join(lines))
+        nets.append((net, {x: set(mp_successors(net, x)) for x in states}))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a library evaluator")
+
+    monkeypatch.setattr(RuleEvaluator, "mp_values", forbidden)
+    monkeypatch.setattr(semantics, "_mp", forbidden)
+    monkeypatch.setitem(semantics.SEMANTICS, "mp", forbidden)
+    monkeypatch.setattr(DiagramManager, "evaluate", forbidden)
+    for net, expected in nets:
+        for x, successors in expected.items():
+            assert naive_mp_successors(net, x) == successors, (net, x)
 
 
 def _long_rule_text(terms=1500):

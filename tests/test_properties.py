@@ -30,7 +30,7 @@ from mpunfold import (  # noqa: E402
     random_network,
 )
 from mpunfold import expr as ex  # noqa: E402
-from mpunfold.oracle import _eval  # noqa: E402
+from tree_eval import _eval  # noqa: E402
 
 REPEATABLE = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 

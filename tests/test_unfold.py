@@ -30,9 +30,9 @@ from mpunfold import (
 )
 from mpunfold.expr import And, Const, Not, Or, Var
 from mpunfold.network import BooleanNetwork, RuleEvaluator
-from mpunfold.oracle import _eval
 from mpunfold.unfold import MODES, _Unfolding
 from nnf import to_nnf
+from tree_eval import _eval
 from triplet_image import IMAGE
 
 EXACT = UnfoldSpec(mode="exact")
