@@ -20,7 +20,8 @@ builders; from_paths, its inverse, makes a decision tree's diagram from its
 paths with mk alone, for the .bnet reader.
 build is the one diagram builder of every walk (see expr), a tree's or a
 rule body's: it keeps a product of literals as a {var: bit} dict and makes
-it with cube, so no product of literals reaches _apply.
+it with cube, so no product of literals reaches _apply.  Its five builders
+also make both sides of unfold's syntactic condition pairs.
 """
 from __future__ import annotations
 

@@ -33,15 +33,27 @@ construction modes are provided:
                single polarity, an over-approximation otherwise.
 
 Either mode builds plus_j and minus_j together, in one walk of rule j's
-diagram or of its syntax (the network's walk of rule j, see expr); syntactic
-mode builds no tree, since a negation just swaps the pair.  Negated
-conditions are the complements of the built ones in both modes.
+diagram or of its syntax (the network's walk of rule j, see expr).
+Syntactic mode builds no tree: its walk makes the pair (plus, must), must =
+!minus, each side with the diagram manager's build builders.  A variable k
+gives (x_kc, x_kb), a constant is the same on both sides, a negation maps
+(P, Q) to (!Q, !P), and & and | act on each side, so a product of literals
+is one cube on either side.  Negated conditions are the complements of the
+built ones in both modes.
 
 Exact mode promises nothing at artifact triplets, which are unreachable
 from encoded states.  An artifact reads as neither value, and the transform
 asks for a reading only on the paths that test it, so the declaration
 order decides: with x, x | y and y, y, x at 010 and y at 111, plus_x is 0
 when x is declared first and 1 when y is (syntactic mode: 1 in both).
+
+A partial unfolding (UnfoldSpec.components) leaves the other components
+plain.  On Boolean states (every unfolded triplet 000 or 111), what its
+asynchronous runs reach from an encoded state lies between what the
+input's asynchronous runs and its most permissive runs reach, and it is the
+latter once every component that another component reads is unfolded.
+This is checked, not proved: in exact mode, on every subset and source
+state of random networks of up to 4 components.
 
 One helper, _slots, places every component in the output; the output names,
 the rules, encode_state, decode_state and translate_trajectory all read it.
@@ -162,8 +174,10 @@ class _Unfolding:
         m = self.manager
         # k may read as 1 iff its last slot (c, or its plain bit) is set, and
         # as 0 iff its middle slot (b, or its plain bit) is clear
-        self.allow1 = [m.var_node(slots[-1]) for slots in self.slots]
-        self.allow0 = [m.neg(m.var_node(slots[len(slots) // 2])) for slots in self.slots]
+        self.c_slot = [slots[-1] for slots in self.slots]
+        self.b_slot = [slots[len(slots) // 2] for slots in self.slots]
+        self.allow1 = list(map(m.var_node, self.c_slot))
+        self.allow0 = [m.neg(m.var_node(b)) for b in self.b_slot]
 
     def conditions(self, j: int) -> tuple[int, int]:
         """(plus_j, minus_j), built together in the spec's mode."""
@@ -185,14 +199,16 @@ class _Unfolding:
         return memo[root]
 
     def _syntactic(self, j: int) -> tuple[int, int]:
+        # (plus, must = !minus), as the module docstring says
         m = self.manager
-        return self.net._walks[j](
-            lambda k: (self.allow1[k], self.allow0[k]),
-            lambda c: (TRUE, FALSE) if c else (FALSE, TRUE),
-            lambda v: (v[1], v[0]),
-            lambda v, w: (m.conj(v[0], w[0]), m.disj(v[1], w[1])),
-            lambda v, w: (m.disj(v[0], w[0]), m.conj(v[1], w[1])),
+        plus, must = self.net._walks[j](
+            lambda k: (m._lit(self.c_slot[k]), m._lit(self.b_slot[k])),
+            lambda c: (TRUE, TRUE) if c else (FALSE, FALSE),
+            lambda v: (m._not(v[1]), m._not(v[0])),
+            lambda v, w: (m._and(v[0], w[0]), m._and(v[1], w[1])),
+            lambda v, w: (m._or(v[0], w[0]), m._or(v[1], w[1])),
         )
+        return m._node(plus), m.neg(m._node(must))
 
     def rule_nodes(self) -> list[int]:
         """Every output's rule node, in output order: the rules that unfold

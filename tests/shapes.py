@@ -73,7 +73,7 @@ FAILS = {
        for s in ("or-flat", "or-nested")},
     **{(s, TOP, "fixpoints"): "fixed_points' last constraint spans the whole chain; " + _APPLY
        for s in ("deep-negation", "copy-ring", "negative-ring")},
-    **{(s, TOP, "unfold-exact"): _VARIABLES for s in ("and-flat", "deep-negation", "pairs")},
-    **{(s, TOP, "unfold-syntactic"): "syntactic conditions conjoin in " + _APPLY
-       for s in ("and-flat", "deep-negation", "pairs")},
+    **{(s, TOP, command): _VARIABLES
+       for s in ("and-flat", "deep-negation", "pairs")
+       for command in ("unfold-exact", "unfold-syntactic")},
 }

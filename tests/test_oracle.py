@@ -510,9 +510,9 @@ def _count_walks(monkeypatch, net, calls):
 def test_each_rule_is_walked_once(monkeypatch):
     """The check calls every rule's walk once, over all 2^n readings at
     once; naive_mp_successors calls each once over x's own completions.
-    Syntactic mode's conditions call each walk once more, with builders of
-    their own."""
-    from mpunfold.bdd import FALSE, TRUE
+    Syntactic mode's conditions call each walk once more, with pairs of the
+    diagram manager's build builders."""
+    from mpunfold.bdd import TRUE
     from mpunfold.oracle import naive_mp_successors
 
     calls = []  # (j, full) of every walk
@@ -526,7 +526,7 @@ def test_each_rule_is_walked_once(monkeypatch):
             assert calls == [(j, full) for j in range(n)], (n, seed)
             calls.clear()
             check_equivalence(net, mode="syntactic")
-            conditions = [(j, (TRUE, FALSE)) for j in range(n)]
+            conditions = [(j, (TRUE, TRUE)) for j in range(n)]  # (plus, !minus) of 1
             assert calls == [(j, full) for j in range(n)] + conditions, (n, seed)
     net = random_network(RandomNetSpec(n=10, seed=0))
     _count_walks(monkeypatch, net, calls)

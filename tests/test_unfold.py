@@ -19,9 +19,12 @@ from mpunfold import (
     eval_rule,
     example_a,
     fixed_points,
+    infer_regulatory_graph,
+    is_boolean_state,
     parse_bnet,
     print_bnet,
     random_network,
+    reachable_set,
     signal_model,
     translate_trajectory,
     triplet_step,
@@ -153,22 +156,45 @@ CONDITIONS = {
 }
 
 
-def test_conditions_match_formulas_syntactic_everywhere():
-    net = example_a()
-    for (j, polarity), expected in CONDITIONS.items():
-        fr = build_condition(net, j, SYNTACTIC, polarity)
-        for s in all_states(9):
+def _check_formulas(net, conditions, spec, states):
+    for (j, polarity), expected in conditions.items():
+        fr = build_condition(net, j, spec, polarity)
+        for s in states:
             b = bits_of(s)
             assert fr.evaluate(b) == int(bool(expected(b))), (j, polarity, s)
+
+
+def test_conditions_match_formulas_syntactic_everywhere():
+    _check_formulas(example_a(), CONDITIONS, SYNTACTIC, all_states(9))
 
 
 def test_conditions_match_formulas_exact_on_valid_states():
-    net = example_a()
-    for (j, polarity), expected in CONDITIONS.items():
-        fr = build_condition(net, j, EXACT, polarity)
-        for s in valid_states(3):
-            b = bits_of(s)
-            assert fr.evaluate(b) == int(bool(expected(b))), (j, polarity, s)
+    _check_formulas(example_a(), CONDITIONS, EXACT, valid_states(3))
+
+
+# constants and stacked negations over (a_a, a_b, a_c, b_a, b_b, b_c, c_a,
+# c_b, c_c, d_a, d_b, d_c): a constant is the same on both sides of
+# syntactic mode's (plus, !minus) pair
+CONSTANTS = "a, !(b & 1) | 0\nb, !!a & !0\nc, 1\nd, 0\n"
+CONSTANT_CONDITIONS = {
+    (0, "plus"): lambda b: not b[4],  # b may read as 0
+    (0, "minus"): lambda b: b[5],  # b may read as 1
+    (1, "plus"): lambda b: b[2],
+    (1, "minus"): lambda b: not b[1],
+    (2, "plus"): lambda b: True,
+    (2, "minus"): lambda b: False,
+    (3, "plus"): lambda b: False,
+    (3, "minus"): lambda b: True,
+}
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["tree", "read"])
+def test_conditions_of_constants_and_negations_match_formulas(read):
+    net = parse_bnet(CONSTANTS)
+    if not read:
+        net = BooleanNetwork(list(zip(net.names, net.rules)))
+    _check_formulas(net, CONSTANT_CONDITIONS, SYNTACTIC, all_states(12))
+    _check_formulas(net, CONSTANT_CONDITIONS, EXACT, valid_states(4))
 
 
 def test_exact_and_syntactic_agree_on_valid_states_single_polarity():
@@ -436,6 +462,37 @@ def test_closure_no_artifacts_reachable():
         assert all(t in VALID_TRIPLETS for t in triplets), s
         stack.extend(async_successors(ext, s))
     assert len(seen) > 64  # transients are genuinely visited
+
+
+# --- partial unfolding: between async and mp ------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partial_unfolding_lies_between_async_and_mp(n):
+    """The module docstring's contract, in exact mode, for every subset S of
+    the components and every Boolean source x: the Boolean states (every
+    unfolded triplet 000 or 111) that async runs of the S-partial unfolding
+    reach from x's encoding contain the states async runs of the network
+    reach from x, and lie among those mp runs reach.  They are the mp ones
+    when S holds every component that another component reads."""
+    for seed in range(16 if n < 4 else 4):
+        net = random_network(RandomNetSpec(n=n, seed=seed))
+        states = ["".join(bits) for bits in product("01", repeat=n)]
+        low = {x: set(reachable_set(net, "async", x).nodes) for x in states}
+        high = {
+            x: set(filter(is_boolean_state, reachable_set(net, "mp", x).nodes)) for x in states
+        }
+        edges = infer_regulatory_graph(net).edges
+        read = {e.source for e in edges if e.source != e.target}
+        for mask in range(1 << n):
+            chosen = [name for k, name in enumerate(net.names) if mask >> k & 1]
+            spec = UnfoldSpec(components=chosen)
+            ext = unfold(net, spec)
+            boolean = {encode_state(net, x, spec): x for x in states}
+            for x in states:
+                reached = reachable_set(ext, "async", encode_state(net, x, spec)).nodes
+                mid = {boolean[s] for s in reached if s in boolean}
+                assert low[x] <= mid <= high[x], (seed, chosen, x)
+                assert mid == high[x] or not read <= set(chosen), (seed, chosen, x)
 
 
 # --- single-triplet behavior -------------------------------------------------
