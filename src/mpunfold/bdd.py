@@ -19,11 +19,13 @@ the numbering of new nodes.  paths makes each path to 1 with a caller's
 builders; from_paths, its inverse, makes a decision tree's diagram from its
 paths with mk alone, for the .bnet reader.
 build is the one diagram builder of every walk (see expr), a tree's or a
-rule body's: it keeps a product of literals as a {var: bit} dict and makes
-it with cube, so no product of literals reaches _apply.  Its five builders
-also make both sides of unfold's syntactic condition pairs.
+rule body's, and join the one place that orders a chain of & or |, from
+the bottom up.  build's five builders also make both sides of unfold's
+syntactic condition pairs.
 """
 from __future__ import annotations
+
+from functools import partialmethod
 
 from . import expr as ex
 
@@ -279,12 +281,25 @@ class DiagramManager:
             u = mk(var, low, u) if bit else mk(var, u, FALSE)
         return u
 
-    def cube(self, lits: dict[int, int]) -> int:
-        """The conjunction of literals {var: bit} on distinct variables: one
-        node per literal, made with mk from the deepest variable up."""
-        u = TRUE
-        for var in sorted(lits, reverse=True):
-            u = self.mk(var, FALSE, u) if lits[var] else self.mk(var, u, FALSE)
+    def join(self, op: int, operands) -> int:
+        """The conjunction (op _AND) or disjunction (op _OR) of operands,
+        each a node or a literal (var, bit), by descending top variable (a
+        terminal's is below every variable): a literal above the result so
+        far is one mk, any other operand meets it through conj or disj."""
+        triples, nvars, mk = self._triples, self.nvars, self.mk
+        meet = self.conj if op == _AND else self.disj
+        u = TRUE if op == _AND else FALSE
+        top = lambda v: v[0] if type(v) is tuple else triples[v - 2][0] if v >= 2 else nvars
+        for v in sorted(operands, key=top, reverse=True):
+            if type(v) is tuple:
+                var, bit = v
+                if u < 2 or var < triples[u - 2][0]:
+                    # the value where the literal holds, and where it fails
+                    hit, miss = (u, FALSE) if op == _AND else (TRUE, u)
+                    u = mk(var, miss, hit) if bit else mk(var, hit, miss)
+                    continue
+                v = mk(var, 1 - bit, bit)
+            u = meet(u, v)
         return u
 
     def from_expr(self, expr) -> int:
@@ -293,41 +308,42 @@ class DiagramManager:
     def build(self, walk, *args) -> int:
         """The node of walk(*args, var, const, neg, conj, disj), a walk that
         calls the five builders as ex.fold does over a tree (see expr): fold
-        itself, or the .bnet grammar over a rule body.  These builders make a
-        product of literals on distinct variables a {var: bit} dict,
-        extended in place, and its cube only once another operation meets
-        it, so no product of literals recurses in _apply, however long."""
+        itself, or the .bnet grammar over a rule body.  A variable is a
+        literal (var, 1), negation flips a literal's bit, and & and | make
+        chains that join only once another operation meets them."""
         return self._node(walk(*args, self._lit, _const, self._not, self._and, self._or))
 
-    def _lit(self, var: int) -> dict[int, int]:
+    def _lit(self, var: int) -> tuple[int, int]:
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        return {var: 1}
+        return var, 1
 
     def _not(self, v):
-        if type(v) is dict and len(v) == 1:  # a literal: flip it
-            (var,) = v
-            v[var] ^= 1
-            return v
+        if type(v) is tuple:  # a literal
+            return v[0], 1 - v[1]
         return self.neg(self._node(v))
 
-    def _and(self, v, w):
-        if type(v) is dict and type(w) is dict and v.keys().isdisjoint(w):
-            v.update(w)
-            return v
-        return self.conj(self._node(v), self._node(w))
+    def _chain(self, op: int, v, w) -> list:
+        """v op w as a chain [op, operand, ...]: v's own chain of op,
+        extended in place, or a new one; an operand that is a chain joins
+        it as its node, so every operand is a node or a literal."""
+        if type(v) is not list:
+            v = [op, v]
+        elif v[0] != op:
+            v = [op, self.join(v[0], v[1:])]
+        v.append(self.join(w[0], w[1:]) if type(w) is list else w)
+        return v
 
-    def _or(self, v, w):
-        return self.disj(self._node(v), self._node(w))
+    _and = partialmethod(_chain, _AND)
+    _or = partialmethod(_chain, _OR)
 
     def _node(self, v) -> int:
-        """The node of a builder's value: a node, or a product's cube."""
-        if type(v) is not dict:
-            return v
-        if len(v) == 1:  # one literal: one mk, no sort
-            ((var, bit),) = v.items()
-            return self.mk(var, 1 - bit, bit)
-        return self.cube(v)
+        """The node of a builder's value: a node, a literal's or a chain's."""
+        if type(v) is list:
+            return self.join(v[0], v[1:])
+        if type(v) is tuple:
+            return self.mk(v[0], 1 - v[1], v[1])
+        return v
 
 
 def _const(c) -> int:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import product
 
@@ -230,23 +230,7 @@ class EquivalenceReport:
 
     def as_dict(self) -> dict:
         """The fields as plain values, witnesses and lists copied, and ok."""
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "mismatches": [
-                {
-                    "source": m.source,
-                    "target": m.target,
-                    "mp_reachable": m.mp_reachable,
-                    "unfolded_reachable": m.unfolded_reachable,
-                    "witness": None if m.witness is None else list(m.witness),
-                }
-                for m in self.mismatches
-            ],
-            "subsumption_violations": list(self.subsumption_violations),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _reach(step, sources, bit):

@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bdd import _AND
 from .network import BooleanNetwork, RegGraph, _ImageTable, check_bool_state
 from .semantics import (
     BOOLEAN_SEMANTICS, DEFAULT_CAP, CapExceeded, _check_cap, _mp, _space,
@@ -65,22 +66,13 @@ class Attractor:
 
 def fixed_points(net: BooleanNetwork) -> list[str]:
     """All states with f(s) = s, by symbolic conjunction of f_j <-> x_j,
-    in lexicographic order.
-
-    The constraints are conjoined from the bottom of the variable order up,
-    by descending (top of j and the variables f_j reads, j): each new
-    constraint then sits above the partial product and leaves its nodes as
-    they are, so on a chain each conj makes a few nodes, where conjoining
-    top-down rebuilds the whole product every time.  The conjunction, and
-    so the answer, is the same in any order."""
+    in lexicographic order.  The manager's join conjoins the constraints
+    from the bottom of the variable order up, so each sits above the
+    partial product and leaves its nodes as they are: on a chain each step
+    makes a few nodes, where conjoining top-down rebuilds the whole product
+    every time."""
     m = net.manager
-    constraints = []
-    for j, f in enumerate(net.nodes):
-        top = min(m.support(f) | {j})
-        constraints.append((top, j, m.equiv(f, m.var_node(j))))
-    node = 1
-    for _, _, constraint in sorted(constraints, reverse=True):
-        node = m.conj(node, constraint)
+    node = m.join(_AND, [m.equiv(f, m.var_node(j)) for j, f in enumerate(net.nodes)])
     return ["".join(str(b) for b in model) for model in m.iter_models(node)]
 
 

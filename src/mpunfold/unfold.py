@@ -37,9 +37,9 @@ diagram or of its syntax (the network's walk of rule j, see expr).
 Syntactic mode builds no tree: its walk makes the pair (plus, must), must =
 !minus, each side with the diagram manager's build builders.  A variable k
 gives (x_kc, x_kb), a constant is the same on both sides, a negation maps
-(P, Q) to (!Q, !P), and & and | act on each side, so a product of literals
-is one cube on either side.  Negated conditions are the complements of the
-built ones in both modes.
+(P, Q) to (!Q, !P), and & and | act on each side, so a product or a sum of
+literals is one chain, one mk per literal, on either side.  Negated
+conditions are the complements of the built ones in both modes.
 
 Exact mode promises nothing at artifact triplets, which are unreachable
 from encoded states.  An artifact reads as neither value, and the transform
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import expr as ex
-from .bdd import FALSE, TRUE, DiagramManager, FunctionRep
+from .bdd import _AND, _OR, FALSE, TRUE, DiagramManager, FunctionRep
 from .network import BooleanNetwork, _check_string, check_component
 from .semantics import _space, check_mp_state
 
@@ -213,30 +213,22 @@ class _Unfolding:
     def rule_nodes(self) -> list[int]:
         """Every output's rule node, in output order: the rules that unfold
         gives its network and that the theorem check evaluates.  One pass
-        per component k builds its conditions and the cube of each own
-        pattern of its width once; bit p of k's image is the sum over those
-        patterns of cube and the value of the pattern's setter for p.  The
-        cubes of the patterns that always set the bit are summed first, on
-        their own, so the conditional terms meet their sum once, not each
-        cube."""
+        per component k builds its conditions and joins the literals of each
+        own pattern of its width into its cube once; bit p of k's image is
+        the join of | over those patterns of cube & the value of the
+        pattern's setter for p."""
         m = self.manager
         nodes = []
         for k, slots in enumerate(self.slots):
             value = _setter_values(FALSE, TRUE, *self.conditions(k), m.neg)
             own = [
-                (m.cube(dict(zip(slots, map(int, pattern)))), setters)
+                (m.join(_AND, zip(slots, map(int, pattern))), setters)
                 for pattern, setters in _LETTER_RULES.items()
                 if len(pattern) == len(slots)
             ]
             for p in range(len(slots)):
-                always = conditional = FALSE
-                for cube, setters in own:
-                    v = value[setters[p]]
-                    if v == TRUE:
-                        always = m.disj(always, cube)
-                    elif v != FALSE:
-                        conditional = m.disj(conditional, m.conj(cube, v))
-                nodes.append(m.disj(always, conditional))
+                terms = [m.conj(cube, value[setters[p]]) for cube, setters in own]
+                nodes.append(m.join(_OR, terms))
         return nodes
 
 

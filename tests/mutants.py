@@ -1,0 +1,124 @@
+"""Kept mutants: edits to the package that named tests must catch.
+
+Each entry of MUTANTS has a name, a file of src/mpunfold, an exact old
+text that occurs there once, the new text that replaces it, and the tests
+that must fail on the edited copy.  For each entry the package is copied to
+a temporary directory, the edit is made there, and the named tests run
+against the copy in a subprocess; the entry fails if they all pass.  An
+entry whose old text does not occur exactly once fails too, so a change
+that moves the code re-aims or retires the entry with it.  The whole table
+runs within BUDGET_S seconds:
+
+    python tests/mutants.py
+
+tests/test_mutants.py checks the table's shape in the tier-1 run.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mpunfold"
+BUDGET_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/mpunfold
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = [
+    # join takes its operands as given: a long product recurses in _apply
+    Mutant(
+        "join-unsorted",
+        "bdd.py",
+        "for v in sorted(operands, key=top, reverse=True):",
+        "for v in operands:",
+        ("tests/test_expr.py::test_from_expr_of_a_3000_literal_product",),
+    ),
+    # a literal above the result so far gets its branches swapped
+    Mutant(
+        "join-literal-branches-swapped",
+        "bdd.py",
+        "u = mk(var, miss, hit) if bit else mk(var, hit, miss)",
+        "u = mk(var, hit, miss) if bit else mk(var, miss, hit)",
+        (
+            "tests/test_bdd.py::test_join_is_a_left_fold_of_conj_or_disj",
+            "tests/test_bdd.py::test_evaluate_agrees_with_tree_evaluation",
+        ),
+    ),
+    # negating a literal keeps its bit
+    Mutant(
+        "negated-literal-keeps-its-bit",
+        "bdd.py",
+        "return v[0], 1 - v[1]",
+        "return v[0], v[1]",
+        (
+            "tests/test_bdd.py::test_evaluate_agrees_with_tree_evaluation",
+            "tests/test_expr.py::test_from_expr_of_a_3000_literal_product",
+        ),
+    ),
+    # fixed_points joins its constraints with | (1 is bdd._OR)
+    Mutant(
+        "fixed-points-joined-with-or",
+        "reach.py",
+        "node = m.join(_AND, [m.equiv(f, m.var_node(j))",
+        "node = m.join(1, [m.equiv(f, m.var_node(j))",
+        (
+            "tests/test_reach.py::test_fixed_points_example_a",
+            "tests/test_reach.py::test_fixed_points_match_brute_force",
+        ),
+    ),
+]
+
+
+def survives(mutant: Mutant, timeout: float) -> bool:
+    """Whether every named test passes on the package with mutant's edit.
+    Raises ValueError if the old text does not occur exactly once."""
+    text = (PACKAGE / mutant.file).read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(
+            f"{mutant.file}: {mutant.old!r} occurs {text.count(mutant.old)} times, not once"
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src" / "mpunfold"
+        shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / mutant.file).write_text(text.replace(mutant.old, mutant.new))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
+            capture_output=True,
+            timeout=timeout,
+        )
+    return run.returncode == 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    survivors = []
+    for mutant in MUTANTS:
+        left = BUDGET_S - (time.perf_counter() - start)
+        try:
+            alive = survives(mutant, timeout=max(left, 0.1))
+        except subprocess.TimeoutExpired:
+            print(f"the table ran past its budget of {BUDGET_S} s")
+            return 1
+        print(f"{'SURVIVED' if alive else 'caught'}: {mutant.name}")
+        if alive:
+            survivors.append(mutant)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,7 @@ from mpunfold import (
     random_network,
     unfold,
 )
-from mpunfold.bdd import FALSE, TRUE, DiagramManager, FunctionRep
+from mpunfold.bdd import _AND, _OR, FALSE, TRUE, DiagramManager, FunctionRep
 from mpunfold.expr import format_expr, parse_expression
 from tree_eval import _eval
 
@@ -213,6 +213,31 @@ def test_from_paths_declines_what_is_no_decision_tree(paths):
     m = DiagramManager(3)
     assert m.from_paths(paths) is None
     assert m._triples == []
+
+
+def test_join_is_a_left_fold_of_conj_or_disj():
+    # operands in any order: nodes, literals (var, bit), repeated and
+    # complementary literals, and terminals
+    rng = random.Random(33)
+    nvars = 6
+    for _ in range(300):
+        m = DiagramManager(nvars)
+        nodes = [m.from_expr(_random_expr(rng, nvars, 3)) for _ in range(3)] + [FALSE, TRUE]
+        operands = []
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.6:
+                lit = (rng.randrange(nvars), rng.randrange(2))
+                operands += [lit, (lit[0], 1 - lit[1])] if rng.random() < 0.2 else [lit]
+            else:
+                operands.append(rng.choice(nodes))
+        if operands and rng.random() < 0.2:
+            operands.append(rng.choice(operands))
+        for op, meet, unit in ((_AND, m.conj, TRUE), (_OR, m.disj, FALSE)):
+            expected = unit
+            for v in operands:
+                node = m.mk(v[0], 1 - v[1], v[1]) if type(v) is tuple else v
+                expected = meet(expected, node)
+            assert m.join(op, operands) == expected, (op, operands)
 
 
 def test_function_rep_identity_and_cross_manager_equivalence():

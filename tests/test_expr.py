@@ -635,6 +635,20 @@ def test_from_expr_of_a_3000_literal_product():
     assert len(m._triples) == n
 
 
+def test_from_expr_of_a_3000_literal_sum():
+    # x0 | !x1 | x2 | ..., nested to the left: one chain, joined from the
+    # deepest literal up, one node per literal
+    n = 3000
+    names = {f"x{k}": k for k in range(n)}
+    body = " | ".join(f"x{k}" if k % 2 == 0 else f"!x{k}" for k in range(n))
+    m = DiagramManager(n)
+    u = m.from_expr(parse_expression(body, names))
+    assert len(m._triples) == n
+    assert m.evaluate(u, [k % 2 for k in range(n)]) == 0  # every literal fails
+    assert parse_diagram(body, names, m) == u
+    assert len(m._triples) == n
+
+
 def test_to_nnf_on_a_5000_deep_chain():
     tree, body, pairs = _chain()
     assert format_expr(to_nnf(tree), "abc") == body

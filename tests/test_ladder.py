@@ -25,7 +25,8 @@ from shapes import FAILS, SHAPES, TOP
 RUNGS = (10, 300, TOP)
 BRUTE = 10
 CAP = ("--cap", "200")
-WIDE = ("and-flat", "deep-negation", "pairs", "paths")  # first rule: products of every literal
+# first rule: a product or a sum of every literal
+WIDE = ("and-flat", "deep-negation", "pairs", "paths", "or-flat", "or-nested")
 
 
 def _reach(semantics, s):
@@ -53,10 +54,8 @@ COMMANDS = {  # the argv after the model, given the start state s
 def _left_out(shape, n, command):
     top = n == TOP
     return (
-        # every command reads the file first, and reading fails (item 8)
-        (top and shape in ("or-flat", "or-nested") and command != "show")
         # reggraph is quadratic in a rule's width, 4-8 s a cell (item 21)
-        or (top and shape in WIDE and command == "reggraph")
+        (top and shape in WIDE and command == "reggraph")
         # 0.5-2 s a cell, and what another top cell shows: unfold of rules
         # over 1-4 components (self-negating's), paths' exact unfolding
         # failing as and-flat's does and its syntactic one failing in _apply
@@ -196,26 +195,21 @@ def test_cell(capsys, model, shape, n, command):
         assert code == (0 if text.count("\n") <= 4 else 2)  # the theorem check stops at n = 4
 
 
-# the node-count gate: the diagram nodes that building every unfolded rule
-# makes grow linearly with the size, 3x from 100 to 300 components
-# (quadratic is 9x), within GROWTH's slack; node counts are deterministic, so
-# the gate needs no timing bound
+# the node-count gates: the diagram nodes that reading a shape and building
+# every unfolded rule make grow linearly with the size, 3x from 100 to 300
+# components (quadratic is 9x), within GROWTH's slack; node counts are
+# deterministic, so the gates need no timing bound
 GATE = (100, 300)
 GROWTH = 3.3
-QUADRATIC = {  # the gate's cells that fail today
-    (s, "syntactic"): "each literal of a sum costs one disj: ROADMAP item 22's clauses"
-    for s in ("or-flat", "or-nested")
-}
 
 
-def _gate_cells():
-    for shape, mode in product(SHAPES, MODES):
-        reason = QUADRATIC.get((shape, mode))
-        marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-        yield pytest.param(shape, mode, marks=marks, id=f"{shape}-{mode}")
+@pytest.mark.parametrize("shape", SHAPES)
+def test_reading_makes_linearly_many_nodes(shape):
+    made = [len(parse_bnet(SHAPES[shape](n)).manager._triples) for n in GATE]
+    assert made[1] <= GROWTH * made[0], made
 
 
-@pytest.mark.parametrize("shape,mode", _gate_cells())
+@pytest.mark.parametrize("shape,mode", product(SHAPES, MODES))
 def test_unfolded_rules_make_linearly_many_nodes(shape, mode):
     made = []
     for n in GATE:
