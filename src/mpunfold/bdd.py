@@ -17,7 +17,7 @@ exact conditions) is a loop over postorder, which finishes the low child
 before the high child, as _apply builds the low branch first: that fixes
 the numbering of new nodes.  paths makes each path to 1 with a caller's
 builders; from_paths, its inverse, makes a decision tree's diagram from its
-paths with mk alone, for the .bnet reader.
+paths with mk alone, for the .bnet reader, undone if they are no tree's.
 build is the one diagram builder of every walk (see expr), a tree's or a
 rule body's, and join the one place that orders a chain of & or |, from
 the bottom up.  build's five builders also make both sides of unfold's
@@ -242,42 +242,33 @@ class DiagramManager:
     def from_paths(self, paths) -> int | None:
         """The function whose paths to 1 are paths: a sorted list, each path
         a list of (var, bit) with increasing variables, as self.paths lists
-        them with list literals (TRUE's empty path as []).  A first pass
-        checks, making no node, that the paths are those of a decision tree:
-        consecutive paths part at one variable, 0 then 1, and none is a
-        prefix of another; otherwise the answer is None.  A second pass
-        walks the paths' trie with a stack and makes one mk per trie node,
-        each after the nodes below it."""
+        them with list literals (TRUE's empty path as []).  One loop walks
+        the paths' trie: where a path parts from the one before, at one
+        variable, 0 then 1, it makes that one's nodes below the parting, one
+        mk per trie node.  Paths parting otherwise, or a prefix of the next,
+        give None, and the nodes made so far are removed."""
         if not paths:
             return FALSE
-        # depths[i]: where paths[i] parts from paths[i - 1]
-        depths = [0]
-        for prev, path in zip(paths, paths[1:]):
+        triples, mk, made = self._triples, self.mk, len(self._triples)
+        prev = paths[0]
+        lows = [FALSE] * len(prev)  # per literal of prev: its node's low child
+        for path in paths[1:]:
             end = min(len(prev), len(path))
-            d = 0
+            d = 0  # where path parts from prev
             while d < end and prev[d] == path[d]:
                 d += 1
-            if d == end or path[d][1] != 1 or prev[d] != (path[d][0], 0):
+            if d == end or prev[d] != (path[d][0], 0):
+                for key in triples[made:]:
+                    del self._unique[key]
+                del triples[made:]
                 return None
-            depths.append(d)
-        stack: list[tuple[int, int, int]] = []  # (var, low, bit) on the path
-        for path, d in zip(paths, depths):
-            if stack:  # the previous path's nodes below depth d are done
-                var = stack[d][0]
-                stack[d] = (var, self._close(stack, d + 1), 1)
-                d += 1
-            stack.extend([(var, FALSE, bit) for var, bit in path[d:]])
-        return self._close(stack, 0)
-
-    def _close(self, stack, depth: int) -> int:
-        """Make the trie nodes stack holds from depth down, deepest first,
-        and return the top one's node.  An entry (var, low, bit) takes the
-        node made below it as its high child if bit is 1, with low as its
-        low child, or as its low child if bit is 0, with no high child."""
-        mk = self.mk
+            u = TRUE
+            for (var, bit), low in zip(prev[:d:-1], lows[:d:-1]):
+                u = mk(var, low, u) if bit else mk(var, u, FALSE)
+            lows[d:] = [u] + [FALSE] * (len(path) - d - 1)
+            prev = path
         u = TRUE
-        while len(stack) > depth:
-            var, low, bit = stack.pop()
+        for (var, bit), low in zip(reversed(prev), reversed(lows)):
             u = mk(var, low, u) if bit else mk(var, u, FALSE)
         return u
 
@@ -325,13 +316,16 @@ class DiagramManager:
 
     def _chain(self, op: int, v, w) -> list:
         """v op w as a chain [op, operand, ...]: v's own chain of op,
-        extended in place, or a new one; an operand that is a chain joins
-        it as its node, so every operand is a node or a literal."""
+        extended in place (by w's too), or a new one; a chain of the other
+        operator joins it as its node, so every operand is a node or literal."""
         if type(v) is not list:
             v = [op, v]
         elif v[0] != op:
             v = [op, self.join(v[0], v[1:])]
-        v.append(self.join(w[0], w[1:]) if type(w) is list else w)
+        if type(w) is list and w[0] == op:
+            v += w[1:]
+        else:
+            v.append(self.join(w[0], w[1:]) if type(w) is list else w)
         return v
 
     _and = partialmethod(_chain, _AND)

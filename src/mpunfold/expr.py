@@ -6,7 +6,8 @@ disj) as fold calls them over the rule's tree: partial(fold, tree), or
 partial(_parse, body, ...), the grammar below, one loop over the body's
 tokens that reports every error and builds no tree.  A body shaped as
 print_bnet writes it, the paths of a decision tree with no "(", is read
-into its diagram by _read_paths instead, one mk per node.
+into its diagram by _read_paths instead: one lookup per literal in its
+file's memo, one mk per node; it declines any other body, making no node.
 Grammar:
     expr := conj {"|" conj}
     conj := lit {"&" lit}
@@ -231,39 +232,52 @@ def _tree(walk) -> BooleanExpr:
 
 
 def parse_diagram(
-    text: str, name_to_index: dict[str, int], manager, line: int = 1, col: int = 1
+    text: str, name_to_index: dict[str, int], manager, line: int = 1, col: int = 1, literals=None
 ) -> int:
     """Parse one rule body straight into its diagram node in manager, with
     the grammar and the errors of parse_expression, building no tree.  A
-    body in the shape print_bnet writes takes _read_paths; any other, and
-    every error, takes the grammar with manager's diagram builder, the one
-    from_expr folds a tree with."""
-    u = _read_paths(text, name_to_index, manager)
+    body in the shape print_bnet writes takes _read_paths, with literals,
+    its file's memo (a new one if None); any other, and every error, the
+    grammar with manager's diagram builder, the one from_expr folds with."""
+    u = _read_paths(text, _Literals(name_to_index) if literals is None else literals, manager)
     if u is None:
         u = manager.build(_parse, text, name_to_index, line, col)
     return u
 
 
-def _read_paths(text: str, name_to_index: dict[str, int], manager) -> int | None:
+class _Literals(dict):
+    """One file's memo for the path reader: each operand of "&" as written,
+    blanks and all, to its literal (var, bit), or to (-1, -1) if it is not
+    an optional "!" then one of names; filled from names on first reading."""
+
+    def __init__(self, names: dict[str, int]):  # an empty memo
+        self.names = names
+
+    def __missing__(self, tok: str) -> tuple[int, int]:
+        name = tok.strip()
+        k = self.names.get(name.removeprefix("!").lstrip())
+        self[tok] = lit = (-1, -1) if k is None else (k, int(name[:1] != "!"))
+        return lit
+
+
+def _read_paths(text: str, literals: _Literals, manager) -> int | None:
     """The diagram of a body that is a sum of the paths of a decision tree:
     no "(", and every operand of "&" an optional "!" then a declared name,
     on distinct variables within its product, the products parting as
     manager.from_paths requires.  Such a body, print_bnet's output, is
-    read by splitting it on "|" and "&", with one mk per node of the tree.
-    Any other body gives None, with no node made."""
+    split on "|" and "&", with one lookup in literals per operand and one
+    mk per node of the tree.  Any other body gives None, no node made."""
     if "(" in text:
         return None
-    products = []
+    read = literals.__getitem__
+    paths = []
     for product in text.split("|"):
-        lits: dict[int, int] = {}
-        for lit in product.split("&"):
-            lit = lit.strip()
-            if lit[:1] == "!":
-                k, bit = name_to_index.get(lit[1:].lstrip()), 0
-            else:
-                k, bit = name_to_index.get(lit), 1
-            if k is None or k in lits:
-                return None
-            lits[k] = bit
-        products.append(lits)
-    return manager.from_paths(sorted(sorted(lits.items()) for lits in products))
+        path = list(map(read, product.split("&")))
+        path.sort()
+        if len(dict(path)) != len(path):  # a variable twice
+            return None
+        paths.append(path)
+    paths.sort()
+    if paths[0][0][0] < 0:  # an operand that is no literal, sorted first
+        return None
+    return manager.from_paths(paths)

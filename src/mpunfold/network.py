@@ -333,7 +333,8 @@ def parse_bnet(text: str) -> BooleanNetwork:
         raise BnetParseError("no rules found", 1, 1)
     index = {name: j for j, name in enumerate(seen)}
     manager = DiagramManager(len(seen))
-    nodes = [ex.parse_diagram(text, index, manager, line, col) for text, line, col in bodies]
+    literals = ex._Literals(index)  # the path reader's memo, one per file
+    nodes = [ex.parse_diagram(t, index, manager, line, col, literals) for t, line, col in bodies]
     walks = [partial(ex._parse, text, index, line, col) for text, line, col in bodies]
     return BooleanNetwork._read(list(seen), walks, manager, nodes)
 

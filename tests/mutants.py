@@ -77,6 +77,88 @@ MUTANTS = [
             "tests/test_reach.py::test_fixed_points_match_brute_force",
         ),
     ),
+    # the path reader's memo reads "!x" as x
+    Mutant(
+        "memo-negation-keeps-bit-1",
+        "expr.py",
+        'int(name[:1] != "!")',
+        "1",
+        ("tests/test_expr.py::test_path_reader_takes_the_sums_of_paths_and_only_those",),
+    ),
+    # a declined list of paths keeps the nodes made before the pair that declines
+    Mutant(
+        "declined-paths-keep-their-nodes",
+        "bdd.py",
+        "for key in triples[made:]:\n                    del self._unique[key]\n"
+        "                del triples[made:]\n",
+        "",
+        ("tests/test_bdd.py::test_from_paths_declines_what_is_no_decision_tree",),
+    ),
+    # the parting depth starts one too deep
+    Mutant(
+        "parting-depth-off-by-one",
+        "bdd.py",
+        "d = 0  # where path parts from prev",
+        "d = 1  # where path parts from prev",
+        ("tests/test_bdd.py::test_from_paths_rebuilds_every_rule_diagram_from_its_cubes",),
+    ),
+    # a chain of the other operator extends the chain as if it were of op
+    Mutant(
+        "chain-flattens-the-other-operator",
+        "bdd.py",
+        "if type(w) is list and w[0] == op:",
+        "if type(w) is list:",
+        ("tests/test_bdd.py::test_evaluate_agrees_with_tree_evaluation",),
+    ),
+    # print_bnet writes its products in hash order
+    Mutant(
+        "print-bnet-products-unsorted",
+        "network.py",
+        'body = " | ".join(sorted(products))',
+        'body = " | ".join(set(products))',
+        ("tests/test_cli.py::test_unfold_stdout_of_the_bundled_models_is_frozen",),
+    ),
+    # _apply's memo key drops v's last bit
+    Mutant(
+        "apply-memo-key-loses-a-bit",
+        "bdd.py",
+        "key = (u, v)",
+        "key = (u, v >> 1)",
+        ("tests/test_bdd.py::test_evaluate_agrees_with_tree_evaluation",),
+    ),
+    # whole-space attractors start from half the states
+    Mutant(
+        "whole-space-starts-halved",
+        "reach.py",
+        "starts = range(1 << net.n)",
+        "starts = range(1 << net.n - 1)",
+        ("tests/test_reach.py::test_attractors_example_a",),
+    ),
+    # _cycles counts a start given twice against the cap twice
+    Mutant(
+        "cycles-starts-not-deduplicated",
+        "reach.py",
+        "starts = dict.fromkeys(starts)  # distinct, in order\n    limit = max(cap, len(starts))\n"
+        "    walk:",
+        "starts = list(starts)\n    limit = max(cap, len(starts))\n    walk:",
+        ("tests/test_evaluator.py::test_attractors_match_string_bfs",),
+    ),
+    # _cycles passes the cap one state late
+    Mutant(
+        "cycles-cap-checked-late",
+        "reach.py",
+        "if len(walk) >= limit:",
+        "if len(walk) > limit:",
+        ("tests/test_evaluator.py::test_attractors_match_string_bfs",),
+    ),
+    # async successors flip the lowest bit (last component) first
+    Mutant(
+        "async-lowest-bit-first",
+        "semantics.py",
+        "top = 1 << diff.bit_length() - 1",
+        "top = diff & -diff",
+        ("tests/test_semantics.py::test_async_successors",),
+    ),
 ]
 
 
@@ -105,18 +187,23 @@ def survives(mutant: Mutant, timeout: float) -> bool:
 def main() -> int:
     start = time.perf_counter()
     survivors = []
+    took = {}  # name -> seconds
     for mutant in MUTANTS:
-        left = BUDGET_S - (time.perf_counter() - start)
+        began = time.perf_counter()
+        left = BUDGET_S - (began - start)
         try:
             alive = survives(mutant, timeout=max(left, 0.1))
         except subprocess.TimeoutExpired:
             print(f"the table ran past its budget of {BUDGET_S} s")
             return 1
-        print(f"{'SURVIVED' if alive else 'caught'}: {mutant.name}")
+        took[mutant.name] = time.perf_counter() - began
+        print(f"{'SURVIVED' if alive else 'caught'}: {mutant.name} ({took[mutant.name]:.1f} s)")
         if alive:
             survivors.append(mutant)
+    slowest = max(took, key=took.get)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught "
-          f"in {time.perf_counter() - start:.1f} s")
+          f"in {time.perf_counter() - start:.1f} s of {BUDGET_S}; "
+          f"slowest: {slowest} ({took[slowest]:.1f} s)")
     return 1 if survivors else 0
 
 

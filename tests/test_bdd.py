@@ -202,17 +202,26 @@ def test_from_paths_of_no_path_and_of_the_empty_path():
         [[(0, 0), (1, 1)], [(1, 1)]],
         [[(0, 0)], [(0, 1), (1, 0)], [(0, 1), (2, 1)]],
         [[(0, 0), (1, 0)], [(0, 0), (2, 1)]],
+        [[(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 1)], [(0, 0), (1, 1)]],
+        [[(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 1)], [(1, 1)]],
     ],
     ids=[
         "duplicate", "duplicate-below-a-split", "empty-prefix", "prefix",
         "prefix-after-a-split", "siblings-on-two-variables",
         "deeper-siblings-on-two-variables", "low-siblings-on-two-variables",
+        "duplicate-after-a-node", "siblings-after-a-node",
     ],
 )
 def test_from_paths_declines_what_is_no_decision_tree(paths):
+    # the last two make a node for x2 before the pair that declines
     m = DiagramManager(3)
     assert m.from_paths(paths) is None
-    assert m._triples == []
+    assert m._triples == [] and m._unique == {}
+    # and a manager that holds nodes keeps exactly those
+    m.from_expr(parse_expression("a & !b | c", {"a": 0, "b": 1, "c": 2}))
+    before = (list(m._triples), dict(m._unique))
+    assert m.from_paths(paths) is None
+    assert (m._triples, m._unique) == before
 
 
 def test_join_is_a_left_fold_of_conj_or_disj():

@@ -395,7 +395,7 @@ def _check_reader_parity(body):
     else:
         assert parse_diagram(body, NAMES, m, 2, 5) == m.from_expr(tree)
     probe = DiagramManager(3)
-    if ex._read_paths(body, NAMES, probe) is not None:
+    if ex._read_paths(body, ex._Literals(NAMES), probe) is not None:
         return True
     assert probe._triples == []
     if tree is not None:
@@ -497,19 +497,45 @@ def test_path_reader_agrees_with_the_grammar_on_drawn_bodies():
     check()
 
 
-def test_unfolded_files_read_back_with_only_the_reachable_nodes():
-    for name in ("example_a", "signal"):
-        net = parse_bnet_file(str(MODELS / f"{name}.bnet"))
+def _unfolded_texts():
+    """print_bnet of unfold, in both modes, full and of the first component
+    only, of the bundled models and of drawn networks at n = 3-8."""
+    nets = [parse_bnet_file(str(MODELS / f"{name}.bnet")) for name in ("example_a", "signal")]
+    nets += [random_network(RandomNetSpec(n=n, seed=s)) for n in range(3, 9) for s in range(3)]
+    for net in nets:
         for mode in ("exact", "syntactic"):
             for components in (None, net.names[:1]):
-                text = print_bnet(unfold(net, UnfoldSpec(components=components, mode=mode)))
-                back = parse_bnet(text)
-                m = back.manager
-                reached = set()
-                for j in range(back.n):
-                    reached.update(m.postorder(build_function(back, j).node, reached))
-                assert len(m._triples) == len(reached)
-                assert print_bnet(back) == text
+                yield print_bnet(unfold(net, UnfoldSpec(components=components, mode=mode)))
+
+
+def test_unfolded_files_read_back_with_only_the_reachable_nodes():
+    for text in _unfolded_texts():
+        back = parse_bnet(text)
+        m = back.manager
+        reached = set()
+        for j in range(back.n):
+            reached.update(m.postorder(build_function(back, j).node, reached))
+        assert len(m._triples) == len(reached)
+        assert print_bnet(back) == text
+        # the path reader takes every body but the constants: none falls
+        # back to the grammar, which would read it right but slowly
+        literals = ex._Literals({name: j for j, name in enumerate(back.names)})
+        probe = DiagramManager(back.n)
+        for body in _bodies(text):
+            if body.strip() not in ("0", "1"):
+                assert ex._read_paths(body, literals, probe) is not None, body
+
+
+def test_path_reader_keeps_one_memo_per_file():
+    # the same rules declared in two orders: each operand text (" a", " !a",
+    # " c ") names another component in the second file, read after the first
+    first = "targets, factors\na, !b & c | b\nb, a\nc, !a\n"
+    second = "targets, factors\nc, !a\nb, a\na, !b & c | b\n"
+    for text in (first, second, first):
+        net = parse_bnet(text)
+        names = {name: j for j, name in enumerate(net.names)}
+        for j, body in enumerate(_bodies(text)):
+            assert net.nodes[j] == net.manager.from_expr(parse_expression(body, names))
 
 
 # --- rule trees only on demand -------------------------------------------------

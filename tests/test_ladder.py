@@ -207,6 +207,9 @@ GROWTH = 3.3
 def test_reading_makes_linearly_many_nodes(shape):
     made = [len(parse_bnet(SHAPES[shape](n)).manager._triples) for n in GATE]
     assert made[1] <= GROWTH * made[0], made
+    if shape == "pairs":  # its bracketed products join the enclosing chain: one cube
+        flat = [len(parse_bnet(SHAPES["and-flat"](n)).manager._triples) for n in GATE]
+        assert made == flat
 
 
 @pytest.mark.parametrize("shape,mode", product(SHAPES, MODES))
