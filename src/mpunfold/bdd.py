@@ -173,26 +173,17 @@ class DiagramManager:
 
     def _truth_tables(self, nodes) -> list[int]:
         """The truth table of each of nodes, in truth_table's layout, with
-        no limit on the number of variables.  Variable var's mask (bit i set
-        iff i has var's bit set) is made by doubling its first period, and
-        the masks and the tables of shared nodes serve every node."""
-        n = self.nvars
-        size = 1 << n
-        full = (1 << size) - 1
-        var_masks = []  # per variable: (mask, its complement)
-        for var in range(n):
-            block = 1 << (n - 1 - var)
-            mask, width = ((1 << block) - 1) << block, 2 * block
-            while width < size:
-                mask |= mask << width
-                width *= 2
-            var_masks.append((mask, full ^ mask))
+        no limit on the number of variables.  The variables' masks (see
+        _var_masks) and the tables of shared nodes serve every node."""
+        full = (1 << (1 << self.nvars)) - 1
+        # per variable: (its mask, the mask's complement)
+        halves = [(mask, full ^ mask) for mask in _var_masks(self.nvars)]
         memo: dict[int, int] = {FALSE: 0, TRUE: full}
         triples = self._triples
         for u in nodes:
             for w in self.postorder(u, memo):
                 var, low, high = triples[w - 2]
-                ones, zeros = var_masks[var]
+                ones, zeros = halves[var]
                 memo[w] = ones & memo[high] | zeros & memo[low]
         return [memo[u] for u in nodes]
 
@@ -338,6 +329,23 @@ class DiagramManager:
         if type(v) is tuple:
             return self.mk(v[0], 1 - v[1], v[1])
         return v
+
+
+def _var_masks(n: int) -> list[int]:
+    """Per variable of n, its truth table in truth_table's layout: bit i is
+    set iff the state i has the variable at 1.  Each is made by doubling
+    its first period, blocks of zeros then ones as long as the variable's
+    bit is worth."""
+    size = 1 << n
+    masks = []
+    for var in range(n):
+        block = 1 << (n - 1 - var)
+        mask, width = ((1 << block) - 1) << block, 2 * block
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
 
 
 def _const(c) -> int:

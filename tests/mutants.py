@@ -159,6 +159,87 @@ MUTANTS = [
         "top = diff & -diff",
         ("tests/test_semantics.py::test_async_successors",),
     ),
+    # the attractor sets' backward closure moves the way the forward one does
+    Mutant(
+        "attractor-sets-backward-shifts-forward",
+        "reach.py",
+        "new |= (new << bit) & down | (new >> bit) & up",
+        "new |= (new & down) >> bit | (new & up) << bit",
+        (
+            "tests/test_reach.py::test_attractor_sets_agree_with_condense[6]",
+            "tests/test_metamorphic.py::test_attractors_permute[12-0-async]",
+        ),
+    ),
+    # the next pivot may be a state that has left the live states
+    Mutant(
+        "attractor-sets-pivot-not-live",
+        "reach.py",
+        "region = ahead & live or live",
+        "region = ahead or live",
+        ("tests/test_reach.py::test_attractor_sets_agree_with_condense[6]",),
+    ),
+    # the fixed points leave the live states but are not recorded
+    Mutant(
+        "attractor-sets-fixed-points-unrecorded",
+        "reach.py",
+        "found = [[s] for s in _members(fixed)]",
+        "found = []",
+        ("tests/test_reach.py::test_attractors_example_a",),
+    ),
+    # a state that can only move up counts as fixed
+    Mutant(
+        "attractor-sets-fixed-points-ignore-rises",
+        "reach.py",
+        "fixed &= ~(down | up)",
+        "fixed &= ~down",
+        ("tests/test_metamorphic.py::test_attractors_survive_negation[6-0-async]",),
+    ),
+    # the whole-space image table puts rule j's value in bit j
+    Mutant(
+        "image-table-bit-reversed",
+        "network.py",
+        "shift = n - 1 - j",
+        "shift = j",
+        (
+            "tests/test_metamorphic.py::test_attractors_permute[6-0-sync]",
+            "tests/test_metamorphic.py::test_attractors_permute[6-0-general]",
+        ),
+    ),
+    # under mp a d level never settles to 0
+    Mutant(
+        "mp-d-never-settles",
+        "semantics.py",
+        "if x & bit:  # (c)/(d)",
+        "if x & bit and x & up:  # (c)/(d)",
+        ("tests/test_metamorphic.py::test_reach_verdicts_and_witnesses_survive_negation[6-0-mp]",),
+    ),
+    # the theorem check reports the unfolded side's witnesses back to front
+    Mutant(
+        "oracle-unfolded-witnesses-reversed",
+        "oracle.py",
+        "witness = [ev.decode(t) for t in _path(unf_parents, enc[i])]",
+        "witness = [ev.decode(t) for t in _path(unf_parents, enc[i])][::-1]",
+        ("tests/test_oracle.py::test_equivalence_detects_syntactic_overreach",),
+    ),
+    # the oracle's mp step never settles a d level
+    Mutant(
+        "oracle-d-never-settles",
+        "oracle.py",
+        "if free & bit:  # i settles to 1, d to 0",
+        "if free & val & bit:  # i settles to 1, d to 0",
+        (
+            "tests/test_oracle.py::test_naive_mp_successors_examples",
+            "tests/test_unfold.py::test_partial_unfolding_lies_between_async_and_mp[2]",
+        ),
+    ),
+    # the theorem check starts each mp search from the reversed state
+    Mutant(
+        "oracle-mp-sources-bit-reversed",
+        "oracle.py",
+        "mp_src = [_encode(x) for x in bool_states]",
+        "mp_src = [_encode(x[::-1]) for x in bool_states]",
+        ("tests/test_oracle.py::test_equivalence_example_a_both_modes",),
+    ),
 ]
 
 

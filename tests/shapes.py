@@ -1,5 +1,6 @@
 """Input shapes at any size, as .bnet text, for tests/test_ladder.py and
-tests/cli_runs.py, and FAILS, the size ladder's cells that fail today.
+tests/cli_runs.py, and FAILS, the size ladder's cells that fail today;
+also gray_counter, one long cycle for whole-space attractors.
 
 N counts a chain's or a ring's components, a nested body's depth or the long
 sum's products.  A chain's rules after the first copy their predecessor.
@@ -37,6 +38,24 @@ def _cnf_rule(j, n):
     the ring, so only 0...0 and 1...1 are fixed."""
     a, b, c, d = (f"x{k % n}" for k in range(j - 1, j + 3))
     return f"{b}, ({a} | {c}) & ({a} | !{c}) & ({b} | !{c} | {d})\n"
+
+
+def gray_counter(n):
+    """n components whose asynchronous state graph is one cycle through all
+    2^n states, in the order of the reflected binary Gray code: consecutive
+    codes differ in one component, so each state has one successor, the
+    next code.  Each rule is the sum of its minterms: keep n small."""
+    names = [f"g{j}" for j in range(n)]
+    codes = [k ^ k >> 1 for k in range(1 << n)]
+    after = dict(zip(codes, codes[1:] + codes[:1]))
+
+    def minterm(s):
+        return " & ".join(x if s >> (n - 1 - k) & 1 else f"!{x}" for k, x in enumerate(names))
+
+    return "".join(
+        f"{x}, " + " | ".join(minterm(s) for s in sorted(after) if after[s] >> (n - 1 - j) & 1) + "\n"
+        for j, x in enumerate(names)
+    )
 
 
 SHAPES = {

@@ -38,6 +38,7 @@ from mpunfold.network import RuleEvaluator, _ImageTable
 from mpunfold.oracle import naive_mp_successors
 from mpunfold.reach import _space
 from mpunfold.unfold import UnfoldSpec, _Unfolding
+from shapes import gray_counter
 from tree_eval import _eval
 
 NETS = [(n, seed) for n in range(1, 7) for seed in range(3)]
@@ -356,34 +357,41 @@ def test_mp_reaches_and_graph_match_string_bfs(n, seed):
         assert (stg.nodes, _pairs(stg), stg.cap_exceeded) == _bfs_graph(succ, start, 10**6)
 
 
+def _counted(step, stepped):
+    def counted(ev, s):
+        stepped.append(ev.decode(s))
+        return step(ev, s)
+    return counted
+
+
 def test_rooted_attractors_step_each_state_once(monkeypatch):
     net = _net(8, 1)
     closure = reachable_set(net, "async", "00000000").nodes
     stepped = []
-    step = semantics.SEMANTICS["async"]
-
-    def counted(ev, s):
-        stepped.append(ev.decode(s))
-        return step(ev, s)
-
-    monkeypatch.setitem(semantics.SEMANTICS, "async", counted)
+    monkeypatch.setitem(semantics.SEMANTICS, "async", _counted(semantics.SEMANTICS["async"], stepped))
     attractors(net, "async", roots=["00000000"])
     assert sorted(stepped) == sorted(closure)
     assert len(closure) == 3
 
 
 def test_full_space_attractors_step_each_state_once(monkeypatch):
-    net = _net(8, 1)
+    """While the sets of states answer, whole-space async attractors step no
+    state; past their budget, as on the Gray counter's one long cycle, they
+    step each state once, as general attractors always do."""
+    gray = parse_bnet(gray_counter(8))
+    with pytest.raises(reach._OverBudget):
+        reach._async_attractor_sets(gray.manager, gray.nodes)
     stepped = []
-    step = semantics.SEMANTICS["async"]
-
-    def counted(ev, s):
-        stepped.append(ev.decode(s))
-        return step(ev, s)
-
-    monkeypatch.setitem(semantics.SEMANTICS, "async", counted)
-    attractors(net, "async", roots=None)
-    assert sorted(stepped) == _states(8)
+    for name in ("async", "general"):
+        monkeypatch.setitem(semantics.SEMANTICS, name, _counted(semantics.SEMANTICS[name], stepped))
+    for net, name, expected in [
+        (_net(8, 1), "async", []),
+        (_net(8, 1), "general", _states(8)),
+        (gray, "async", _states(8)),
+    ]:
+        stepped.clear()
+        attractors(net, name)
+        assert sorted(stepped) == expected, name
 
 
 @pytest.mark.parametrize("roots", [None, ["00000000", "11111111"]])

@@ -15,5 +15,6 @@ def test_mutant_edits_one_place_and_names_existing_tests(mutant):
     assert mutant.new != mutant.old
     assert mutant.tests
     for test in mutant.tests:
-        path, name = re.fullmatch(r"([\w/]+\.py)::(\w+)", test).groups()
+        # a parametrized test's id ends in its parameters' id, in brackets
+        path, name = re.fullmatch(r"([\w/]+\.py)::(\w+)(?:\[[\w-]+\])?", test).groups()
         assert re.search(rf"^def {name}\(", (ROOT / path).read_text(), re.M), test

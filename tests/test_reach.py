@@ -1,6 +1,7 @@
 """Fixed points, explicit graphs, reachability verdicts, attractors, DOT."""
 import random
 from collections import deque
+from functools import partial
 from itertools import product
 
 import pytest
@@ -28,8 +29,12 @@ from mpunfold import (
     sync_successor,
     unfold,
 )
+from mpunfold import reach
+from mpunfold.network import _ImageTable
 from mpunfold.oracle import naive_mp_successors
-from mpunfold.semantics import _general, _mp, is_boolean_state
+from mpunfold.reach import _condense
+from mpunfold.semantics import _async, _general, _mp, is_boolean_state
+from shapes import gray_counter
 
 
 # --- fixed points ------------------------------------------------------------
@@ -229,6 +234,48 @@ def test_attractors_cap_and_validation():
         attractors(net, "async", cap=2, roots=["111"])
     with pytest.raises(ValueError, match="sync, async or general"):
         attractors(net, "mp")
+
+
+# --- whole-space async attractors on sets of states ----------------------------
+
+def _terminal_by_condense(net):
+    """The terminal components of the whole async state graph, by _condense
+    over every state, each as a tuple of integer states in increasing order."""
+    ev = _ImageTable(net.manager, net.nodes)
+    components, leaves, _, _ = _condense(partial(_async, ev), range(1 << net.n), 1 << net.n)
+    return sorted(tuple(sorted(c)) for c, leaving in zip(components, leaves) if not leaving)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_attractor_sets_agree_with_condense(n, monkeypatch):
+    """Given sweeps for four closures of 2^n states each (every sweep but a
+    closure's last adds a state), which these nets never need, the sets find
+    _condense's terminal components: the fixed points first, each
+    attractor's states in increasing order."""
+    monkeypatch.setattr(reach, "_sweep_budget", lambda n, edges: 4 << n)
+    nets = [
+        random_network(RandomNetSpec(n=n, seed=seed, max_regulators=regulators))
+        for seed in range(4) for regulators in (1, 2, 3)
+    ]
+    if n <= 8:  # one long cycle, which falls back when budgeted
+        nets.append(parse_bnet(gray_counter(n)))
+    for net in nets:
+        found = reach._async_attractor_sets(net.manager, net.nodes)
+        assert all(list(c) == sorted(c) for c in found)
+        sizes = [len(c) for c in found]
+        assert sizes == sorted(sizes, key=lambda k: k > 1)
+        assert sorted(map(tuple, found)) == _terminal_by_condense(net)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_gray_counter_falls_back_to_its_one_cycle(n):
+    """A cycle through all 2^n states takes more sweeps than the budget
+    allows, so _condense answers: one complex attractor of every state."""
+    net = parse_bnet(gray_counter(n))
+    with pytest.raises(reach._OverBudget):
+        reach._async_attractor_sets(net.manager, net.nodes)
+    every = tuple(format(s, f"0{n}b") for s in range(1 << n))
+    assert attractors(net, "async") == [Attractor(states=every, kind="complex")]
 
 
 # --- strongly connected components ---------------------------------------------

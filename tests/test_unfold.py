@@ -20,7 +20,6 @@ from mpunfold import (
     example_a,
     fixed_points,
     infer_regulatory_graph,
-    is_boolean_state,
     parse_bnet,
     print_bnet,
     random_network,
@@ -31,6 +30,7 @@ from mpunfold import (
     unfold,
     unfolded_names,
 )
+from mpunfold import oracle
 from mpunfold.expr import And, Const, Not, Or, Var
 from mpunfold.network import BooleanNetwork, RuleEvaluator
 from mpunfold.unfold import MODES, _Unfolding
@@ -473,14 +473,15 @@ def test_partial_unfolding_lies_between_async_and_mp(n):
     unfolded triplet 000 or 111) that async runs of the S-partial unfolding
     reach from x's encoding contain the states async runs of the network
     reach from x, and lie among those mp runs reach.  They are the mp ones
-    when S holds every component that another component reads."""
+    when S holds every component that another component reads.  The mp
+    side is the oracle's own step, over every rule's values on every
+    reading."""
     for seed in range(16 if n < 4 else 4):
         net = random_network(RandomNetSpec(n=n, seed=seed))
         states = ["".join(bits) for bits in product("01", repeat=n)]
         low = {x: set(reachable_set(net, "async", x).nodes) for x in states}
-        high = {
-            x: set(filter(is_boolean_state, reachable_set(net, "mp", x).nodes)) for x in states
-        }
+        values = list(oracle._readings(net._walks, 0, (1 << n) - 1).values())
+        high = {x: _oracle_mp_boolean(values, n, x) for x in states}
         edges = infer_regulatory_graph(net).edges
         read = {e.source for e in edges if e.source != e.target}
         for mask in range(1 << n):
@@ -493,6 +494,19 @@ def test_partial_unfolding_lies_between_async_and_mp(n):
                 mid = {boolean[s] for s in reached if s in boolean}
                 assert low[x] <= mid <= high[x], (seed, chosen, x)
                 assert mid == high[x] or not read <= set(chosen), (seed, chosen, x)
+
+
+def _oracle_mp_boolean(values, n, x):
+    """The Boolean states mp runs reach from x, by the oracle's step: a
+    state of the oracle's encoding is Boolean when no level is free."""
+    seen = {oracle._encode(x)}
+    todo = list(seen)
+    while todo:
+        for t in oracle._mp_step(values, n, todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return {oracle._decode(n, s) for s in seen if not s >> n}
 
 
 # --- single-triplet behavior -------------------------------------------------
