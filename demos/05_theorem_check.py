@@ -6,7 +6,7 @@ Claim: for Boolean states x, y of a network f, y is reachable from x in the
 most permissive dynamics of f iff the encoding of y is reachable from the
 encoding of x in the plain asynchronous dynamics of the full unfolding.
 
-check_equivalence verifies this exhaustively at desk scale (n <= 4): the
+check_equivalence verifies this exhaustively at desk scale (n <= 6): the
 most permissive side is recomputed by a brute-force oracle that shares no
 code with the main implementation, the unfolded side by explicit BFS from
 the encoded Boolean states, over the unfolded states they reach.  It also

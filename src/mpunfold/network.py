@@ -212,14 +212,19 @@ class RuleEvaluator:
 
 class _ImageTable(RuleEvaluator):
     """A RuleEvaluator whose image is a lookup in a table of the images of
-    all 2^n states, built at once from the rules' truth tables; every other
-    member is RuleEvaluator's.  For questions that step the whole space
-    (attractors without roots, the theorem check), built per question."""
+    all 2^n states, made on first use from the rules' truth tables, read
+    once when it is built, as `tables`; every other member is
+    RuleEvaluator's.  For questions that step the whole space (attractors
+    without roots, the theorem check), built per question."""
 
     def __init__(self, manager: DiagramManager, nodes):
         super().__init__(manager, nodes)
-        # an instance attribute: the list's own lookup, no frame per call
-        self.image = _transpose(manager._truth_tables(self.nodes)).__getitem__
+        self.tables = manager._truth_tables(self.nodes)
+
+    @cached_property
+    def image(self):
+        # cached as the list's own lookup, an instance attribute: no frame per call
+        return _transpose(self.tables).__getitem__
 
 
 # binary digits '0'/'1' -> bytes 0/1

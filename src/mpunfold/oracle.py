@@ -59,7 +59,7 @@ from .semantics import _async
 from .unfold import UnfoldSpec, _Unfolding
 
 MAX_NAIVE_N = 10
-MAX_EQUIV_N = 4
+MAX_EQUIV_N = 6
 
 _LEVEL_ORDER = {c: k for k, c in enumerate("0id1")}
 
@@ -233,9 +233,10 @@ class EquivalenceReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _reach(step, sources, bit):
-    """Each source's reachable set, as the OR of bit[s] over the states s it
-    reaches, from one _condense pass that steps each state once."""
+def _reach(step, sources):
+    """Each source's reachable set, as a mask with bit k set iff it reaches
+    the k-th source, from one _condense pass that steps each state once."""
+    bit = {s: 1 << k for k, s in enumerate(sources)}
     components, _, masks, _ = _condense(
         step, sources, math.inf, lambda s: bit.get(s, 0)
     )
@@ -259,14 +260,13 @@ def check_equivalence(
     n = net.n
     # Boolean state k (in string order) is bit k of a reachable-set mask
     bool_states = ["".join(t) for t in product("01", repeat=n)]
-    masks = [1 << k for k in range(len(bool_states))]
     # most permissive side, in the oracle's encoding: every rule is walked
     # once for the values on all 2^n readings (0, 1, ..., in order, so a
     # list indexed by reading), each state expanded once
     values = list(_readings(net._walks, 0, (1 << n) - 1).values())
     mp_step = partial(_mp_step, values, n)
     mp_src = [_encode(x) for x in bool_states]
-    mp_reach = _reach(mp_step, mp_src, dict(zip(mp_src, masks)))
+    mp_reach = _reach(mp_step, mp_src)
     # unfolded side: the asynchronous graph of the unfolding's rule diagrams,
     # expanded from the encoded Boolean states only as far as they reach
     ctx = _Unfolding(net, spec)
@@ -277,7 +277,7 @@ def check_equivalence(
     width = ctx.slots[-1][-1] + 1
     at_1 = [sum(1 << width - 1 - p for p in slots) for slots in ctx.slots]
     enc = [sum(m for m, c in zip(at_1, x) if c == "1") for x in bool_states]
-    unf_reach = _reach(unf_step, enc, dict(zip(enc, masks)))
+    unf_reach = _reach(unf_step, enc)
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
@@ -303,8 +303,7 @@ def check_equivalence(
     # async runs of the input must stay within most permissive reachability;
     # integer state k is bool_states[k]
     async_step = partial(_async, _ImageTable(net.manager, net.nodes))
-    states = range(len(bool_states))
-    async_reach = _reach(async_step, states, dict(zip(states, masks)))
+    async_reach = _reach(async_step, range(len(bool_states)))
     async_adj = cache(async_step)
     for k, x in enumerate(bool_states):
         if async_reach[k] & ~mp_reach[k]:

@@ -19,15 +19,16 @@ the cap the same way.
 
 Whole-space async attractors run on sets of states instead, each set one
 2^n-bit int: _async_attractor_sets, a forward-backward search whose
-closures are loops of shifts and masks, with no loop per state.  Past a
-budget of sweeps derived from n and the number of edges (a long cycle
-needs a sweep for every few of its states) they fall back to _condense.
+closures, forward and backward, are one loop of shifts and masks
+(_closure), with no loop per state.  Past one budget of sweeps per search,
+derived from n and the number of edges (a long cycle needs a sweep for
+every few of its states), they fall back to _condense.
 
 Each explorer walks a semantics through semantics._space, its one owner,
 on the network's evaluator, which walks the manager's rule diagrams per
 state (the mp step reads its per-rule memos in line).  A whole-space
-question answered state by state steps every state, so it hands _space an
-_ImageTable built for that one question, whose image is a table lookup.
+question hands _space an _ImageTable built for that one question, whose
+image is a table lookup; the sets of states read its truth tables.
 """
 from __future__ import annotations
 
@@ -258,48 +259,50 @@ class _OverBudget(Exception):
     """The sets of _async_attractor_sets ran past their budget of sweeps."""
 
 
-def _async_attractor_sets(manager, nodes) -> list[list[int]]:
-    """The terminal components of the whole asynchronous state graph of the
-    rules nodes, found on sets of states, each a 2^n-bit int in
-    truth_table's layout (bit s set iff state s is in the set).
+def _async_attractor_sets(tables) -> list[list[int]]:
+    """The terminal components of the whole asynchronous state graph of n
+    rules with these truth tables, found on sets of states, each a 2^n-bit
+    int in truth_table's layout (bit s set iff state s is in the set).
 
     Component j moves down at the states with x_j = 1 and f_j = 0 and up at
-    those with x_j = 0 and f_j = 1, two sets read off the truth tables, so
-    its moves on a set are two masks and two shifts by its bit.  The search
-    is forward-backward (Xie & Beerel, IEEE TCAD 2000), pivots chosen as in
-    Benes, Brim, Pastva & Safranek (CAV 2021).  The fixed points are
-    attractors, and a state that reaches one lies in no other, so their
-    backward closure leaves the live states.  Then, for a pivot s: if every
-    state s reaches reaches s back, those states are an attractor; either
-    way the states that reach s lie in no other attractor and leave.  The
-    next pivot is a live state that s reaches, if any: they hold an
-    attractor.
+    those with x_j = 0 and f_j = 1, two sets read off the tables, so its
+    moves on a set S are (S & down) >> b | (S & up) << b for its bit b, and
+    its reverse moves the same on (up << b, down >> b), as (S << b) & down
+    == (S & (down >> b)) << b and (S >> b) & up == (S & (up << b)) >> b.
+    The search is forward-backward (Xie & Beerel, IEEE TCAD 2000), pivots
+    chosen as in Benes, Brim, Pastva & Safranek (CAV 2021).  The fixed
+    points are attractors, and a state that reaches one lies in no other,
+    so their backward closure leaves the live states.  Then, for a pivot s:
+    if every state s reaches reaches s back, those states are an attractor;
+    either way the states that reach s lie in no other attractor and leave.
+    The next pivot is a live state that s reaches, if any: they hold one.
 
     Returns the fixed points, then the other attractors, each as a list of
     states in increasing order.  Raises _OverBudget past _sweep_budget's
-    sweeps: a long cycle takes a sweep for every few of its states."""
-    n = len(nodes)
-    size = 1 << n
-    full = (1 << size) - 1
-    moves = []  # per component that moves somewhere: (its bit, down, up)
+    sweeps, shared by every closure: a long cycle takes a sweep for every
+    few of its states."""
+    n = len(tables)
+    full = (1 << (1 << n)) - 1
+    forward, reverse = [], []  # per component that moves somewhere
     edges, fixed = 0, full
-    for j, (mask, table) in enumerate(zip(_var_masks(n), manager._truth_tables(nodes))):
+    for j, (mask, table) in enumerate(zip(_var_masks(n), tables)):
         down, up = mask & ~table, table & ~mask
         if down | up:
-            moves.append((1 << (n - 1 - j), down, up))
+            bit = 1 << (n - 1 - j)
+            forward.append((bit, down, up))
+            reverse.append((bit, up << bit, down >> bit))
             edges += down.bit_count() + up.bit_count()
             fixed &= ~(down | up)
-    budget = _sweep_budget(n, edges)
+    sweeps = iter(range(_sweep_budget(n, edges)))
     live = full
     if fixed:
-        basins, budget = _closure(moves, fixed, True, full, budget)
-        live ^= basins
+        live ^= _closure(reverse, fixed, full, sweeps)
     found = [[s] for s in _members(fixed)]
     region = live  # where the next pivot is taken
     while live:
         pivot = region & -region
-        ahead, budget = _closure(moves, pivot, False, live, budget)
-        behind, budget = _closure(moves, pivot, True, live, budget)
+        ahead = _closure(forward, pivot, live, sweeps)
+        behind = _closure(reverse, pivot, live, sweeps)
         if not ahead & ~behind:
             found.append(list(_members(ahead)))
         live &= ~behind
@@ -317,28 +320,23 @@ def _sweep_budget(n: int, edges: int) -> int:
     return 640 * (10 * size + edges) // (n * (size + 4096))
 
 
-def _closure(moves, states, backward, within, budget):
-    """The states of within that states reach (backward: that reach
-    states), and the sweeps left of budget; _OverBudget if it runs out
-    first.  within must hold every successor of its states, so a path
-    between two of them stays inside it.  A sweep moves each component in
-    turn, on the set the moves before it made, so a path whose moves come
-    in that order takes one sweep."""
+def _closure(moves, states, within, sweeps):
+    """The states of within that states reach by moves, each (b, down, up)
+    taking a set S to (S & down) >> b | (S & up) << b; _OverBudget if the
+    iterator sweeps, one item a sweep, runs out first.  within must hold
+    every move from its states, so a path between two stays inside it.  A
+    sweep makes each move in turn, on the set the moves before it made, so
+    a path whose moves come in that order takes one sweep."""
     reached = frontier = states
     while frontier:
-        if not budget:
+        if next(sweeps, None) is None:
             raise _OverBudget
-        budget -= 1
         new = frontier
-        if backward:
-            for bit, down, up in moves:
-                new |= (new << bit) & down | (new >> bit) & up
-        else:
-            for bit, down, up in moves:
-                new |= (new & down) >> bit | (new & up) << bit
+        for bit, down, up in moves:
+            new |= (new & down) >> bit | (new & up) << bit
         frontier = new & within & ~reached
         reached |= frontier
-    return reached, budget
+    return reached
 
 
 def _members(states: int):
@@ -350,17 +348,21 @@ def _members(states: int):
 
 def _terminal_components(net, semantics, cap, roots):
     """attractors' terminal components as lists of integer states, by
-    stepping every state of the closure of roots, or of the whole space
-    without roots."""
+    stepping every state of the closure of roots, or of the whole space on
+    one _ImageTable without roots; under async its truth tables go first to
+    the sets of states."""
     if roots is None:
-        # every state is stepped: tabulate every image at once
         ev = _ImageTable(net.manager, net.nodes)
+        if semantics == "async":
+            try:
+                return _async_attractor_sets(ev.tables)
+            except _OverBudget:
+                pass
+        starts = range(1 << net.n)  # integer order: string order
     else:
         ev = net.evaluator
     space = _space(net, semantics, ev)
-    if roots is None:
-        starts = range(1 << net.n)  # integer order: string order
-    else:
+    if roots is not None:
         starts = [space.encode(r) for r in roots]
     if semantics == "sync":
         terminal, exceeded = _cycles(ev.image, starts, cap)
@@ -398,14 +400,7 @@ def attractors(
             f"full state space has {1 << net.n} states, cap is {cap}; "
             f"supply roots to restrict the search"
         )
-    terminal = None
-    if roots is None and semantics == "async":
-        try:
-            terminal = _async_attractor_sets(net.manager, net.nodes)
-        except _OverBudget:
-            pass
-    if terminal is None:
-        terminal = _terminal_components(net, semantics, cap, roots)
+    terminal = _terminal_components(net, semantics, cap, roots)
     width = f"0{net.n}b"  # the evaluators' decode, with no evaluator built
     out = []
     for component in terminal:

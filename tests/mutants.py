@@ -159,16 +159,24 @@ MUTANTS = [
         "top = diff & -diff",
         ("tests/test_semantics.py::test_async_successors",),
     ),
-    # the attractor sets' backward closure moves the way the forward one does
+    # the attractor sets' reverse moves are their forward moves
     Mutant(
         "attractor-sets-backward-shifts-forward",
         "reach.py",
-        "new |= (new << bit) & down | (new >> bit) & up",
-        "new |= (new & down) >> bit | (new & up) << bit",
+        "reverse.append((bit, up << bit, down >> bit))",
+        "reverse.append((bit, down, up))",
         (
             "tests/test_reach.py::test_attractor_sets_agree_with_condense[6]",
             "tests/test_metamorphic.py::test_attractors_permute[12-0-async]",
         ),
+    ),
+    # each closure of a set search gets the whole budget of sweeps afresh
+    Mutant(
+        "attractor-sets-fresh-budget-per-closure",
+        "reach.py",
+        "    reached = frontier = states\n",
+        "    reached = frontier = states\n    sweeps = __import__('copy').copy(sweeps)\n",
+        ("tests/test_evaluator.py::test_one_sweep_budget_per_search",),
     ),
     # the next pivot may be a state that has left the live states
     Mutant(

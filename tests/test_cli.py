@@ -618,9 +618,9 @@ def test_verify_reproduces_the_frozen_reports(capsys, model, mode):
     "options,message",
     [
         (["--seeds", "-1"], "--seeds must be at least 0, got -1"),
-        (["--seeds", "1", "--n", "0"], "--n must be between 1 and 4, got 0"),
-        (["--seeds", "1", "--n", "5"], "--n must be between 1 and 4, got 5"),
-        (["--n", "5"], "--n must be between 1 and 4, got 5"),
+        (["--seeds", "1", "--n", "0"], "--n must be between 1 and 6, got 0"),
+        (["--seeds", "1", "--n", "7"], "--n must be between 1 and 6, got 7"),
+        (["--n", "7"], "--n must be between 1 and 6, got 7"),
     ],
 )
 def test_verify_rejects_bad_options_before_checking(capsys, monkeypatch, options, message):
@@ -631,6 +631,25 @@ def test_verify_rejects_bad_options_before_checking(capsys, monkeypatch, options
     code, out, err = run(capsys, "verify", EXAMPLE_A, *options)
     assert (code, out, checked) == (2, "", [])
     assert json.loads(err) == {"error": {"type": "invalid-input", "message": message}}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_verify_checks_six_components_and_refuses_seven(capsys, tmp_path, n):
+    # a ring that reads its last component negated, with one AND and one OR
+    rules = [f"a0, !a{n - 1}", "a1, a0", "a2, a1 & !a0", "a3, a2 | a5"]
+    rules += [f"a{k}, a{k - 1}" for k in range(4, n)]
+    path = tmp_path / "ring.bnet"
+    path.write_text("\n".join(rules) + "\n")
+    code, out, err = run(capsys, "verify", str(path), "--seeds", "0")
+    if n == 6:
+        assert (code, err) == (0, "")
+        (report,) = json.loads(out)
+        assert (report["pairs_checked"], report["ok"]) == (4096, True)
+    else:
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": {"type": "invalid-input", "message": "exhaustive check is limited to n <= 6"}
+        }
 
 
 # --- errors and usage ----------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_full_space_attractors_step_each_state_once(monkeypatch):
     step each state once, as general attractors always do."""
     gray = parse_bnet(gray_counter(8))
     with pytest.raises(reach._OverBudget):
-        reach._async_attractor_sets(gray.manager, gray.nodes)
+        reach._async_attractor_sets(gray.manager._truth_tables(gray.nodes))
     stepped = []
     for name in ("async", "general"):
         monkeypatch.setitem(semantics.SEMANTICS, name, _counted(semantics.SEMANTICS[name], stepped))
@@ -392,6 +392,46 @@ def test_full_space_attractors_step_each_state_once(monkeypatch):
         stepped.clear()
         attractors(net, name)
         assert sorted(stepped) == expected, name
+
+
+@pytest.mark.parametrize("gray,name", [
+    (False, "async"),  # the sets of states answer
+    (True, "async"),  # one long cycle: the sets fall back
+    (False, "sync"),
+    (False, "general"),
+])
+def test_full_space_attractors_read_the_truth_tables_once(gray, name, monkeypatch):
+    """A whole-space question reads each rule's diagram once: the sets of
+    states take the truth tables of the question's image table, and the
+    steps past their budget, like those of sync and general, look images
+    up in a table made from those same truth tables."""
+    net = parse_bnet(gray_counter(8)) if gray else _net(8, 1)
+    net.nodes
+    read, calls = DiagramManager._truth_tables, []
+    monkeypatch.setattr(
+        DiagramManager, "_truth_tables", lambda m, nodes: calls.append(1) or read(m, nodes)
+    )
+    attractors(net, name)
+    assert len(calls) == 1
+
+
+def test_one_sweep_budget_per_search(monkeypatch):
+    """The closures of one set search draw from one budget of sweeps.  Each
+    closure on this net takes at most three sweeps, so given three sweeps
+    each, the sets answer; given three for the whole search, which makes
+    several closures, they fall back and each state is stepped once."""
+    net = _net(6, 0)
+    want = attractors(net, "async")
+    stepped = []
+    monkeypatch.setitem(semantics.SEMANTICS, "async", _counted(semantics.SEMANTICS["async"], stepped))
+    monkeypatch.setattr(reach, "_sweep_budget", lambda n, edges: 3)
+    closure = reach._closure
+    with monkeypatch.context() as m:
+        m.setattr(reach, "_closure", lambda *args: closure(*args[:3], iter(range(3))))
+        assert attractors(net, "async") == want
+    assert stepped == []
+    assert attractors(net, "async") == want
+    assert sorted(stepped) == _states(6)
 
 
 @pytest.mark.parametrize("roots", [None, ["00000000", "11111111"]])

@@ -237,8 +237,8 @@ def test_equivalence_report_as_dict():
 
 
 def test_equivalence_guard():
-    big = parse_bnet("".join(f"a{k}, a{k}\n" for k in range(5)))
-    with pytest.raises(ValueError, match="n <= 4"):
+    big = parse_bnet("".join(f"a{k}, a{k}\n" for k in range(7)))
+    with pytest.raises(ValueError, match="n <= 6"):
         check_equivalence(big)
 
 

@@ -260,7 +260,7 @@ def test_attractor_sets_agree_with_condense(n, monkeypatch):
     if n <= 8:  # one long cycle, which falls back when budgeted
         nets.append(parse_bnet(gray_counter(n)))
     for net in nets:
-        found = reach._async_attractor_sets(net.manager, net.nodes)
+        found = reach._async_attractor_sets(net.manager._truth_tables(net.nodes))
         assert all(list(c) == sorted(c) for c in found)
         sizes = [len(c) for c in found]
         assert sizes == sorted(sizes, key=lambda k: k > 1)
@@ -273,7 +273,7 @@ def test_gray_counter_falls_back_to_its_one_cycle(n):
     allows, so _condense answers: one complex attractor of every state."""
     net = parse_bnet(gray_counter(n))
     with pytest.raises(reach._OverBudget):
-        reach._async_attractor_sets(net.manager, net.nodes)
+        reach._async_attractor_sets(net.manager._truth_tables(net.nodes))
     every = tuple(format(s, f"0{n}b") for s in range(1 << n))
     assert attractors(net, "async") == [Attractor(states=every, kind="complex")]
 
