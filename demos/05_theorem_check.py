@@ -8,8 +8,9 @@ encoding of x in the plain asynchronous dynamics of the full unfolding.
 
 check_equivalence verifies this exhaustively at desk scale (n <= 6): the
 most permissive side is recomputed by a brute-force oracle that shares no
-code with the main implementation, the unfolded side by explicit BFS from
-the encoded Boolean states, over the unfolded states they reach.  It also
+code with the main implementation, the unfolded side by forward closures
+on sets of unfolded states (one 2^(3n)-bit int each) from the encoded
+Boolean states, over the truth tables of the unfolded rules.  It also
 confirms that ordinary asynchronous reachability is subsumed by most
 permissive reachability.
 """

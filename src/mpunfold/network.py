@@ -214,8 +214,10 @@ class _ImageTable(RuleEvaluator):
     """A RuleEvaluator whose image is a lookup in a table of the images of
     all 2^n states, made on first use from the rules' truth tables, read
     once when it is built, as `tables`; every other member is
-    RuleEvaluator's.  For questions that step the whole space (attractors
-    without roots, the theorem check), built per question."""
+    RuleEvaluator's.  For questions about the whole space (attractors
+    without roots, the theorem check), built per question; its sets of
+    states read only the tables, and the image table is made only when
+    states are stepped."""
 
     def __init__(self, manager: DiagramManager, nodes):
         super().__init__(manager, nodes)

@@ -14,32 +14,34 @@ only the state's own completions.
 check_equivalence is the desk-scale theorem check: most permissive
 reachability between Boolean states coincides with asynchronous
 reachability between their encodings in the fully unfolded network.  Each
-side is a graph whose successors are computed on first lookup, so only the
-states the Boolean sources reach are expanded:
+side gives every Boolean source's reachable Boolean states as a bit mask:
 
     mp side        _mp_step on the oracle's integer states, over one table
-                   of all 2^n readings built once per check;
-    unfolded side  the asynchronous step that reach --semantics async runs,
-                   on the unfolding's integer states, from the encodings of
-                   the 2^n Boolean states (made from one layout); its
-                   evaluator is an _ImageTable of the rule diagrams of
-                   unfold's _Unfolding, which looks up the image of each of
-                   the 2^(3n) states in a table made at once from their
-                   truth tables, so no unfolded network and no rule tree is
-                   built.
+                   of all 2^n readings built once per check, in one pass of
+                   the explorers' component routine, reach._condense, which
+                   expands only the states the sources reach, each once;
+    unfolded side  the asynchronous graph of the rule diagrams of unfold's
+                   _Unfolding, from the encodings of the 2^n Boolean states
+                   (made from one layout), on sets of states (_set_reach):
+                   each a 2^(3n)-bit int, moved by reach._closure with the
+                   moves reach._async_moves reads off the diagrams' truth
+                   tables, which an _ImageTable reads once, so no unfolded
+                   network and no rule tree is built and no state is
+                   stepped.
 
 The mp side stays on the rules' walks, the network's stored syntax from
-which its trees are made too, and on the oracle's own builders, so a fault
-in the diagrams or in semantics.py cannot hide on both sides at once.  Each
-side is one pass of the explorers' component routine, reach._condense,
-which gives every source's reachable Boolean states as a bit mask and
-steps each state once; so does the plain asynchronous graph of the
-subsumption check, stepped on integer states with an _ImageTable of the
-input network's rules and decoded only for its report.  Only a source with
-a mismatch or a violation gets a breadth-first search, reach._bfs, for its
-witness and the report's order, over the same steps behind functools.cache,
-so a state any of these searches meets again is stepped once; mp witnesses
-are decoded to level strings only then.
+which its trees are made too, on the oracle's own builders and on
+_condense, so a fault in the diagrams, in semantics.py or in the sets of
+states cannot hide on both sides at once.  The plain asynchronous graph of
+the subsumption check runs on sets of states too, from the truth tables of
+an _ImageTable of the input network's rules.  Only a source with a
+mismatch or a violation gets a breadth-first search, reach._bfs, for its
+witness and the report's order: the mp step, or the asynchronous step that
+reach --semantics async runs, on the image table that the same
+_ImageTable makes on first use from the truth tables the sets read, behind
+functools.cache, so a state any of these searches meets again is stepped
+once; an ok check makes no image table.  mp witnesses are decoded to level
+strings only then.
 The tests check both routines against searches of their own.
 """
 from __future__ import annotations
@@ -49,12 +51,14 @@ import operator
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
-from itertools import product
+from itertools import count, product
 
 from . import expr as ex
 from .bdd import FALSE, TRUE
 from .network import BooleanNetwork, _ImageTable
-from .reach import _bfs as _search, _condense, _path
+from .reach import (
+    _async_moves, _bfs as _search, _closure, _condense, _path, _reverse_moves,
+)
 from .semantics import _async
 from .unfold import UnfoldSpec, _Unfolding
 
@@ -244,6 +248,40 @@ def _reach(step, sources):
     return [mask_of[s] for s in sources]
 
 
+def _set_reach(tables, sources):
+    """_reach of the asynchronous step of the rules with these truth tables,
+    on sets of states, each a 2^n-bit int with bit s set iff it holds state
+    s: reach._closure over reach._async_moves, with no budget of sweeps.
+    The sources that a source's forward closure holds and its backward
+    closure within that set holds too share its strongly connected
+    component, so its reachable set: one forward closure serves them all.
+    A closure's bytes are read once for the bits of every source."""
+    forward = _async_moves(tables)
+    reverse = _reverse_moves(forward)
+    size = 1 << len(tables)
+    full = (1 << size) - 1
+    at = [(s >> 3, 1 << (s & 7), 1 << k) for k, s in enumerate(sources)]
+
+    def held(states):  # bit k set iff states holds the k-th source
+        data = states.to_bytes(size + 7 >> 3, "little")
+        return sum(bit for byte, mask, bit in at if data[byte] & mask)
+
+    out = [0] * len(at)
+    todo = (1 << len(at)) - 1  # the sources whose set is not known yet
+    for k, s in enumerate(sources):
+        if todo >> k & 1:
+            ahead = _closure(forward, 1 << s, full, count())
+            reached = held(ahead)
+            same = 1 << k
+            if reached & todo & ~same:
+                same = held(_closure(reverse, 1 << s, ahead, count())) & todo
+            for i in range(k, len(at)):
+                if same >> i & 1:
+                    out[i] = reached
+            todo &= ~same
+    return out
+
+
 def check_equivalence(
     net: BooleanNetwork, mode: str = "exact", label: str = ""
 ) -> EquivalenceReport:
@@ -252,8 +290,12 @@ def check_equivalence(
     pair of Boolean states, both directions.  Also checks that plain
     asynchronous reachability is subsumed by most permissive reachability.
 
-    The unfolded side evaluates the rule diagrams that unfold would give
-    its output (_Unfolding.rule_nodes), without building that network."""
+    The unfolded side reads the truth tables of the rule diagrams that
+    unfold would give its output (_Unfolding.rule_nodes), without building
+    that network; it and the plain asynchronous side take their reachable
+    sets on sets of states (_set_reach), the mp side by stepping each state
+    it reaches once.  Witnesses and violations come from breadth-first
+    searches, whose order defines the report's."""
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
     spec = UnfoldSpec(components=None, mode=mode)  # rejects a bad mode first
@@ -277,7 +319,7 @@ def check_equivalence(
     width = ctx.slots[-1][-1] + 1
     at_1 = [sum(1 << width - 1 - p for p in slots) for slots in ctx.slots]
     enc = [sum(m for m, c in zip(at_1, x) if c == "1") for x in bool_states]
-    unf_reach = _reach(unf_step, enc)
+    unf_reach = _set_reach(ev.tables, enc)
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
@@ -302,9 +344,9 @@ def check_equivalence(
             report.mismatches.append(Mismatch(x, y, a, b, witness))
     # async runs of the input must stay within most permissive reachability;
     # integer state k is bool_states[k]
-    async_step = partial(_async, _ImageTable(net.manager, net.nodes))
-    async_reach = _reach(async_step, range(len(bool_states)))
-    async_adj = cache(async_step)
+    async_ev = _ImageTable(net.manager, net.nodes)
+    async_reach = _set_reach(async_ev.tables, range(len(bool_states)))
+    async_adj = cache(partial(_async, async_ev))
     for k, x in enumerate(bool_states):
         if async_reach[k] & ~mp_reach[k]:
             for t in _search(async_adj, [k], math.inf)[0]:

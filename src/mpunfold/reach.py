@@ -12,17 +12,20 @@ search of mp_boolean_projection, and the witnesses of the oracle's theorem
 check.  Component questions run _condense, one iterative Tarjan pass that
 steps each state once: rooted async and general attractors (the
 components no edge leaves), whole-space general attractors, and the
-reachable sets of the theorem check.  Under sync the state graph is the
-function f, whose terminal components are its cycles, so sync attractors
-run _cycles, one walk along f that takes each image once.  All three count
-the cap the same way.
+reachable sets of the theorem check's mp side.  Under sync the state
+graph is the function f, whose terminal components are its cycles, so
+sync attractors run _cycles, one walk along f that takes each image once.
+All three count the cap the same way.
 
 Whole-space async attractors run on sets of states instead, each set one
 2^n-bit int: _async_attractor_sets, a forward-backward search whose
 closures, forward and backward, are one loop of shifts and masks
-(_closure), with no loop per state.  Past one budget of sweeps per search,
-derived from n and the number of edges (a long cycle needs a sweep for
-every few of its states), they fall back to _condense.
+(_closure) over the moves of _async_moves and _reverse_moves, with no loop
+per state.  Past one budget of sweeps per search, derived from n and the
+number of edges (a long cycle needs a sweep for every few of its states),
+they fall back to _condense.  The theorem check's unfolded and plain
+asynchronous sides take their reachable sets by the same closures and
+moves, with no budget (oracle._set_reach).
 
 Each explorer walks a semantics through semantics._space, its one owner,
 on the network's evaluator, which walks the manager's rule diagrams per
@@ -264,11 +267,8 @@ def _async_attractor_sets(tables) -> list[list[int]]:
     rules with these truth tables, found on sets of states, each a 2^n-bit
     int in truth_table's layout (bit s set iff state s is in the set).
 
-    Component j moves down at the states with x_j = 1 and f_j = 0 and up at
-    those with x_j = 0 and f_j = 1, two sets read off the tables, so its
-    moves on a set S are (S & down) >> b | (S & up) << b for its bit b, and
-    its reverse moves the same on (up << b, down >> b), as (S << b) & down
-    == (S & (down >> b)) << b and (S >> b) & up == (S & (up << b)) >> b.
+    The forward moves are _async_moves(tables), the backward ones their
+    _reverse_moves.
     The search is forward-backward (Xie & Beerel, IEEE TCAD 2000), pivots
     chosen as in Benes, Brim, Pastva & Safranek (CAV 2021).  The fixed
     points are attractors, and a state that reaches one lies in no other,
@@ -283,16 +283,12 @@ def _async_attractor_sets(tables) -> list[list[int]]:
     few of its states."""
     n = len(tables)
     full = (1 << (1 << n)) - 1
-    forward, reverse = [], []  # per component that moves somewhere
+    forward = _async_moves(tables)
+    reverse = _reverse_moves(forward)
     edges, fixed = 0, full
-    for j, (mask, table) in enumerate(zip(_var_masks(n), tables)):
-        down, up = mask & ~table, table & ~mask
-        if down | up:
-            bit = 1 << (n - 1 - j)
-            forward.append((bit, down, up))
-            reverse.append((bit, up << bit, down >> bit))
-            edges += down.bit_count() + up.bit_count()
-            fixed &= ~(down | up)
+    for _, down, up in forward:
+        edges += down.bit_count() + up.bit_count()
+        fixed &= ~(down | up)
     sweeps = iter(range(_sweep_budget(n, edges)))
     live = full
     if fixed:
@@ -308,6 +304,30 @@ def _async_attractor_sets(tables) -> list[list[int]]:
         live &= ~behind
         region = ahead & live or live
     return found
+
+
+def _async_moves(tables) -> list[tuple[int, int, int]]:
+    """The asynchronous moves on sets of states of n rules with these truth
+    tables, one (bit, down, up) per component that moves somewhere, in
+    component order: component j, at bit = 2^(n-1-j) of a state, moves
+    down at the states of down (x_j = 1 and f_j = 0) and up at those of up
+    (x_j = 0 and f_j = 1), so its moves take a set S to
+    (S & down) >> bit | (S & up) << bit."""
+    n = len(tables)
+    moves = []
+    for j, (mask, table) in enumerate(zip(_var_masks(n), tables)):
+        down, up = mask & ~table, table & ~mask
+        if down | up:
+            moves.append((1 << (n - 1 - j), down, up))
+    return moves
+
+
+def _reverse_moves(moves) -> list[tuple[int, int, int]]:
+    """The reverse of each move (b, down, up): (b, up << b, down >> b)
+    takes a set S to the states that reach S by that move, as
+    (S << b) & down == (S & (down >> b)) << b and
+    (S >> b) & up == (S & (up << b)) >> b."""
+    return [(bit, up << bit, down >> bit) for bit, down, up in moves]
 
 
 def _sweep_budget(n: int, edges: int) -> int:

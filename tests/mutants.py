@@ -6,8 +6,8 @@ that must fail on the edited copy.  For each entry the package is copied to
 a temporary directory, the edit is made there, and the named tests run
 against the copy in a subprocess; the entry fails if they all pass.  An
 entry whose old text does not occur exactly once fails too, so a change
-that moves the code re-aims or retires the entry with it.  The whole table
-runs within BUDGET_S seconds:
+that moves the code re-aims or retires the entry with it.  WORKERS entries
+run at once, and the whole table runs within BUDGET_S seconds:
 
     python tests/mutants.py
 
@@ -19,12 +19,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mpunfold"
 BUDGET_S = 60
+WORKERS = min(2, os.cpu_count() or 1)  # entries run at once
 
 
 class Mutant(NamedTuple):
@@ -163,8 +165,8 @@ MUTANTS = [
     Mutant(
         "attractor-sets-backward-shifts-forward",
         "reach.py",
-        "reverse.append((bit, up << bit, down >> bit))",
-        "reverse.append((bit, down, up))",
+        "return [(bit, up << bit, down >> bit) for bit, down, up in moves]",
+        "return list(moves)",
         (
             "tests/test_reach.py::test_attractor_sets_agree_with_condense[6]",
             "tests/test_metamorphic.py::test_attractors_permute[12-0-async]",
@@ -240,6 +242,33 @@ MUTANTS = [
             "tests/test_unfold.py::test_partial_unfolding_lies_between_async_and_mp[2]",
         ),
     ),
+    # the theorem check reads a source's mask at state k for the k-th source
+    Mutant(
+        "oracle-set-reach-reads-the-wrong-state",
+        "oracle.py",
+        "at = [(s >> 3, 1 << (s & 7), 1 << k) for k, s in enumerate(sources)]",
+        "at = [(k >> 3, 1 << (k & 7), 1 << k) for k, s in enumerate(sources)]",
+        ("tests/test_oracle.py::test_set_reach_agrees_with_condense_on_unfoldings[3-exact]",),
+    ),
+    # every source a closure holds shares its set, met on the way back or not
+    Mutant(
+        "oracle-set-reach-shares-without-the-backward-closure",
+        "oracle.py",
+        "same = held(_closure(reverse, 1 << s, ahead, count())) & todo",
+        "same = reached & todo",
+        ("tests/test_oracle.py::test_set_reach_agrees_with_condense_on_plain_async[3]",),
+    ),
+    # the plain asynchronous side closes over the unfolding's moves
+    Mutant(
+        "oracle-plain-async-closes-over-the-unfolding",
+        "oracle.py",
+        "async_reach = _set_reach(async_ev.tables, range(len(bool_states)))",
+        "async_reach = _set_reach(ev.tables, range(len(bool_states)))",
+        (
+            "tests/test_oracle.py::test_check_steps_each_state_once_per_side[3]",
+            "tests/test_oracle.py::test_report_on_broken_sides_equals_per_source_searches",
+        ),
+    ),
     # the theorem check starts each mp search from the reversed state
     Mutant(
         "oracle-mp-sources-bit-reversed",
@@ -275,20 +304,27 @@ def survives(mutant: Mutant, timeout: float) -> bool:
 
 def main() -> int:
     start = time.perf_counter()
-    survivors = []
-    took = {}  # name -> seconds
-    for mutant in MUTANTS:
+
+    def run(mutant):  # (whether it survives, seconds), within what is left of the budget
         began = time.perf_counter()
         left = BUDGET_S - (began - start)
+        alive = survives(mutant, timeout=max(left, 0.1))
+        return alive, time.perf_counter() - began
+
+    survivors = []
+    took = {}  # name -> seconds
+    # each worker waits on one pytest process at a time; reports come in table order
+    with ThreadPoolExecutor(WORKERS) as pool:
         try:
-            alive = survives(mutant, timeout=max(left, 0.1))
+            for mutant, (alive, seconds) in zip(MUTANTS, pool.map(run, MUTANTS)):
+                took[mutant.name] = seconds
+                print(f"{'SURVIVED' if alive else 'caught'}: {mutant.name} ({seconds:.1f} s)")
+                if alive:
+                    survivors.append(mutant)
         except subprocess.TimeoutExpired:
+            pool.shutdown(cancel_futures=True)
             print(f"the table ran past its budget of {BUDGET_S} s")
             return 1
-        took[mutant.name] = time.perf_counter() - began
-        print(f"{'SURVIVED' if alive else 'caught'}: {mutant.name} ({took[mutant.name]:.1f} s)")
-        if alive:
-            survivors.append(mutant)
     slowest = max(took, key=took.get)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught "
           f"in {time.perf_counter() - start:.1f} s of {BUDGET_S}; "

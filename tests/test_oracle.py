@@ -341,67 +341,73 @@ def _closure_size(step, starts):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_check_steps_each_state_once_per_side(monkeypatch, n):
-    """Each side's step runs once per state it reaches, not once per Boolean
-    source that reaches the state; the check is ok, so no witness search
-    steps a state again."""
+    """On an ok check the mp side's step runs once per state it reaches, not
+    once per Boolean source that reaches the state, while the unfolded and
+    the plain asynchronous sides run on sets of states: they step no state
+    and make no image table, and no witness search runs."""
     from itertools import product
 
+    import mpunfold.network as network
     import mpunfold.oracle as oracle
     from mpunfold.oracle import naive_mp_successors
 
-    stepped = {"mp": [], "unfolded": [], "async": []}  # the states each step got
-    mp_step, unf_step, async_step = oracle._mp_step, oracle._async, async_successors
+    stepped, images = [], []  # the states the mp step got; the image tables made
+    mp_step, transpose = oracle._mp_step, network._transpose
     monkeypatch.setattr(
-        oracle, "_mp_step", lambda v, n, x: stepped["mp"].append(x) or mp_step(v, n, x)
+        oracle, "_mp_step", lambda v, n, x: stepped.append(x) or mp_step(v, n, x)
     )
-    # one asynchronous step serves the unfolding (3n components) and the
-    # plain asynchronous graph of the input (n components)
-    monkeypatch.setattr(
-        oracle,
-        "_async",
-        lambda ev, s: stepped["unfolded" if ev.n > n else "async"].append(s)
-        or unf_step(ev, s),
-    )
+    monkeypatch.setattr(network, "_transpose", lambda t: images.append(1) or transpose(t))
+
+    def no_step(ev, s):
+        raise AssertionError("the check stepped an asynchronous state")
+
+    # the one asynchronous step of the unfolding, the plain graph and their witnesses
+    monkeypatch.setattr(oracle, "_async", no_step)
     for seed in range(8):
         net = random_network(RandomNetSpec(n=n, seed=seed))
-        ext = unfold(net, UnfoldSpec(mode="exact"))
         bool_states = ["".join(t) for t in product("01", repeat=n)]
-        reached = {
-            "mp": _closure_size(lambda x: naive_mp_successors(net, x), bool_states),
-            "unfolded": _closure_size(
-                lambda s: async_step(ext, s), [encode_state(net, x) for x in bool_states]
-            ),
-            "async": 2**n,
-        }
-        for states in stepped.values():
-            states.clear()
+        reached = _closure_size(lambda x: naive_mp_successors(net, x), bool_states)
+        stepped.clear()
         assert oracle.check_equivalence(net).ok
-        assert {side: len(states) for side, states in stepped.items()} == reached, seed
-        assert all(len(set(states)) == len(states) for states in stepped.values()), seed
+        assert len(stepped) == len(set(stepped)) == reached, seed
+        assert images == [], seed
 
 
 def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     """Witnesses on the mp side and subsumption violations appear only when
-    a side is wrong: break the unfolded and the plain async step and compare
+    a side is wrong: break the truth tables that both the sets of states and
+    the witness steps read, of the unfolding and of the input, and compare
     the report with one breadth-first search per Boolean source."""
     from itertools import product
 
     import mpunfold.oracle as oracle
+    from mpunfold.network import _ImageTable, _transpose
     from mpunfold.oracle import _LEVEL_ORDER, Mismatch, _path, naive_mp_successors
     from mpunfold.semantics import _async
 
     def lossy(ev, s):  # the unfolded side keeps only its first move
         return _async(ev, s)[:1]
 
-    def jumpy(net, x):  # plain async also jumps to the complement
-        return async_successors(net, x) + ["".join("10"[int(c)] for c in x)]
+    def jumpy(x):  # plain async flips every component at every state
+        return [x[:j] + "10"[int(c)] + x[j + 1:] for j, c in enumerate(x)]
 
-    def broken(ev, s):  # lossy on the unfolding, jumpy on the input's n components
-        if ev.n > n:
-            return lossy(ev, s)
-        return _async(ev, s) + [s ^ ~(-1 << ev.n)]
+    class Broken(_ImageTable):
+        """lossy on the unfolding, jumpy on the input's n components"""
 
-    monkeypatch.setattr(oracle, "_async", broken)
+        def __init__(self, manager, nodes):
+            super().__init__(manager, nodes)
+            m = self.n
+            if m > n:  # each state flips only the top bit of its flips
+                flips = [image ^ s for s, image in enumerate(_transpose(self.tables))]
+                images = [s ^ (1 << d.bit_length() >> 1) for s, d in enumerate(flips)]
+            else:
+                images = [~s & ~(-1 << m) for s in range(1 << m)]
+            self.tables = [
+                sum((image >> m - 1 - j & 1) << s for s, image in enumerate(images))
+                for j in range(m)
+            ]
+
+    monkeypatch.setattr(oracle, "_ImageTable", Broken)
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
     mp_witnesses = violations = 0
     for n in (2, 3):
@@ -414,7 +420,7 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
                 for x in ("".join(t) for t in product("0id1", repeat=n))
             }
             unf_adj = {s: lossy(ext.evaluator, s) for s in range(1 << ext.n)}
-            async_adj = {x: jumpy(net, x) for x in bool_states}
+            async_adj = {x: jumpy(x) for x in bool_states}
             enc = {x: int(encode_state(net, x), 2) for x in bool_states}
             mismatches, violating = [], []
             for x in bool_states:
@@ -434,6 +440,68 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
             mp_witnesses += sum(m.mp_reachable for m in mismatches)
             violations += len(violating)
     assert mp_witnesses and violations
+
+
+def _condense_reach(tables, sources):
+    """oracle._reach's masks over _condense, stepping _async on the image
+    table of these truth tables."""
+    from functools import partial
+    from types import SimpleNamespace
+
+    from mpunfold.network import _transpose
+    from mpunfold.oracle import _reach
+    from mpunfold.semantics import _async
+
+    table = SimpleNamespace(image=_transpose(tables).__getitem__)
+    return _reach(partial(_async, table), sources)
+
+
+@pytest.mark.parametrize("mode", ["exact", "syntactic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_set_reach_agrees_with_condense_on_unfoldings(n, mode):
+    """Each Boolean source's reachable encodings, read off one closure on
+    sets of states of the unfolding, are those _condense finds; and so on
+    the Gray counter, whose one long cycle takes a sweep for every few of
+    its states."""
+    from itertools import product
+
+    from mpunfold.network import _ImageTable
+    from mpunfold.oracle import _set_reach
+    from mpunfold.unfold import _Unfolding
+
+    from shapes import gray_counter
+
+    nets = [random_network(RandomNetSpec(n=n, seed=seed)) for seed in range(4)]
+    nets.append(parse_bnet(gray_counter(n)))
+    for net in nets:
+        ctx = _Unfolding(net, UnfoldSpec(mode=mode))
+        tables = _ImageTable(ctx.manager, ctx.rule_nodes()).tables
+        enc = [int(encode_state(net, "".join(t)), 2) for t in product("01", repeat=n)]
+        assert _set_reach(tables, enc) == _condense_reach(tables, enc), net.names
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_set_reach_agrees_with_condense_on_plain_async(n):
+    """The same on the plain asynchronous graph, from every state, for
+    random nets and the Gray counter, and from the states in an order of
+    their own: bit k of a mask is the k-th source, not state k."""
+    import random
+
+    from mpunfold.oracle import _set_reach
+
+    from shapes import gray_counter
+
+    nets = [
+        random_network(RandomNetSpec(n=n, seed=seed, max_regulators=regulators))
+        for seed in range(3) for regulators in (1, 3)
+    ]
+    nets.append(parse_bnet(gray_counter(n)))
+    for net in nets:
+        tables = net.manager._truth_tables(net.nodes)
+        every = range(1 << n)
+        shuffled = random.Random(n).sample(every, len(every))
+        for sources in (every, shuffled):
+            assert _set_reach(tables, sources) == _condense_reach(tables, sources), net.names
 
 
 def _brute_mp_successors(net, x):
