@@ -36,7 +36,8 @@ states cannot hide on both sides at once.  The plain asynchronous graph of
 the subsumption check runs on sets of states too, from the truth tables of
 an _ImageTable of the input network's rules.  Only a source with a
 mismatch or a violation gets a breadth-first search, reach._bfs, for its
-witness and the report's order: the mp step, or the asynchronous step that
+witness and the report's order, which stops once it has met its last
+mismatched or violating state: the mp step, or the asynchronous step that
 reach --semantics async runs, on the image table that the same
 _ImageTable makes on first use from the truth tables the sets read, behind
 functools.cache, so a state any of these searches meets again is stepped
@@ -57,7 +58,7 @@ from . import expr as ex
 from .bdd import FALSE, TRUE
 from .network import BooleanNetwork, _ImageTable
 from .reach import (
-    _async_moves, _bfs as _search, _closure, _condense, _path, _reverse_moves,
+    _async_moves, _bfs as _search, _closure, _condense, _members, _path, _reverse_moves,
 )
 from .semantics import _async
 from .unfold import UnfoldSpec, _Unfolding
@@ -331,8 +332,12 @@ def check_equivalence(
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:
             continue
-        mp_parents = _search(mp_adj, [mp_src[k]], math.inf)[0] if a_set & ~b_set else None
-        unf_parents = _search(unf_adj, [enc[k]], math.inf)[0] if b_set & ~a_set else None
+        mp_only, unf_only = a_set & ~b_set, b_set & ~a_set
+        mp_parents = unf_parents = None
+        if mp_only:
+            mp_parents = _search_to(mp_adj, mp_src[k], [mp_src[i] for i in _members(mp_only)])
+        if unf_only:
+            unf_parents = _search_to(unf_adj, enc[k], [enc[i] for i in _members(unf_only)])
         for i, y in enumerate(bool_states):
             a, b = bool(a_set >> i & 1), bool(b_set >> i & 1)
             if a == b:
@@ -348,8 +353,22 @@ def check_equivalence(
     async_reach = _set_reach(async_ev.tables, range(len(bool_states)))
     async_adj = cache(partial(_async, async_ev))
     for k, x in enumerate(bool_states):
-        if async_reach[k] & ~mp_reach[k]:
-            for t in _search(async_adj, [k], math.inf)[0]:
-                if not mp_reach[k] >> t & 1:
+        violations = async_reach[k] & ~mp_reach[k]
+        if violations:
+            for t in _search_to(async_adj, k, _members(violations)):
+                if violations >> t & 1:
                     report.subsumption_violations.append((x, bool_states[t]))
     return report
+
+
+def _search_to(step, source, targets):
+    """The parent map of a breadth-first search from source that stops once
+    it has met every one of targets, states other than source: a parent is
+    final when it is set, so each target's path is the full search's."""
+    left = set(targets)
+
+    def last(t):
+        left.discard(t)
+        return not left
+
+    return _search(step, [source], math.inf, stop=last)[0]

@@ -25,7 +25,11 @@ per state.  Past one budget of sweeps per search, derived from n and the
 number of edges (a long cycle needs a sweep for every few of its states),
 they fall back to _condense.  The theorem check's unfolded and plain
 asynchronous sides take their reachable sets by the same closures and
-moves, with no budget (oracle._set_reach).
+moves, with no budget (oracle._set_reach).  So does reaches under async
+and mp once its BFS has met 1/64 of a space of at most 2^20 states: one
+forward closure, over _async_moves or over _mp_moves on 4^n-bit sets of
+mp states, settles a target it does not hold, and the BFS runs again to
+the cap for one it holds.
 
 Each explorer walks a semantics through semantics._space, its one owner,
 on the network's evaluator, which walks the manager's rule diagrams per
@@ -37,12 +41,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import NamedTuple
 
-from .bdd import _AND, _var_masks
+from .bdd import _AND, FALSE, TRUE, _var_masks
 from .network import (
-    _DIGIT_BYTES, BooleanNetwork, RegGraph, _ImageTable, check_bool_state,
+    _DIGIT_BYTES, _MP_FREE, _MP_VAL, BooleanNetwork, RegGraph, _ImageTable,
+    check_bool_state,
 )
 from .semantics import (
     BOOLEAN_SEMANTICS, DEFAULT_CAP, CapExceeded, _check_cap, _mp, _space,
@@ -117,18 +122,66 @@ def reaches(
     cap: int = DEFAULT_CAP,
 ) -> ReachResult:
     """Can any state matching target (with * wildcards) be reached from
-    start?  The witness is a shortest path found by the BFS."""
+    start?  The witness is a shortest path found by the BFS, and
+    states_explored counts the states it met.
+
+    Under mp and async, on a space of at most 2^20 states, the BFS first
+    stops at _search_budget states.  Past them, one forward closure on sets
+    of states (_set_closure) settles a target it does not hold: unreachable,
+    with the closure's size as the count, or cap-exceeded at cap if that
+    size passes cap, as the BFS would answer.  Otherwise the BFS runs again,
+    to the cap."""
     _check_cap(cap)
     space = _space(net, semantics)
     origin, match = space.encode(start), space.match(target)
     if match(origin):
         return ReachResult("reachable", 1, [start])
-    parent, found, exceeded = _bfs(space.successors, [origin], cap, stop=match)
+    width = {"async": net.n, "mp": 2 * net.n}.get(semantics)  # bits of a state
+    budget = _search_budget(1 << width) if width and width <= 20 else cap
+    parent, found, exceeded = _bfs(space.successors, [origin], min(cap, budget), stop=match)
+    if exceeded and budget < cap:
+        reached, goal = _set_closure(net, semantics, width, origin, target)
+        if not reached & goal:
+            size = reached.bit_count()
+            if size > cap:
+                return ReachResult("cap-exceeded", cap)
+            return ReachResult("unreachable", size)
+        parent, found, exceeded = _bfs(space.successors, [origin], cap, stop=match)
     if found is not None:
         witness = [space.decode(u) for u in _path(parent, found)]
         return ReachResult("reachable", len(parent), witness)
     verdict = "cap-exceeded" if exceeded else "unreachable"
     return ReachResult(verdict, len(parent), None)
+
+
+def _search_budget(states: int) -> int:
+    """The states reaches' BFS meets before it asks the sets of states, on
+    a space of this many: 1/64 of them.  In-process on CPython 3.11, the
+    194 mp queries of perfbench/corpus.json (6-8 components, each on a
+    network just read) took 46-52 ms in all at 1/64, 43-48 ms at 1/256,
+    46-52 ms at 1/1024, 66-70 ms at 1/16 and 70-76 ms by the BFS alone.
+    Its async queries on 12 and 18 components meet at most 36 and 112
+    states, under the budgets of 64 and 4096."""
+    return states >> 6
+
+
+def _set_closure(net, semantics, width, origin, pattern):
+    """The states that origin reaches under semantics, async or mp, as one
+    set, and the states that match pattern, each a 2^width-bit int: bit s
+    is set iff state s, an integer of width bits, is in the set.  The mp
+    pattern reads as its val half, then its free half, as states do."""
+    masks = _var_masks(width)
+    full = (1 << (1 << width)) - 1
+    if semantics == "mp":
+        moves = _mp_moves(net.manager, net.nodes, masks)
+        pattern = pattern.translate(_MP_VAL) + pattern.translate(_MP_FREE)
+    else:
+        moves = _async_moves(net.manager._truth_tables(net.nodes))
+    goal = full
+    for c, mask in zip(pattern, masks):
+        if c != "*":
+            goal &= mask if c == "1" else ~mask
+    return _closure(moves, 1 << origin, full, count()), goal
 
 
 def _bfs(succ, starts, cap, stop=None, edges=None):
@@ -320,6 +373,46 @@ def _async_moves(tables) -> list[tuple[int, int, int]]:
         if down | up:
             moves.append((1 << (n - 1 - j), down, up))
     return moves
+
+
+def _mp_moves(manager, nodes, masks) -> list[tuple[int, int, int]]:
+    """The most permissive moves on sets of states of n rules, the diagrams
+    nodes in manager, as _async_moves makes them: each set a 4^n-bit int,
+    bit x set iff the mp state x = (val << n) | free is in it; masks are
+    _var_masks(2n), the val bits' then the free bits'.  Where rule j can be
+    1 (can1) and 0 (can0) on gamma(x) comes from one postorder pass over
+    its diagram, mp_values on sets: a node can be v where its variable may
+    read 1 (its level is not 0) and its high child can be v, or may read 0
+    (its level is not 1) and its low child can.  Component j, at val bit V
+    and free bit F, makes up to four moves (shift, down, up):
+
+        (V, i & can0, d & can1)    i -> d, d -> i
+        (V + F, none, 0 & can1)    0 -> i
+        (V - F, 1 & can0, none)    1 -> d
+        (F, i | d, none)           i -> 1, d -> 0"""
+    n = len(nodes)
+    full = (1 << (1 << 2 * n)) - 1
+    halves = list(zip(masks, masks[n:]))  # per component: its (val, free) bits
+    reads = [(val | free, full ^ val | free) for val, free in halves]  # may read 1, 0
+    triples = manager._triples
+    moves = []
+    for j, (u, (val, free)) in enumerate(zip(nodes, halves)):
+        # node -> (can be 1, can be 0); one memo per rule holds one rule's sets
+        can = {FALSE: (0, full), TRUE: (full, 0)}
+        for w in manager.postorder(u, can):
+            var, low, high = triples[w - 2]
+            one, zero = reads[var]
+            (high1, high0), (low1, low0) = can[high], can[low]
+            can[w] = one & high1 | zero & low1, one & high0 | zero & low0
+        can1, can0 = can[u]
+        v, f = 1 << 2 * n - 1 - j, 1 << n - 1 - j
+        moves += [
+            (v, can0 & val & free, can1 & free & ~val),
+            (v + f, 0, can1 & ~(val | free)),
+            (v - f, can0 & val & ~free, 0),
+            (f, free, 0),
+        ]
+    return [move for move in moves if move[1] | move[2]]
 
 
 def _reverse_moves(moves) -> list[tuple[int, int, int]]:

@@ -216,7 +216,9 @@ class _Unfolding:
         per component k builds its conditions and joins the literals of each
         own pattern of its width into its cube once; bit p of k's image is
         the join of | over those patterns of cube & the value of the
-        pattern's setter for p."""
+        pattern's setter for p.  A setter "0" adds nothing to the join, so
+        its term is skipped, and so is the cube of a pattern (100, 010)
+        whose setters are all "0"."""
         m = self.manager
         nodes = []
         for k, slots in enumerate(self.slots):
@@ -224,10 +226,12 @@ class _Unfolding:
             own = [
                 (m.join(_AND, zip(slots, map(int, pattern))), setters)
                 for pattern, setters in _LETTER_RULES.items()
-                if len(pattern) == len(slots)
+                if len(pattern) == len(slots) and setters.count("0") < len(setters)
             ]
             for p in range(len(slots)):
-                terms = [m.conj(cube, value[setters[p]]) for cube, setters in own]
+                terms = [
+                    m.conj(cube, value[setters[p]]) for cube, setters in own if setters[p] != "0"
+                ]
                 nodes.append(m.join(_OR, terms))
         return nodes
 

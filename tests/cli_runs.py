@@ -1,7 +1,8 @@
 """The CLI runs whose output must not depend on the string hash seed, made in
 one process through cli.main: on the bundled models, and on the size
 ladder's shapes at 300 and TOP less the cells that shapes.FAILS names.
-Prints each run's argv, exit code and stdout, and the bytes unfold -o wrote,
+Also reach past the budget of its breadth-first search, where sets of
+states answer.  Prints each run's argv, exit code and stdout, and the bytes unfold -o wrote,
 with paths relative to its own temporary directory; tests/test_processes.py
 compares the prints under two hash seeds.  Cross-checks between runs are
 assertions:
@@ -18,7 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from mpunfold.cli import main
-from shapes import FAILS, SHAPES, TOP
+from shapes import FAILS, SHAPES, TOP, gray_counter
 
 MODELS = sorted(Path(__file__).resolve().parent.parent.glob("models/*.bnet"))
 MODES = ("exact", "syntactic")
@@ -95,6 +96,22 @@ def dynamics(model, n):
         assert run("attractors", model, "--semantics", semantics, "--roots", every)[1] == whole
 
 
+def past_the_budget():
+    """reach under mp and async past the BFS's budget of 1/64 of the
+    space: y stays 0 while five components flip, so the sets of states
+    settle an unreachable target and a cap below the closure's size, and
+    the BFS goes on to a reachable target; the Gray counter's last code is
+    2^8 - 1 async steps from its first."""
+    Path("flips.bnet").write_text("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(5)))
+    Path("gray.bnet").write_text(gray_counter(8))
+    for semantics, low in (("mp", "100"), ("async", "20")):  # past the budget, below 4^5, 2^5
+        for target, cap, code in (("1*****", "1000000", 1), ("1*****", low, 3),
+                                  ("011111", "1000000", 0), ("011111", low, 3)):
+            run("reach", "flips.bnet", "--semantics", semantics, "--from", "000000",
+                "--to", target, "--cap", cap, codes=(code,))
+    run("reach", "gray.bnet", "--semantics", "async", "--from", "0" * 8, "--to", "1" + "0" * 7)
+
+
 if __name__ == "__main__":
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,6 +122,7 @@ if __name__ == "__main__":
             unfold_read_back(model, names)
             theorem(model, len(names))
             dynamics(model, len(names))
+        past_the_budget()
         for shape, n in product(SHAPES, (300, TOP)):
             path = f"{shape}.{n}.bnet"
             Path(path).write_text(SHAPES[shape](n))

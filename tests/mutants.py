@@ -269,6 +269,54 @@ MUTANTS = [
             "tests/test_oracle.py::test_report_on_broken_sides_equals_per_source_searches",
         ),
     ),
+    # the mp moves on sets read where a rule can be 1 as where it can be 0
+    Mutant(
+        "mp-sets-can0-can1-swapped",
+        "reach.py",
+        "can1, can0 = can[u]",
+        "can0, can1 = can[u]",
+        ("tests/test_reach.py::test_set_hand_off_agrees_with_bfs_alone[3]",),
+    ),
+    # the mp moves on sets never settle an i or d level
+    Mutant(
+        "mp-sets-settle-move-dropped",
+        "reach.py",
+        "            (f, free, 0),\n",
+        "",
+        ("tests/test_reach.py::test_set_hand_off_agrees_with_bfs_alone[3]",),
+    ),
+    # the sets count a closure past the cap as the closure's size
+    Mutant(
+        "set-cap-exceeded-counts-the-closure",
+        "reach.py",
+        'return ReachResult("cap-exceeded", cap)',
+        'return ReachResult("cap-exceeded", size)',
+        ("tests/test_reach.py::test_set_hand_off_agrees_with_bfs_alone[3]",),
+    ),
+    # an mp target on sets reads its val half only
+    Mutant(
+        "set-target-ignores-the-free-half",
+        "reach.py",
+        "pattern = pattern.translate(_MP_VAL) + pattern.translate(_MP_FREE)",
+        'pattern = pattern.translate(_MP_VAL) + "*" * len(pattern)',
+        ("tests/test_reach.py::test_set_hand_off_agrees_with_bfs_alone[3]",),
+    ),
+    # rule_nodes skips the cube of a pattern that sets one bit
+    Mutant(
+        "rule-nodes-skip-a-setting-pattern",
+        "unfold.py",
+        'setters.count("0") < len(setters)',
+        'setters.count("0") < len(setters) - 1',
+        ("tests/test_unfold.py::test_unfold_full_example_a_matches_frozen_rules",),
+    ),
+    # a witness search never stops before its closure ends
+    Mutant(
+        "oracle-witness-search-never-stops",
+        "oracle.py",
+        "return not left",
+        "return False",
+        ("tests/test_oracle.py::test_witness_searches_stop_at_their_last_target",),
+    ),
     # the theorem check starts each mp search from the reversed state
     Mutant(
         "oracle-mp-sources-bit-reversed",

@@ -224,6 +224,29 @@ def test_equivalence_detects_syntactic_overreach():
     assert not report.subsumption_violations
 
 
+def test_witness_searches_stop_at_their_last_target(monkeypatch):
+    """Each witness search ends at the state that stopped it, a mismatched
+    target of its source, and some end before their closure does; the
+    report stays the full searches' (see the all-states reference)."""
+    import mpunfold.oracle as oracle
+
+    search = oracle._search
+    searches = early = 0
+
+    def spy(step, starts, cap, stop):
+        nonlocal searches, early
+        parent, found, exceeded = search(step, starts, cap, stop=stop)
+        assert found == next(reversed(parent)) is not None
+        searches += 1
+        early += len(parent) < len(search(step, starts, cap)[0])
+        return parent, found, exceeded
+
+    monkeypatch.setattr(oracle, "_search", spy)
+    for seed in range(6):
+        check_equivalence(random_network(RandomNetSpec(n=4, seed=seed)), mode="syntactic")
+    assert searches > early > 0
+
+
 def test_equivalence_report_as_dict():
     d = check_equivalence(example_a(), label="demo").as_dict()
     assert d == {

@@ -30,9 +30,11 @@ from mpunfold import (
     unfold,
 )
 from mpunfold import reach
+from mpunfold.bdd import DiagramManager
 from mpunfold.network import _ImageTable
 from mpunfold.oracle import naive_mp_successors
 from mpunfold.reach import _condense
+from mpunfold.semantics import SEMANTICS as semantics_registry
 from mpunfold.semantics import _async, _general, _mp, is_boolean_state
 from shapes import gray_counter
 
@@ -189,6 +191,109 @@ def test_reaches_pattern_alphabet_depends_on_semantics():
     r = reaches(net, "mp", "000", "0i*")
     assert r.verdict == "unreachable"  # x2 can never rise from 000
     assert reaches(net, "mp", "000", "**i").verdict == "reachable"
+
+
+# --- reaches past its search budget: the sets of states --------------------------
+
+_ALPHABETS = {"mp": ("0id1", "0id1*"), "async": ("01", "01*")}
+
+
+def _bfs_alone(monkeypatch, queries):
+    """reaches on each query with a budget no search passes: _bfs alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(reach, "_search_budget", lambda states: 1 << 62)
+        return [reaches(*query) for query in queries]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_set_hand_off_agrees_with_bfs_alone(n, monkeypatch):
+    """With the hand-off after 0, 2 or 7 states of the BFS, reaches gives
+    _bfs's verdict, states_explored and witness under mp and async, starts
+    and targets with i, d and *, caps from 5 to 10^6.  From n = 3 the sets
+    settle unreachable and cap-exceeded targets, and the BFS goes on to
+    reachable and cap-exceeded ones."""
+    rng = random.Random(n)
+    queries = []
+    for regulators, seed, semantics in product((1, 2, 3), range(2), _ALPHABETS):
+        net = random_network(RandomNetSpec(n=n, seed=seed, max_regulators=regulators))
+        states, patterns = _ALPHABETS[semantics]
+        for _ in range(10):
+            start, target = ("".join(rng.choices(abc, k=n)) for abc in (states, patterns))
+            queries += [(net, semantics, start, target, cap) for cap in (5, 40, 10**6)]
+    alone = _bfs_alone(monkeypatch, queries)
+    settled = []  # per closure taken: whether it holds no target
+    closure = reach._set_closure
+
+    def spy(*args):
+        reached, goal = closure(*args)
+        settled.append(not reached & goal)
+        return reached, goal
+
+    monkeypatch.setattr(reach, "_set_closure", spy)
+    ways = set()  # (whether the sets settled the query, its verdict)
+    for budget in (0, 2, 7):
+        monkeypatch.setattr(reach, "_search_budget", lambda states: budget)
+        for query, expected in zip(queries, alone):
+            settled.clear()
+            assert reaches(*query) == expected, (budget, query[1:])
+            ways.update((way, expected.verdict) for way in settled)
+    if n >= 3:
+        assert ways == {(True, "unreachable"), (True, "cap-exceeded"),
+                        (False, "reachable"), (False, "cap-exceeded")}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_set_hand_off_on_the_gray_counter(n, monkeypatch):
+    """One async cycle through every state: from 0...0 the last code, 10...0,
+    is 2^n - 1 steps away, far past the budget, and 0...01 one step.  The
+    answers are _bfs's alone under async and, up to n = 6, under mp."""
+    net = parse_bnet(gray_counter(n))
+    zeros, last, first = "0" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1"
+    caps = (5, (1 << n) - 1, 1 << n, 10**6)
+    queries = [(net, "async", zeros, t, cap) for t in (last, first) for cap in caps]
+    if n <= 6:
+        targets = (last, "i" * n, "d" + "*" * (n - 1), "1" * n)
+        queries += [(net, "mp", zeros, t, cap) for t in targets for cap in caps]
+    answers = [reaches(*query) for query in queries]
+    assert answers == _bfs_alone(monkeypatch, queries)
+    assert answers[2] == ReachResult("reachable", 1 << n, answers[2].witness)
+    assert len(answers[2].witness) == 1 << n
+
+
+@pytest.mark.parametrize("semantics,n", [("async", 20), ("mp", 10)])
+def test_a_large_closure_is_settled_on_sets(semantics, n, monkeypatch):
+    """2^20 states, the most that sets of states are built for: y stays 0,
+    16 or 8 components flip freely, so from 0...0 the closure has 2^16
+    states and holds no state with y = 1.  The BFS steps its budget's
+    states (1/64 of the space) and no more; the closure counts them all."""
+    free = 16 if semantics == "async" else 8
+    names = [f"x{k}" for k in range(n - 1)]
+    net = parse_bnet("y, y\n" + "".join(
+        f"{x}, {'!' if k < free else ''}{x}\n" for k, x in enumerate(names)
+    ))
+    stepped = []
+    step = semantics_registry[semantics]
+    monkeypatch.setitem(semantics_registry, semantics, lambda ev, s: stepped.append(s) or step(ev, s))
+    answer = reaches(net, semantics, "0" * n, "1" + "*" * (n - 1))
+    assert answer == ReachResult("unreachable", 1 << 16)
+    assert len(stepped) <= 1 << 14 == reach._search_budget(1 << 20)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not expected here")
+
+
+@pytest.mark.parametrize("semantics,n", [("async", 21), ("mp", 11)])
+def test_no_sets_past_2_to_the_20_states(semantics, n, monkeypatch):
+    """One component more and the BFS alone answers, to the cap: no set of
+    states is built, no truth table made."""
+    monkeypatch.setattr(reach, "_set_closure", _refuse)
+    monkeypatch.setattr(DiagramManager, "_truth_tables", _refuse)
+    net = parse_bnet("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(5))
+                     + "".join(f"z{k}, z{k}\n" for k in range(n - 6)))
+    size = 1 << (5 if semantics == "async" else 10)
+    assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1)) == ReachResult("unreachable", size)
+    assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1), cap=7) == ReachResult("cap-exceeded", 7)
 
 
 # --- attractors --------------------------------------------------------------
