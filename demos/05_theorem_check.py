@@ -12,7 +12,9 @@ code with the main implementation, the unfolded side by forward closures
 on sets of unfolded states (one 2^(3n)-bit int each) from the encoded
 Boolean states, over the truth tables of the unfolded rules.  It also
 confirms that ordinary asynchronous reachability is subsumed by most
-permissive reachability.
+permissive reachability, one step at a time: the latter is reflexive and
+transitive, so every asynchronous run stays inside it iff every single
+asynchronous step does.
 """
 import time
 

@@ -21,28 +21,28 @@ side gives every Boolean source's reachable Boolean states as a bit mask:
                    the explorers' component routine, reach._condense, which
                    expands only the states the sources reach, each once;
     unfolded side  the asynchronous graph of the rule diagrams of unfold's
-                   _Unfolding, from the encodings of the 2^n Boolean states
-                   (made from one layout), on sets of states (_set_reach):
-                   each a 2^(3n)-bit int, moved by reach._closure with the
-                   moves reach._async_moves reads off the diagrams' truth
-                   tables, which an _ImageTable reads once, so no unfolded
-                   network and no rule tree is built and no state is
-                   stepped.
+                   _Unfolding, from unfold.encode_state's encodings of the
+                   2^n Boolean states, on sets of states (_set_reach): each
+                   a 2^(3n)-bit int, moved by reach._closure with the moves
+                   reach._async_moves reads off the diagrams' truth tables,
+                   which an _ImageTable reads once, so no unfolded network
+                   and no rule tree is built and no state is stepped.
 
 The mp side stays on the rules' walks, the network's stored syntax from
 which its trees are made too, on the oracle's own builders and on
 _condense, so a fault in the diagrams, in semantics.py or in the sets of
-states cannot hide on both sides at once.  The plain asynchronous graph of
-the subsumption check runs on sets of states too, from the truth tables of
-an _ImageTable of the input network's rules.  Only a source with a
-mismatch or a violation gets a breadth-first search, reach._bfs, for its
-witness and the report's order, which stops once it has met its last
-mismatched or violating state: the mp step, or the asynchronous step that
-reach --semantics async runs, on the image table that the same
-_ImageTable makes on first use from the truth tables the sets read, behind
-functools.cache, so a state any of these searches meets again is stepped
-once; an ok check makes no image table.  mp witnesses are decoded to level
-strings only then.
+states cannot hide on both sides at once.  mp reachability is reflexive
+and transitive, so asynchronous runs of the input stay within it iff each
+asynchronous step does: the subsumption check steps each Boolean state
+once, on an _ImageTable of the input's rules, the one image table an ok
+check makes.  Only a source with a mismatch gets a breadth-first search,
+reach._bfs, for its witness and the report's order: the mp step, or the
+asynchronous step on the image table that the unfolding's _ImageTable
+makes on first use, behind functools.cache, so a state any of these
+searches meets again is stepped once.  Every source gets one on the
+input's asynchronous graph, for its violations, only when some step
+leaves mp reachability.  mp witnesses are decoded to level strings only
+then.
 The tests check both routines against searches of their own.
 """
 from __future__ import annotations
@@ -58,10 +58,10 @@ from . import expr as ex
 from .bdd import FALSE, TRUE
 from .network import BooleanNetwork, _ImageTable
 from .reach import (
-    _async_moves, _bfs as _search, _closure, _condense, _members, _path, _reverse_moves,
+    _async_moves, _bfs as _search, _closure, _condense, _path, _reverse_moves,
 )
 from .semantics import _async
-from .unfold import UnfoldSpec, _Unfolding
+from .unfold import UnfoldSpec, _Unfolding, encode_state
 
 MAX_NAIVE_N = 10
 MAX_EQUIV_N = 6
@@ -293,10 +293,12 @@ def check_equivalence(
 
     The unfolded side reads the truth tables of the rule diagrams that
     unfold would give its output (_Unfolding.rule_nodes), without building
-    that network; it and the plain asynchronous side take their reachable
-    sets on sets of states (_set_reach), the mp side by stepping each state
-    it reaches once.  Witnesses and violations come from breadth-first
-    searches, whose order defines the report's."""
+    that network, and takes its reachable sets on sets of states
+    (_set_reach); the mp side steps each state it reaches once.  Plain
+    asynchronous runs stay within mp reachability iff each of their steps
+    does, so the subsumption check steps each Boolean state once.
+    Witnesses and violations come from breadth-first searches, whose order
+    defines the report's."""
     if net.n > MAX_EQUIV_N:
         raise ValueError(f"exhaustive check is limited to n <= {MAX_EQUIV_N}")
     spec = UnfoldSpec(components=None, mode=mode)  # rejects a bad mode first
@@ -315,11 +317,7 @@ def check_equivalence(
     ctx = _Unfolding(net, spec)
     ev = _ImageTable(ctx.manager, ctx.rule_nodes())
     unf_step = partial(_async, ev)
-    # encode_state's ints from one layout: a Boolean level sets every slot
-    # of its component to its value
-    width = ctx.slots[-1][-1] + 1
-    at_1 = [sum(1 << width - 1 - p for p in slots) for slots in ctx.slots]
-    enc = [sum(m for m, c in zip(at_1, x) if c == "1") for x in bool_states]
+    enc = [int(encode_state(net, x, spec), 2) for x in bool_states]
     unf_reach = _set_reach(ev.tables, enc)
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
@@ -332,12 +330,11 @@ def check_equivalence(
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:
             continue
-        mp_only, unf_only = a_set & ~b_set, b_set & ~a_set
         mp_parents = unf_parents = None
-        if mp_only:
-            mp_parents = _search_to(mp_adj, mp_src[k], [mp_src[i] for i in _members(mp_only)])
-        if unf_only:
-            unf_parents = _search_to(unf_adj, enc[k], [enc[i] for i in _members(unf_only)])
+        if a_set & ~b_set:
+            mp_parents = _search(mp_adj, [mp_src[k]], math.inf)[0]
+        if b_set & ~a_set:
+            unf_parents = _search(unf_adj, [enc[k]], math.inf)[0]
         for i, y in enumerate(bool_states):
             a, b = bool(a_set >> i & 1), bool(b_set >> i & 1)
             if a == b:
@@ -347,28 +344,14 @@ def check_equivalence(
             else:
                 witness = [ev.decode(t) for t in _path(unf_parents, enc[i])]
             report.mismatches.append(Mismatch(x, y, a, b, witness))
-    # async runs of the input must stay within most permissive reachability;
-    # integer state k is bool_states[k]
-    async_ev = _ImageTable(net.manager, net.nodes)
-    async_reach = _set_reach(async_ev.tables, range(len(bool_states)))
-    async_adj = cache(partial(_async, async_ev))
-    for k, x in enumerate(bool_states):
-        violations = async_reach[k] & ~mp_reach[k]
-        if violations:
-            for t in _search_to(async_adj, k, _members(violations)):
-                if violations >> t & 1:
+    # async runs of the input stay within most permissive reachability iff
+    # each async step does, since that is reflexive and transitive; integer
+    # state k is bool_states[k]
+    async_step = partial(_async, _ImageTable(net.manager, net.nodes))
+    steps = ((s, t) for s in range(len(bool_states)) for t in async_step(s))
+    if any(not mp_reach[s] >> t & 1 for s, t in steps):
+        for k, x in enumerate(bool_states):
+            for t in _search(async_step, [k], math.inf)[0]:
+                if not mp_reach[k] >> t & 1:
                     report.subsumption_violations.append((x, bool_states[t]))
     return report
-
-
-def _search_to(step, source, targets):
-    """The parent map of a breadth-first search from source that stops once
-    it has met every one of targets, states other than source: a parent is
-    final when it is set, so each target's path is the full search's."""
-    left = set(targets)
-
-    def last(t):
-        left.discard(t)
-        return not left
-
-    return _search(step, [source], math.inf, stop=last)[0]

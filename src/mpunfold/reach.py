@@ -23,13 +23,13 @@ closures, forward and backward, are one loop of shifts and masks
 (_closure) over the moves of _async_moves and _reverse_moves, with no loop
 per state.  Past one budget of sweeps per search, derived from n and the
 number of edges (a long cycle needs a sweep for every few of its states),
-they fall back to _condense.  The theorem check's unfolded and plain
-asynchronous sides take their reachable sets by the same closures and
-moves, with no budget (oracle._set_reach).  So does reaches under async
-and mp once its BFS has met 1/64 of a space of at most 2^20 states: one
-forward closure, over _async_moves or over _mp_moves on 4^n-bit sets of
-mp states, settles a target it does not hold, and the BFS runs again to
-the cap for one it holds.
+they fall back to _condense.  The theorem check's unfolded side takes its
+reachable sets by the same closures and moves, with no budget
+(oracle._set_reach).  reaches under async and mp takes one forward
+closure too, within such a budget, once its BFS has met 1/64 (and at least
+64) of a space of at most 2^20 states: over _async_moves or over _mp_moves
+on 4^n-bit sets of mp states, it settles a target it does not hold, and
+the BFS runs again to the cap for one it holds or past the budget.
 
 Each explorer walks a semantics through semantics._space, its one owner,
 on the network's evaluator, which walks the manager's rule diagrams per
@@ -40,8 +40,9 @@ image is a table lookup; the sets of states read its truth tables.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 from typing import NamedTuple
 
 from .bdd import _AND, FALSE, TRUE, _var_masks
@@ -129,8 +130,8 @@ def reaches(
     stops at _search_budget states.  Past them, one forward closure on sets
     of states (_set_closure) settles a target it does not hold: unreachable,
     with the closure's size as the count, or cap-exceeded at cap if that
-    size passes cap, as the BFS would answer.  Otherwise the BFS runs again,
-    to the cap."""
+    size passes cap, as the BFS would answer.  Otherwise, or if the closure
+    runs past _sweep_budget's sweeps, the BFS runs again, to the cap."""
     _check_cap(cap)
     space = _space(net, semantics)
     origin, match = space.encode(start), space.match(target)
@@ -140,12 +141,13 @@ def reaches(
     budget = _search_budget(1 << width) if width and width <= 20 else cap
     parent, found, exceeded = _bfs(space.successors, [origin], min(cap, budget), stop=match)
     if exceeded and budget < cap:
-        reached, goal = _set_closure(net, semantics, width, origin, target)
-        if not reached & goal:
-            size = reached.bit_count()
-            if size > cap:
-                return ReachResult("cap-exceeded", cap)
-            return ReachResult("unreachable", size)
+        with suppress(_OverBudget):  # a long closure: the BFS goes on
+            reached, goal = _set_closure(net, semantics, width, origin, target)
+            if not reached & goal:
+                size = reached.bit_count()
+                if size > cap:
+                    return ReachResult("cap-exceeded", cap)
+                return ReachResult("unreachable", size)
         parent, found, exceeded = _bfs(space.successors, [origin], cap, stop=match)
     if found is not None:
         witness = [space.decode(u) for u in _path(parent, found)]
@@ -156,20 +158,22 @@ def reaches(
 
 def _search_budget(states: int) -> int:
     """The states reaches' BFS meets before it asks the sets of states, on
-    a space of this many: 1/64 of them.  In-process on CPython 3.11, the
-    194 mp queries of perfbench/corpus.json (6-8 components, each on a
-    network just read) took 46-52 ms in all at 1/64, 43-48 ms at 1/256,
-    46-52 ms at 1/1024, 66-70 ms at 1/16 and 70-76 ms by the BFS alone.
-    Its async queries on 12 and 18 components meet at most 36 and 112
-    states, under the budgets of 64 and 4096."""
-    return states >> 6
+    a space of this many: 1/64 of them, and at least 64, so that a small
+    space builds no sets for a search of a handful of states.  In-process
+    on CPython 3.11, the 194 mp queries of perfbench/corpus.json (6-8
+    components, each on a network just read) took 46-52 ms in all at 1/64,
+    43-48 ms at 1/256, 46-52 ms at 1/1024, 66-70 ms at 1/16 and 70-76 ms by
+    the BFS alone.  Its async queries on 12 and 18 components meet at most
+    36 and 112 states, under the budgets of 64 and 4096."""
+    return max(64, states >> 6)
 
 
 def _set_closure(net, semantics, width, origin, pattern):
     """The states that origin reaches under semantics, async or mp, as one
     set, and the states that match pattern, each a 2^width-bit int: bit s
     is set iff state s, an integer of width bits, is in the set.  The mp
-    pattern reads as its val half, then its free half, as states do."""
+    pattern reads as its val half, then its free half, as states do.
+    Raises _OverBudget past _sweep_budget's sweeps."""
     masks = _var_masks(width)
     full = (1 << (1 << width)) - 1
     if semantics == "mp":
@@ -181,7 +185,8 @@ def _set_closure(net, semantics, width, origin, pattern):
     for c, mask in zip(pattern, masks):
         if c != "*":
             goal &= mask if c == "1" else ~mask
-    return _closure(moves, 1 << origin, full, count()), goal
+    sweeps = iter(range(_sweep_budget(width, moves)))
+    return _closure(moves, 1 << origin, full, sweeps), goal
 
 
 def _bfs(succ, starts, cap, stop=None, edges=None):
@@ -312,7 +317,7 @@ def _cycles(image, starts, cap):
 
 
 class _OverBudget(Exception):
-    """The sets of _async_attractor_sets ran past their budget of sweeps."""
+    """Closures on sets of states ran past their budget of sweeps."""
 
 
 def _async_attractor_sets(tables) -> list[list[int]]:
@@ -338,11 +343,10 @@ def _async_attractor_sets(tables) -> list[list[int]]:
     full = (1 << (1 << n)) - 1
     forward = _async_moves(tables)
     reverse = _reverse_moves(forward)
-    edges, fixed = 0, full
+    fixed = full
     for _, down, up in forward:
-        edges += down.bit_count() + up.bit_count()
         fixed &= ~(down | up)
-    sweeps = iter(range(_sweep_budget(n, edges)))
+    sweeps = iter(range(_sweep_budget(n, forward)))
     live = full
     if fixed:
         live ^= _closure(reverse, fixed, full, sweeps)
@@ -423,13 +427,14 @@ def _reverse_moves(moves) -> list[tuple[int, int, int]]:
     return [(bit, up << bit, down >> bit) for bit, down, up in moves]
 
 
-def _sweep_budget(n: int, edges: int) -> int:
-    """The sweeps _async_attractor_sets may take on n components and edges
-    moves: about 0.4 of what _condense's pass over every state would cost.
-    Measured on CPython 3.11, that pass costs 1.2 us per state and 0.12 us
-    per edge, and a sweep 0.3 us plus 0.075 ns per state for each
-    component."""
+def _sweep_budget(n: int, moves) -> int:
+    """The sweeps the closures of one search may take on sets of states of
+    n bits with these moves: about 0.4 of what _condense's pass over all
+    2^n states would cost.  Measured on CPython 3.11, that pass costs 1.2 us
+    per state and 0.12 us per edge (a state that a move takes somewhere),
+    and a sweep 0.3 us plus 0.075 ns per state for each bit."""
     size = 1 << n
+    edges = sum(down.bit_count() + up.bit_count() for _, down, up in moves)
     return 640 * (10 * size + edges) // (n * (size + 4096))
 
 

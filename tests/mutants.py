@@ -258,12 +258,12 @@ MUTANTS = [
         "same = reached & todo",
         ("tests/test_oracle.py::test_set_reach_agrees_with_condense_on_plain_async[3]",),
     ),
-    # the plain asynchronous side closes over the unfolding's moves
+    # the plain asynchronous side steps the unfolding's image table
     Mutant(
         "oracle-plain-async-closes-over-the-unfolding",
         "oracle.py",
-        "async_reach = _set_reach(async_ev.tables, range(len(bool_states)))",
-        "async_reach = _set_reach(ev.tables, range(len(bool_states)))",
+        "async_step = partial(_async, _ImageTable(net.manager, net.nodes))",
+        "async_step = partial(_async, ev)",
         (
             "tests/test_oracle.py::test_check_steps_each_state_once_per_side[3]",
             "tests/test_oracle.py::test_report_on_broken_sides_equals_per_source_searches",
@@ -309,13 +309,29 @@ MUTANTS = [
         'setters.count("0") < len(setters) - 1',
         ("tests/test_unfold.py::test_unfold_full_example_a_matches_frozen_rules",),
     ),
-    # a witness search never stops before its closure ends
+    # the subsumption check reads only the first asynchronous step of a state
     Mutant(
-        "oracle-witness-search-never-stops",
+        "oracle-plain-async-checks-only-the-first-step",
         "oracle.py",
-        "return not left",
-        "return False",
-        ("tests/test_oracle.py::test_witness_searches_stop_at_their_last_target",),
+        "for t in async_step(s))",
+        "for t in async_step(s)[:1])",
+        ("tests/test_oracle.py::test_report_on_broken_sides_equals_per_source_searches",),
+    ),
+    # reaches' closure on sets of states takes as many sweeps as it needs
+    Mutant(
+        "set-closure-without-a-budget",
+        "reach.py",
+        "sweeps = iter(range(_sweep_budget(width, moves)))",
+        "sweeps = iter(range(1 << 62))",
+        ("tests/test_reach.py::test_set_hand_off_on_the_gray_counter[8]",),
+    ),
+    # the mp moves on sets let a 1 level fall whatever its rule reads
+    Mutant(
+        "mp-sets-one-falls-whatever-its-rule",
+        "reach.py",
+        "(v - f, can0 & val & ~free, 0)",
+        "(v - f, val & ~free, 0)",
+        ("tests/test_reach.py::test_set_moves_take_each_state_to_its_successors[2]",),
     ),
     # the theorem check starts each mp search from the reversed state
     Mutant(

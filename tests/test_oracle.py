@@ -224,29 +224,6 @@ def test_equivalence_detects_syntactic_overreach():
     assert not report.subsumption_violations
 
 
-def test_witness_searches_stop_at_their_last_target(monkeypatch):
-    """Each witness search ends at the state that stopped it, a mismatched
-    target of its source, and some end before their closure does; the
-    report stays the full searches' (see the all-states reference)."""
-    import mpunfold.oracle as oracle
-
-    search = oracle._search
-    searches = early = 0
-
-    def spy(step, starts, cap, stop):
-        nonlocal searches, early
-        parent, found, exceeded = search(step, starts, cap, stop=stop)
-        assert found == next(reversed(parent)) is not None
-        searches += 1
-        early += len(parent) < len(search(step, starts, cap)[0])
-        return parent, found, exceeded
-
-    monkeypatch.setattr(oracle, "_search", spy)
-    for seed in range(6):
-        check_equivalence(random_network(RandomNetSpec(n=4, seed=seed)), mode="syntactic")
-    assert searches > early > 0
-
-
 def test_equivalence_report_as_dict():
     d = check_equivalence(example_a(), label="demo").as_dict()
     assert d == {
@@ -365,9 +342,10 @@ def _closure_size(step, starts):
 @pytest.mark.parametrize("n", [3, 4])
 def test_check_steps_each_state_once_per_side(monkeypatch, n):
     """On an ok check the mp side's step runs once per state it reaches, not
-    once per Boolean source that reaches the state, while the unfolded and
-    the plain asynchronous sides run on sets of states: they step no state
-    and make no image table, and no witness search runs."""
+    once per Boolean source that reaches the state; the plain asynchronous
+    side steps each Boolean state once, on the one image table made, of
+    2^n entries; the unfolded side runs on sets of states and steps none,
+    and no witness search runs."""
     from itertools import product
 
     import mpunfold.network as network
@@ -375,25 +353,31 @@ def test_check_steps_each_state_once_per_side(monkeypatch, n):
     from mpunfold.oracle import naive_mp_successors
 
     stepped, images = [], []  # the states the mp step got; the image tables made
-    mp_step, transpose = oracle._mp_step, network._transpose
+    mp_step, transpose, step = oracle._mp_step, network._transpose, oracle._async
     monkeypatch.setattr(
         oracle, "_mp_step", lambda v, n, x: stepped.append(x) or mp_step(v, n, x)
     )
-    monkeypatch.setattr(network, "_transpose", lambda t: images.append(1) or transpose(t))
+    monkeypatch.setattr(
+        network, "_transpose", lambda t: images.append(1 << len(t)) or transpose(t)
+    )
+    plain = []  # the states the asynchronous step got, on n components only
 
-    def no_step(ev, s):
-        raise AssertionError("the check stepped an asynchronous state")
+    def plain_step(ev, s):
+        assert ev.n == n, "the check stepped an unfolded state"
+        plain.append(s)
+        return step(ev, s)
 
-    # the one asynchronous step of the unfolding, the plain graph and their witnesses
-    monkeypatch.setattr(oracle, "_async", no_step)
+    monkeypatch.setattr(oracle, "_async", plain_step)
     for seed in range(8):
         net = random_network(RandomNetSpec(n=n, seed=seed))
         bool_states = ["".join(t) for t in product("01", repeat=n)]
         reached = _closure_size(lambda x: naive_mp_successors(net, x), bool_states)
-        stepped.clear()
+        for log in (stepped, plain, images):
+            log.clear()
         assert oracle.check_equivalence(net).ok
         assert len(stepped) == len(set(stepped)) == reached, seed
-        assert images == [], seed
+        assert plain == list(range(1 << n)), seed
+        assert images == [1 << n], seed
 
 
 def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):

@@ -246,7 +246,9 @@ def test_set_hand_off_agrees_with_bfs_alone(n, monkeypatch):
 def test_set_hand_off_on_the_gray_counter(n, monkeypatch):
     """One async cycle through every state: from 0...0 the last code, 10...0,
     is 2^n - 1 steps away, far past the budget, and 0...01 one step.  The
-    answers are _bfs's alone under async and, up to n = 6, under mp."""
+    answers are _bfs's alone under async and, up to n = 6, under mp.  At
+    n = 8 every async closure runs past its budget of sweeps, and the BFS
+    answers."""
     net = parse_bnet(gray_counter(n))
     zeros, last, first = "0" * n, "1" + "0" * (n - 1), "0" * (n - 1) + "1"
     caps = (5, (1 << n) - 1, 1 << n, 10**6)
@@ -254,10 +256,26 @@ def test_set_hand_off_on_the_gray_counter(n, monkeypatch):
     if n <= 6:
         targets = (last, "i" * n, "d" + "*" * (n - 1), "1" * n)
         queries += [(net, "mp", zeros, t, cap) for t in targets for cap in caps]
+    alone = _bfs_alone(monkeypatch, queries)
+    over = []  # per closure taken: its semantics, and whether it ran past the budget
+    closure = reach._set_closure
+
+    def spy(net, semantics, *args):
+        try:
+            found = closure(net, semantics, *args)
+        except reach._OverBudget:
+            over.append((semantics, True))
+            raise
+        over.append((semantics, False))
+        return found
+
+    monkeypatch.setattr(reach, "_set_closure", spy)
     answers = [reaches(*query) for query in queries]
-    assert answers == _bfs_alone(monkeypatch, queries)
+    assert answers == alone
     assert answers[2] == ReachResult("reachable", 1 << n, answers[2].witness)
     assert len(answers[2].witness) == 1 << n
+    if n == 8:
+        assert set(over) == {("async", True)}
 
 
 @pytest.mark.parametrize("semantics,n", [("async", 20), ("mp", 10)])
@@ -283,6 +301,20 @@ def _refuse(*args, **kwargs):
     raise AssertionError("not expected here")
 
 
+@pytest.mark.parametrize("semantics,n,free", [("async", 6, 5), ("mp", 3, 2), ("mp", 5, 2)])
+def test_no_sets_for_a_closure_under_64_states(semantics, n, free, monkeypatch):
+    """The search budget is at least 64 states, so a closure smaller than
+    that ends in the BFS, however small a share of the space it leaves to
+    the sets: y stays 0 and free components flip, 32 states under async
+    and 16 under mp, in spaces of 64, 64 and 1024 states."""
+    monkeypatch.setattr(reach, "_set_closure", _refuse)
+    net = parse_bnet("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(free))
+                     + "".join(f"z{k}, z{k}\n" for k in range(n - 1 - free)))
+    size = 1 << (free if semantics == "async" else 2 * free)
+    assert reach._search_budget(1 << (n if semantics == "async" else 2 * n)) == 64
+    assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1)) == ReachResult("unreachable", size)
+
+
 @pytest.mark.parametrize("semantics,n", [("async", 21), ("mp", 11)])
 def test_no_sets_past_2_to_the_20_states(semantics, n, monkeypatch):
     """One component more and the BFS alone answers, to the cap: no set of
@@ -294,6 +326,27 @@ def test_no_sets_past_2_to_the_20_states(semantics, n, monkeypatch):
     size = 1 << (5 if semantics == "async" else 10)
     assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1)) == ReachResult("unreachable", size)
     assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1), cap=7) == ReachResult("cap-exceeded", 7)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_set_moves_take_each_state_to_its_successors(n):
+    """The moves on sets applied to each one-state set {x}: their union is
+    the set of x's successors by the step on single states, under async on
+    all 2^n states and, up to n = 4, under mp on all 4^n states."""
+    from mpunfold.bdd import _var_masks
+
+    for regulators, seed in product((1, 2, 3), range(2)):
+        net = random_network(RandomNetSpec(n=n, seed=seed, max_regulators=regulators))
+        cases = [(_async, n, reach._async_moves(net.manager._truth_tables(net.nodes)))]
+        if n <= 4:
+            cases.append((_mp, 2 * n, reach._mp_moves(net.manager, net.nodes, _var_masks(2 * n))))
+        for step, width, moves in cases:
+            for x in range(1 << width):
+                taken = 0
+                for bit, down, up in moves:
+                    taken |= (1 << x & down) >> bit | (1 << x & up) << bit
+                expected = sum(1 << t for t in set(step(net.evaluator, x)))
+                assert taken == expected, (step.__name__, regulators, seed, x)
 
 
 # --- attractors --------------------------------------------------------------
