@@ -21,7 +21,7 @@ side gives every Boolean source's reachable Boolean states as a bit mask:
                    the explorers' component routine, reach._condense, which
                    expands only the states the sources reach, each once;
     unfolded side  the asynchronous graph of the rule diagrams of unfold's
-                   _Unfolding, from unfold.encode_state's encodings of the
+                   _Unfolding, from unfold._encode_state's encodings of the
                    2^n Boolean states, on sets of states (_set_reach): each
                    a 2^(3n)-bit int, moved by reach._closure with the moves
                    reach._async_moves reads off the diagrams' truth tables,
@@ -61,7 +61,7 @@ from .reach import (
     _async_moves, _bfs as _search, _closure, _condense, _path, _reverse_moves,
 )
 from .semantics import _async
-from .unfold import UnfoldSpec, _Unfolding, encode_state
+from .unfold import UnfoldSpec, _encode_state, _Unfolding
 
 MAX_NAIVE_N = 10
 MAX_EQUIV_N = 6
@@ -317,7 +317,7 @@ def check_equivalence(
     ctx = _Unfolding(net, spec)
     ev = _ImageTable(ctx.manager, ctx.rule_nodes())
     unf_step = partial(_async, ev)
-    enc = [int(encode_state(net, x, spec), 2) for x in bool_states]
+    enc = [int(_encode_state(x, ctx.slots), 2) for x in bool_states]
     unf_reach = _set_reach(ev.tables, enc)
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2

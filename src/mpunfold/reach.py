@@ -15,7 +15,9 @@ components no edge leaves), whole-space general attractors, and the
 reachable sets of the theorem check's mp side.  Under sync the state
 graph is the function f, whose terminal components are its cycles, so
 sync attractors run _cycles, one walk along f that takes each image once.
-All three count the cap the same way.
+All three count the cap the same way.  Whole-space sync attractors first
+shrink the space toward f's limit set (_limit_set), in rounds that each
+take a set to its image at C speed, and _cycles walks only the survivors.
 
 Whole-space async attractors run on sets of states instead, each set one
 2^n-bit int: _async_attractor_sets, a forward-backward search whose
@@ -316,6 +318,22 @@ def _cycles(image, starts, cap):
     return cycles, False
 
 
+def _limit_set(image, states) -> list:
+    """The survivors of rounds that take states, a set closed under the
+    function image, to its image, in increasing order.  Each cycle of image
+    lies in the image of every set that holds it, so the survivors hold
+    every cycle that states holds, and they are closed under image too.  A
+    round maps the set through image at C speed, with no Python work per
+    state; the rounds stop once one removes less than an eighth of the set,
+    nothing included, so a map that keeps every state costs one round."""
+    kept = states
+    while True:
+        shrunk = set(map(image, kept))
+        if 8 * (len(kept) - len(shrunk)) < len(kept):
+            return sorted(shrunk)
+        kept = shrunk
+
+
 class _OverBudget(Exception):
     """Closures on sets of states ran past their budget of sweeps."""
 
@@ -468,7 +486,8 @@ def _terminal_components(net, semantics, cap, roots):
     """attractors' terminal components as lists of integer states, by
     stepping every state of the closure of roots, or of the whole space on
     one _ImageTable without roots; under async its truth tables go first to
-    the sets of states."""
+    the sets of states, and under sync only the survivors of _limit_set's
+    rounds on the image table are walked."""
     if roots is None:
         ev = _ImageTable(net.manager, net.nodes)
         if semantics == "async":
@@ -477,6 +496,8 @@ def _terminal_components(net, semantics, cap, roots):
             except _OverBudget:
                 pass
         starts = range(1 << net.n)  # integer order: string order
+        if semantics == "sync":  # f's cycles lie in its limit set
+            starts = _limit_set(ev.image, starts)
     else:
         ev = net.evaluator
     space = _space(net, semantics, ev)
@@ -503,9 +524,12 @@ def attractors(
     Without roots the whole state space is searched (needs 2^n <= cap);
     with roots, the forward closure of the root set.  Under sync each state
     has the one successor f(s), so the terminal components are the cycles
-    of f, found by one walk along f (_cycles).  Whole-space async runs on
-    sets of states (_async_attractor_sets); past their budget, and for
-    general or from roots, one Tarjan pass (_condense) steps each state.
+    of f, found by one walk along f (_cycles); without roots the walk
+    starts only from the states that survive rounds taking the space to
+    its image under f (_limit_set), which hold every cycle.  Whole-space
+    async runs on sets of states (_async_attractor_sets); past their
+    budget, and for general or from roots, one Tarjan pass (_condense)
+    steps each state.
     Most permissive semantics is excluded: its transient levels make
     terminal SCCs the wrong notion there."""
     _check_cap(cap)

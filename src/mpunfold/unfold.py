@@ -291,15 +291,24 @@ def encode_state(net: BooleanNetwork, x: str, spec: UnfoldSpec | None = None) ->
     left plain must sit at a Boolean level."""
     spec = spec or UnfoldSpec()
     check_mp_state(net, x)
-    parts = []
-    for k, (level, slots) in enumerate(zip(x, _slots(net, spec))):
+    layout = _slots(net, spec)
+    for k, (level, slots) in enumerate(zip(x, layout)):
         if len(slots) == 1 and level not in "01":
             raise ValueError(
                 f"component {net.names[k]!r} is not unfolded and must be "
                 f"Boolean, got level {level!r}"
             )
-        parts.append(level if len(slots) == 1 else LEVEL_TO_TRIPLET[level])
-    return "".join(parts)
+    return _encode_state(x, layout)
+
+
+def _encode_state(x: str, layout: list[tuple[int, ...]]) -> str:
+    """encode_state of x on layout, _slots' output, with no check: every
+    level of x is one of 0, i, d, 1, and 0 or 1 where layout keeps its
+    component plain."""
+    return "".join(
+        level if len(slots) == 1 else LEVEL_TO_TRIPLET[level]
+        for level, slots in zip(x, layout)
+    )
 
 
 def decode_state(net: BooleanNetwork, xt: str, spec: UnfoldSpec | None = None) -> str:

@@ -4,10 +4,11 @@ Each entry of MUTANTS has a name, a file of src/mpunfold, an exact old
 text that occurs there once, the new text that replaces it, and the tests
 that must fail on the edited copy.  For each entry the package is copied to
 a temporary directory, the edit is made there, and the named tests run
-against the copy in a subprocess; the entry fails if they all pass.  An
-entry whose old text does not occur exactly once fails too, so a change
-that moves the code re-aims or retires the entry with it.  WORKERS entries
-run at once, and the whole table runs within BUDGET_S seconds:
+against the copy in a subprocess; the entry fails if they all pass, or
+if none runs because an id matches no test.  An entry whose old text does
+not occur exactly once fails too, so a change that moves the code re-aims
+or retires the entry with it.  WORKERS entries run at once, and the whole
+table runs within BUDGET_S seconds:
 
     python tests/mutants.py
 
@@ -152,6 +153,30 @@ MUTANTS = [
         "if len(walk) >= limit:",
         "if len(walk) > limit:",
         ("tests/test_evaluator.py::test_attractors_match_string_bfs",),
+    ),
+    # whole-space sync attractors take the rounds' survivors as fixed points, with no walk
+    Mutant(
+        "sync-survivors-taken-without-the-walk",
+        "reach.py",
+        "starts = _limit_set(ev.image, starts)",
+        "return [[s] for s in _limit_set(ev.image, starts)]",
+        ("tests/test_reach.py::test_sync_attractors_agree_with_cycles_from_every_state[3]",),
+    ),
+    # each round also drops its largest image, which may lie on a cycle
+    Mutant(
+        "sync-round-drops-its-largest-state",
+        "reach.py",
+        "shrunk = set(map(image, kept))",
+        "shrunk = set(map(image, kept)); shrunk.discard(max(shrunk))",
+        ("tests/test_reach.py::test_limit_set_keeps_every_cycle_of_hand_made_maps[fixed-points-6]",),
+    ),
+    # the rounds go on until one removes nothing
+    Mutant(
+        "sync-rounds-stop-only-when-none-leaves",
+        "reach.py",
+        "if 8 * (len(kept) - len(shrunk)) < len(kept):",
+        "if len(shrunk) == len(kept):",
+        ("tests/test_reach.py::test_rounds_stop_once_few_states_leave[saturating-counter]",),
     ),
     # async successors flip the lowest bit (last component) first
     Mutant(
@@ -345,7 +370,8 @@ MUTANTS = [
 
 
 def survives(mutant: Mutant, timeout: float) -> bool:
-    """Whether every named test passes on the package with mutant's edit.
+    """Whether every named test passes on the package with mutant's edit,
+    or none of them runs (pytest exits 4 or 5 when an id matches no test).
     Raises ValueError if the old text does not occur exactly once."""
     text = (PACKAGE / mutant.file).read_text()
     if text.count(mutant.old) != 1:
@@ -363,7 +389,7 @@ def survives(mutant: Mutant, timeout: float) -> bool:
             capture_output=True,
             timeout=timeout,
         )
-    return run.returncode == 0
+    return run.returncode in (0, 4, 5)
 
 
 def main() -> int:

@@ -437,11 +437,21 @@ def test_one_sweep_budget_per_search(monkeypatch):
 @pytest.mark.parametrize("roots", [None, ["00000000", "11111111"]])
 def test_sync_attractors_walk_f_once_without_tarjan(monkeypatch, roots):
     """Under sync the terminal components are the cycles of f: one walk
-    takes the image of each state of the closure once, and no Tarjan pass
-    runs, whole space or rooted."""
+    takes the image of each state it walks once, and no Tarjan pass runs,
+    whole space or rooted.  Rooted, the walk covers the closure of the
+    roots.  Over the whole space, _limit_set's rounds first map every
+    state, and the walk covers the survivors."""
     net = _net(8, 1)
     closure = _states(8) if roots is None else _closure(_public(net, "sync"), roots)
     imaged = []
+    rounds = []  # what the rounds imaged, and the survivors
+    limit_set = reach._limit_set
+
+    def marked(image, states):
+        kept = limit_set(image, states)
+        rounds.append((imaged[:], kept))
+        del imaged[:]
+        return kept
 
     def refuse(*args, **kwargs):
         raise AssertionError("sync attractors ran _condense")
@@ -456,10 +466,17 @@ def test_sync_attractors_walk_f_once_without_tarjan(monkeypatch, roots):
 
     monkeypatch.setattr(reach, "_condense", refuse)
     monkeypatch.setattr(reach, "_ImageTable", CountedTable)
+    monkeypatch.setattr(reach, "_limit_set", marked)
     ev = net.evaluator
     monkeypatch.setattr(ev, "image", counted(ev.image))
     found = attractors(net, "sync", roots=roots)
-    assert sorted(ev.decode(s) for s in imaged) == sorted(closure)
+    if roots is None:
+        [(in_rounds, survivors)] = rounds
+        assert set(map(ev.decode, in_rounds)) == set(closure)
+        assert sorted(imaged) == survivors
+    else:
+        assert not rounds
+        assert sorted(ev.decode(s) for s in imaged) == sorted(closure)
     assert found
 
 

@@ -436,6 +436,114 @@ def test_gray_counter_falls_back_to_its_one_cycle(n):
     assert attractors(net, "async") == [Attractor(states=every, kind="complex")]
 
 
+# --- whole-space sync attractors: rounds toward the limit set of f -------------
+
+def _cycles_from_every_state(image, size):
+    """The cycles of image that _cycles finds from all size states, each as
+    a tuple of states in increasing order, sorted."""
+    cycles, exceeded = reach._cycles(image, range(size), size)
+    assert not exceeded
+    return sorted(tuple(sorted(c)) for c in cycles)
+
+
+def _rotation(n):
+    """Each component copies the next one, cyclically: f permutes the states."""
+    return "".join(f"x{j + 1}, x{(j + 1) % n + 1}\n" for j in range(n))
+
+
+def _saturating_counter(n):
+    """f(s) = s + 1, and 1...1 stays: one transient through every state."""
+    names = [f"x{j + 1}" for j in range(n)]
+    full = " & ".join(names)
+    lines = []
+    for j, x in enumerate(names):
+        carry = " & ".join(names[j + 1 :])  # every less significant bit is 1
+        flip = f"({x} & !({carry})) | (!{x} & {carry})" if carry else f"!{x}"
+        lines.append(f"{x}, ({full}) | {flip}\n")
+    return "".join(lines)
+
+
+def _isolated_ones_die(n):
+    """A 1 stays iff a cyclic neighbour is 1: many fixed points, short transients."""
+    return "".join(
+        f"x{j + 1}, x{j + 1} & (x{(j - 1) % n + 1} | x{(j + 1) % n + 1})\n" for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sync_attractors_agree_with_cycles_from_every_state(n):
+    """Whole-space sync attractors walk only the survivors of _limit_set's
+    rounds, and find the cycles that _cycles finds from all 2^n states."""
+    nets = [
+        random_network(RandomNetSpec(n=n, seed=seed, max_regulators=regulators))
+        for seed in range(4) for regulators in (1, 2, 3)
+    ]
+    nets += [parse_bnet(shape(n)) for shape in (_rotation, _saturating_counter, _isolated_ones_die)]
+    for net in nets:
+        image = _ImageTable(net.manager, net.nodes).image
+        found = sorted(tuple(int(s, 2) for s in a.states) for a in attractors(net, "sync"))
+        assert found == _cycles_from_every_state(image, 1 << n)
+
+
+def _hand_made_maps(n):
+    """Maps on the states below 2^n, each with the survivors the rounds
+    leave: a permutation (every state on a cycle) keeps all after one
+    round; a saturating counter loses one state a round, so on more than 8
+    states its first round is its last, and on 8 or fewer only its top
+    state survives; the multiples of 5 and the top state are fixed points
+    that take every other state in one step; halving halves the set each
+    round, down to 0."""
+    size = 1 << n
+    top = size - 1
+    permutation = list(range(size))
+    random.Random(n).shuffle(permutation)
+    fives = [s if s == top else s - s % 5 for s in range(size)]
+    return {
+        "permutation": (permutation, list(range(size))),
+        "saturating-counter": (
+            [min(s + 1, top) for s in range(size)],
+            list(range(1, size)) if size > 8 else [top],
+        ),
+        "fixed-points": (fives, sorted({*range(0, size, 5), top})),
+        "halving": ([s >> 1 for s in range(size)], [0]),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+@pytest.mark.parametrize("name", ["permutation", "saturating-counter", "fixed-points", "halving"])
+def test_limit_set_keeps_every_cycle_of_hand_made_maps(name, n):
+    table, survivors = _hand_made_maps(n)[name]
+    image, size = table.__getitem__, 1 << n
+    kept = reach._limit_set(image, range(size))
+    assert kept == survivors
+    assert set(map(image, kept)) <= set(kept)  # closed under image
+    cycles, exceeded = reach._cycles(image, kept, size)
+    assert not exceeded
+    assert sorted(tuple(sorted(c)) for c in cycles) == _cycles_from_every_state(image, size)
+
+
+@pytest.mark.parametrize(
+    "name,calls",
+    [("permutation", 2 << 10), ("saturating-counter", (2 << 10) - 1)],
+    ids=["permutation", "saturating-counter"],
+)
+def test_rounds_stop_once_few_states_leave(name, calls):
+    """A round that removes less than an eighth of the set is the last: on
+    a permutation, where no state leaves, and on a saturating counter,
+    where one does, image is called once per state by the one round and
+    once per survivor by the walk."""
+    table, _ = _hand_made_maps(10)[name]
+    made = 0
+
+    def image(s):
+        nonlocal made
+        made += 1
+        return table[s]
+
+    reach._cycles(image, reach._limit_set(image, range(1 << 10)), 1 << 10)
+    assert made == calls
+
+
 # --- strongly connected components ---------------------------------------------
 
 def _random_graph(seed):
