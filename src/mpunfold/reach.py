@@ -27,11 +27,16 @@ per state.  Past one budget of sweeps per search, derived from n and the
 number of edges (a long cycle needs a sweep for every few of its states),
 they fall back to _condense.  The theorem check's unfolded side takes its
 reachable sets by the same closures and moves, with no budget
-(oracle._set_reach).  reaches under async and mp takes one forward
-closure too, within such a budget, once its BFS has met 1/64 (and at least
-64) of a space of at most 2^20 states: over _async_moves or over _mp_moves
-on 4^n-bit sets of mp states, it settles a target it does not hold, and
-the BFS runs again to the cap for one it holds or past the budget.
+(oracle._set_reach).  reaches under mp first takes the start's smallest
+trap space (_free_set): a target that moves a component outside it is
+unreachable, and one forward closure over _mp_moves on the trap space's
+4^|F| states counts what the BFS would meet, with no BFS.  Otherwise
+reaches under async and mp takes one forward closure too, within such a
+budget, once its BFS has met 1/64 (and at least 64) of a space of at most
+2^20 states: over _async_moves or over _mp_moves on 4^n-bit sets of mp
+states (the trap space of every component), it settles a target it does
+not hold, and the BFS runs again to the cap for one it holds or past the
+budget.
 
 Each explorer walks a semantics through semantics._space, its one owner,
 on the network's evaluator, which walks the manager's rule diagrams per
@@ -128,17 +133,31 @@ def reaches(
     start?  The witness is a shortest path found by the BFS, and
     states_explored counts the states it met.
 
+    Under mp, no run from start moves a component outside its smallest
+    trap space's free set (_free_set).  A target that asks such a component
+    for anything but its level in start is unreachable, and one forward
+    closure over the trap space's 4^|F| states (_trap_closure) counts what
+    the BFS would meet, with no BFS: unreachable with that size, or
+    cap-exceeded at cap if it passes cap (_settled).  Past 2^20 states or
+    _sweep_budget's sweeps, and for every other target, the answer is the
+    one below.
+
     Under mp and async, on a space of at most 2^20 states, the BFS first
     stops at _search_budget states.  Past them, one forward closure on sets
-    of states (_set_closure) settles a target it does not hold: unreachable,
-    with the closure's size as the count, or cap-exceeded at cap if that
-    size passes cap, as the BFS would answer.  Otherwise, or if the closure
-    runs past _sweep_budget's sweeps, the BFS runs again, to the cap."""
+    of states (_set_closure) settles a target it does not hold, as above.
+    Otherwise, or if the closure runs past _sweep_budget's sweeps, the BFS
+    runs again, to the cap."""
     _check_cap(cap)
     space = _space(net, semantics)
     origin, match = space.encode(start), space.match(target)
     if match(origin):
         return ReachResult("reachable", 1, [start])
+    if semantics == "mp":
+        free = _free_set(net.evaluator, origin)
+        asked = int("".join("0" if p in ("*", s) else "1" for p, s in zip(target, start)), 2)
+        if asked & ~free:  # the target moves a component that never moves
+            with suppress(_OverBudget):  # a large trap space: the path below
+                return _settled(_trap_closure(net, origin, free).bit_count(), cap)
     width = {"async": net.n, "mp": 2 * net.n}.get(semantics)  # bits of a state
     budget = _search_budget(1 << width) if width and width <= 20 else cap
     parent, found, exceeded = _bfs(space.successors, [origin], min(cap, budget), stop=match)
@@ -146,10 +165,7 @@ def reaches(
         with suppress(_OverBudget):  # a long closure: the BFS goes on
             reached, goal = _set_closure(net, semantics, width, origin, target)
             if not reached & goal:
-                size = reached.bit_count()
-                if size > cap:
-                    return ReachResult("cap-exceeded", cap)
-                return ReachResult("unreachable", size)
+                return _settled(reached.bit_count(), cap)
         parent, found, exceeded = _bfs(space.successors, [origin], cap, stop=match)
     if found is not None:
         witness = [space.decode(u) for u in _path(parent, found)]
@@ -158,16 +174,63 @@ def reaches(
     return ReachResult(verdict, len(parent), None)
 
 
+def _settled(size: int, cap: int) -> ReachResult:
+    """The BFS's answer for a target outside a closure of size states."""
+    if size > cap:
+        return ReachResult("cap-exceeded", cap)
+    return ReachResult("unreachable", size)
+
+
 def _search_budget(states: int) -> int:
     """The states reaches' BFS meets before it asks the sets of states, on
     a space of this many: 1/64 of them, and at least 64, so that a small
-    space builds no sets for a search of a handful of states.  In-process
-    on CPython 3.11, the 194 mp queries of perfbench/corpus.json (6-8
-    components, each on a network just read) took 46-52 ms in all at 1/64,
-    43-48 ms at 1/256, 46-52 ms at 1/1024, 66-70 ms at 1/16 and 70-76 ms by
-    the BFS alone.  Its async queries on 12 and 18 components meet at most
+    space builds no sets for a search of a handful of states.  The async
+    queries of perfbench/corpus.json on 12 and 18 components meet at most
     36 and 112 states, under the budgets of 64 and 4096."""
     return max(64, states >> 6)
+
+
+def _free_set(ev, x: int) -> int:
+    """F, the components free in the smallest trap space that holds the mp
+    state x, as an n-bit set (component j at bit n-1-j): the least set that
+    holds x's i and d components and every j whose rule can read the
+    opposite of x_j's level on x with F free, mp_values(j, x | F).  Once j
+    joins F, only the rules that read j are tested again.  A component
+    off F keeps its level on every mp run from x: moving it needs its rule
+    to read the opposite level, which no state of the trap space offers
+    (Pauleve et al., Nat. Commun. 2020)."""
+    n, rows = ev.n, ev._mp_rows
+    val, free = x >> n, x & ~(-1 << n)
+    todo = [j for j, bit, *_ in rows if not free & bit]
+    while todo:
+        j = todo.pop()
+        bit = rows[j][1]
+        if not free & bit and ev.mp_values(j, val << n | free) & (1 if val & bit else 2):
+            free |= bit
+            todo += [k for k, own, _, care, _ in rows if care & bit and not free & own]
+    return free
+
+
+def _trap_closure(net, x: int, free: int) -> int:
+    """The states that the mp state x reaches, as one set over its trap
+    space: the components of free (an n-bit set, from _free_set) take any
+    level and every other keeps its level in x.  With k of them, a state of
+    the trap space is (val << k) | free over those k alone, in order, and
+    the set a 4^k-bit int, as _mp_moves makes its moves.  No component of
+    free: x alone, the set 1.  Raises _OverBudget past 2^20 states or
+    _sweep_budget's sweeps."""
+    n = net.n
+    components = [j for j in range(n) if free >> n - 1 - j & 1]
+    k = len(components)
+    if not k:
+        return 1
+    if 2 * k > 20:
+        raise _OverBudget
+    origin = 0  # x on the trap space
+    for p, j in enumerate(components):
+        origin |= (x >> 2 * n - 1 - j & 1) << 2 * k - 1 - p | (x >> n - 1 - j & 1) << k - 1 - p
+    moves = _mp_moves(net.manager, net.nodes, components, x >> n, _var_masks(2 * k))
+    return _forward(moves, origin, 2 * k)
 
 
 def _set_closure(net, semantics, width, origin, pattern):
@@ -177,18 +240,23 @@ def _set_closure(net, semantics, width, origin, pattern):
     pattern reads as its val half, then its free half, as states do.
     Raises _OverBudget past _sweep_budget's sweeps."""
     masks = _var_masks(width)
-    full = (1 << (1 << width)) - 1
     if semantics == "mp":
-        moves = _mp_moves(net.manager, net.nodes, masks)
+        moves = _mp_moves(net.manager, net.nodes, range(net.n), 0, masks)
         pattern = pattern.translate(_MP_VAL) + pattern.translate(_MP_FREE)
     else:
         moves = _async_moves(net.manager._truth_tables(net.nodes))
-    goal = full
+    goal = (1 << (1 << width)) - 1
     for c, mask in zip(pattern, masks):
         if c != "*":
             goal &= mask if c == "1" else ~mask
+    return _forward(moves, origin, width), goal
+
+
+def _forward(moves, origin: int, width: int) -> int:
+    """The closure of the one state origin by moves on 2^width-bit sets of
+    states, within _sweep_budget's sweeps (_OverBudget past them)."""
     sweeps = iter(range(_sweep_budget(width, moves)))
-    return _closure(moves, 1 << origin, full, sweeps), goal
+    return _closure(moves, 1 << origin, (1 << (1 << width)) - 1, sweeps)
 
 
 def _bfs(succ, starts, cap, stop=None, edges=None):
@@ -335,7 +403,8 @@ def _limit_set(image, states) -> list:
 
 
 class _OverBudget(Exception):
-    """Closures on sets of states ran past their budget of sweeps."""
+    """Closures on sets of states ran past their budget of sweeps, or would
+    take sets past 2^20 states."""
 
 
 def _async_attractor_sets(tables) -> list[list[int]]:
@@ -397,28 +466,39 @@ def _async_moves(tables) -> list[tuple[int, int, int]]:
     return moves
 
 
-def _mp_moves(manager, nodes, masks) -> list[tuple[int, int, int]]:
-    """The most permissive moves on sets of states of n rules, the diagrams
-    nodes in manager, as _async_moves makes them: each set a 4^n-bit int,
-    bit x set iff the mp state x = (val << n) | free is in it; masks are
-    _var_masks(2n), the val bits' then the free bits'.  Where rule j can be
-    1 (can1) and 0 (can0) on gamma(x) comes from one postorder pass over
-    its diagram, mp_values on sets: a node can be v where its variable may
-    read 1 (its level is not 0) and its high child can be v, or may read 0
-    (its level is not 1) and its low child can.  Component j, at val bit V
-    and free bit F, makes up to four moves (shift, down, up):
+def _mp_moves(manager, nodes, components, levels, masks) -> list[tuple[int, int, int]]:
+    """The most permissive moves on sets of states of a trap space of n
+    rules, the diagrams nodes in manager, as _async_moves makes them: the
+    k components listed in components, in order, take any level, and every
+    other component j keeps the Boolean level of bit n-1-j of levels.  Each
+    set is a 4^k-bit int, bit x set iff the state x = (val << k) | free over
+    those k is in it; masks are _var_masks(2k), the val bits' then the free
+    bits'.  The whole space is components = range(n).  A rule reads a fixed
+    component as the constant of its level, and a fixed component makes no
+    move: in a trap space none can.
+
+    Where rule j can be 1 (can1) and 0 (can0) on gamma(x) comes from one
+    postorder pass over its diagram, mp_values on sets: a node can be v
+    where its variable may read 1 (its level is not 0) and its high child
+    can be v, or may read 0 (its level is not 1) and its low child can.
+    The p-th component, at val bit V and free bit F, makes up to four moves
+    (shift, down, up):
 
         (V, i & can0, d & can1)    i -> d, d -> i
         (V + F, none, 0 & can1)    0 -> i
         (V - F, 1 & can0, none)    1 -> d
         (F, i | d, none)           i -> 1, d -> 0"""
-    n = len(nodes)
-    full = (1 << (1 << 2 * n)) - 1
-    halves = list(zip(masks, masks[n:]))  # per component: its (val, free) bits
-    reads = [(val | free, full ^ val | free) for val, free in halves]  # may read 1, 0
+    n, k = len(nodes), len(components)
+    full = (1 << (1 << 2 * k)) - 1
+    halves = list(zip(masks, masks[k:]))  # per free component: its (val, free) bits
+    # per variable: the states where it may read 1, and 0
+    reads = [(full, 0) if levels >> n - 1 - var & 1 else (0, full) for var in range(n)]
+    for j, (val, free) in zip(components, halves):
+        reads[j] = val | free, full ^ val | free
     triples = manager._triples
     moves = []
-    for j, (u, (val, free)) in enumerate(zip(nodes, halves)):
+    for p, (j, (val, free)) in enumerate(zip(components, halves)):
+        u = nodes[j]
         # node -> (can be 1, can be 0); one memo per rule holds one rule's sets
         can = {FALSE: (0, full), TRUE: (full, 0)}
         for w in manager.postorder(u, can):
@@ -427,7 +507,7 @@ def _mp_moves(manager, nodes, masks) -> list[tuple[int, int, int]]:
             (high1, high0), (low1, low0) = can[high], can[low]
             can[w] = one & high1 | zero & low1, one & high0 | zero & low0
         can1, can0 = can[u]
-        v, f = 1 << 2 * n - 1 - j, 1 << n - 1 - j
+        v, f = 1 << 2 * k - 1 - p, 1 << k - 1 - p
         moves += [
             (v, can0 & val & free, can1 & free & ~val),
             (v + f, 0, can1 & ~(val | free)),

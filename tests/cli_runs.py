@@ -2,7 +2,8 @@
 one process through cli.main: on the bundled models, and on the size
 ladder's shapes at 300 and TOP less the cells that shapes.FAILS names.
 Also reach past the budget of its breadth-first search, where sets of
-states answer.  Prints each run's argv, exit code and stdout, and the bytes unfold -o wrote,
+states answer, and mp reach that the start's trap space settles.  Prints
+each run's argv, exit code and stdout, and the bytes unfold -o wrote,
 with paths relative to its own temporary directory; tests/test_processes.py
 compares the prints under two hash seeds.  Cross-checks between runs are
 assertions:
@@ -112,6 +113,29 @@ def past_the_budget():
     run("reach", "gray.bnet", "--semantics", "async", "--from", "0" * 8, "--to", "1" + "0" * 7)
 
 
+def in_the_trap_space():
+    """reach under mp where the start's smallest trap space settles the
+    target: on the signal model from i/d starts where signal stays 0, a
+    target that moves it, with wildcards; on 30 components where y and the
+    z never leave 0 and five x flip, targets that move y or a z, from
+    0...0 and from an i/d start, with caps below, at and above the trap
+    space's 4^5 states."""
+    shutil.copy(MODELS[[m.name for m in MODELS].index("signal.bnet")], "signal.bnet")
+    for start, target in (("0i00", "1***"), ("0d1i", "i***"), ("0i00", "**d*")):
+        run("reach", "signal.bnet", "--semantics", "mp", "--from", start, "--to", target,
+            codes=(0, 1))
+    Path("trap.bnet").write_text("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(5))
+                                 + "".join(f"z{k}, z{k}\n" for k in range(24)))
+    zeros, moving = "0" * 30, "0" + "idid1" + "0" * 24
+    for start, target, cap, code in ((zeros, "1" + "*" * 29, "1000000", 1),
+                                     (zeros, "*" * 29 + "d", "1024", 1),
+                                     (zeros, "1" + "*" * 29, "1023", 3),
+                                     (moving, "0" + "*" * 28 + "1", "100", 3),
+                                     (moving, "*" * 6 + "i" + "*" * 23, "1000000", 1)):
+        run("reach", "trap.bnet", "--semantics", "mp", "--from", start, "--to", target,
+            "--cap", cap, codes=(code,))
+
+
 if __name__ == "__main__":
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,6 +147,7 @@ if __name__ == "__main__":
             theorem(model, len(names))
             dynamics(model, len(names))
         past_the_budget()
+        in_the_trap_space()
         for shape, n in product(SHAPES, (300, TOP)):
             path = f"{shape}.{n}.bnet"
             Path(path).write_text(SHAPES[shape](n))

@@ -300,7 +300,7 @@ MUTANTS = [
         "reach.py",
         "can1, can0 = can[u]",
         "can0, can1 = can[u]",
-        ("tests/test_reach.py::test_set_hand_off_agrees_with_bfs_alone[3]",),
+        ("tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",),
     ),
     # the mp moves on sets never settle an i or d level
     Mutant(
@@ -316,7 +316,7 @@ MUTANTS = [
         "reach.py",
         'return ReachResult("cap-exceeded", cap)',
         'return ReachResult("cap-exceeded", size)',
-        ("tests/test_reach.py::test_set_hand_off_agrees_with_bfs_alone[3]",),
+        ("tests/test_reach.py::test_a_small_trap_space_past_2_to_the_20_states[11]",),
     ),
     # an mp target on sets reads its val half only
     Mutant(
@@ -357,6 +357,30 @@ MUTANTS = [
         "(v - f, can0 & val & ~free, 0)",
         "(v - f, val & ~free, 0)",
         ("tests/test_reach.py::test_set_moves_take_each_state_to_its_successors[2]",),
+    ),
+    # the free set leaves out the start's i and d components
+    Mutant(
+        "free-set-starts-empty",
+        "reach.py",
+        "val, free = x >> n, x & ~(-1 << n)",
+        "val, free = x >> n, 0",
+        ("tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",),
+    ),
+    # the rules of a trap space read every fixed component as 0
+    Mutant(
+        "trap-fixed-components-read-as-0",
+        "reach.py",
+        "reads = [(full, 0) if levels >> n - 1 - var & 1 else (0, full) for var in range(n)]",
+        "reads = [(0, full) for var in range(n)]",
+        ("tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",),
+    ),
+    # the trap space settles a target that moves only free components
+    Mutant(
+        "certificate-fires-inside-the-free-set",
+        "reach.py",
+        "if asked & ~free:",
+        "if asked:",
+        ("tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",),
     ),
     # the theorem check starts each mp search from the reversed state
     Mutant(

@@ -35,7 +35,7 @@ from mpunfold.network import _ImageTable
 from mpunfold.oracle import naive_mp_successors
 from mpunfold.reach import _condense
 from mpunfold.semantics import SEMANTICS as semantics_registry
-from mpunfold.semantics import _async, _general, _mp, is_boolean_state
+from mpunfold.semantics import _async, _general, _mp, _space, is_boolean_state
 from shapes import gray_counter
 
 
@@ -198,11 +198,26 @@ def test_reaches_pattern_alphabet_depends_on_semantics():
 _ALPHABETS = {"mp": ("0id1", "0id1*"), "async": ("01", "01*")}
 
 
-def _bfs_alone(monkeypatch, queries):
-    """reaches on each query with a budget no search passes: _bfs alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(reach, "_search_budget", lambda states: 1 << 62)
-        return [reaches(*query) for query in queries]
+def _bfs_alone(queries):
+    """Each query's answer by one _bfs to its cap, as reaches would give it
+    with no trap space and no sets of states."""
+    answers, spaces = [], {}
+    for net, semantics, start, target, cap in queries:
+        if (net, semantics) not in spaces:
+            spaces[net, semantics] = _space(net, semantics)
+        space = spaces[net, semantics]
+        origin, match = space.encode(start), space.match(target)
+        if match(origin):
+            answers.append(ReachResult("reachable", 1, [start]))
+            continue
+        parent, found, exceeded = reach._bfs(space.successors, [origin], cap, stop=match)
+        if found is not None:
+            witness = [space.decode(u) for u in reach._path(parent, found)]
+            answers.append(ReachResult("reachable", len(parent), witness))
+        else:
+            verdict = "cap-exceeded" if exceeded else "unreachable"
+            answers.append(ReachResult(verdict, len(parent)))
+    return answers
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -220,7 +235,7 @@ def test_set_hand_off_agrees_with_bfs_alone(n, monkeypatch):
         for _ in range(10):
             start, target = ("".join(rng.choices(abc, k=n)) for abc in (states, patterns))
             queries += [(net, semantics, start, target, cap) for cap in (5, 40, 10**6)]
-    alone = _bfs_alone(monkeypatch, queries)
+    alone = _bfs_alone(queries)
     settled = []  # per closure taken: whether it holds no target
     closure = reach._set_closure
 
@@ -256,7 +271,7 @@ def test_set_hand_off_on_the_gray_counter(n, monkeypatch):
     if n <= 6:
         targets = (last, "i" * n, "d" + "*" * (n - 1), "1" * n)
         queries += [(net, "mp", zeros, t, cap) for t in targets for cap in caps]
-    alone = _bfs_alone(monkeypatch, queries)
+    alone = _bfs_alone(queries)
     over = []  # per closure taken: its semantics, and whether it ran past the budget
     closure = reach._set_closure
 
@@ -282,8 +297,10 @@ def test_set_hand_off_on_the_gray_counter(n, monkeypatch):
 def test_a_large_closure_is_settled_on_sets(semantics, n, monkeypatch):
     """2^20 states, the most that sets of states are built for: y stays 0,
     16 or 8 components flip freely, so from 0...0 the closure has 2^16
-    states and holds no state with y = 1.  The BFS steps its budget's
-    states (1/64 of the space) and no more; the closure counts them all."""
+    states and holds no state with y = 1.  Under async the BFS steps its
+    budget's states (1/64 of the space) and no more; the closure counts
+    them all.  Under mp y lies outside the start's trap space, whose
+    closure counts them with no state stepped."""
     free = 16 if semantics == "async" else 8
     names = [f"x{k}" for k in range(n - 1)]
     net = parse_bnet("y, y\n" + "".join(
@@ -295,58 +312,184 @@ def test_a_large_closure_is_settled_on_sets(semantics, n, monkeypatch):
     answer = reaches(net, semantics, "0" * n, "1" + "*" * (n - 1))
     assert answer == ReachResult("unreachable", 1 << 16)
     assert len(stepped) <= 1 << 14 == reach._search_budget(1 << 20)
+    assert not stepped or semantics == "async"
 
 
 def _refuse(*args, **kwargs):
     raise AssertionError("not expected here")
 
 
+def _trap_spy(monkeypatch):
+    """Record the components of every trap space whose moves are built."""
+    built = []
+    moves = reach._mp_moves
+
+    def spy(manager, nodes, components, *args):
+        built.append(list(components))
+        return moves(manager, nodes, components, *args)
+
+    monkeypatch.setattr(reach, "_mp_moves", spy)
+    return built
+
+
 @pytest.mark.parametrize("semantics,n,free", [("async", 6, 5), ("mp", 3, 2), ("mp", 5, 2)])
 def test_no_sets_for_a_closure_under_64_states(semantics, n, free, monkeypatch):
-    """The search budget is at least 64 states, so a closure smaller than
-    that ends in the BFS, however small a share of the space it leaves to
-    the sets: y stays 0 and free components flip, 32 states under async
-    and 16 under mp, in spaces of 64, 64 and 1024 states."""
+    """The search budget is at least 64 states, so under async a closure
+    smaller than that ends in the BFS, however small a share of the space
+    it leaves to the sets: y stays 0 and free components flip, 32 states
+    in a space of 64.  Under mp, y lies outside the start's trap space, so
+    the 16 states of its closure are counted over the free components
+    alone, with no BFS and no set of the whole space."""
     monkeypatch.setattr(reach, "_set_closure", _refuse)
+    built = _trap_spy(monkeypatch)
+    if semantics == "mp":
+        monkeypatch.setattr(reach, "_bfs", _refuse)
     net = parse_bnet("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(free))
                      + "".join(f"z{k}, z{k}\n" for k in range(n - 1 - free)))
     size = 1 << (free if semantics == "async" else 2 * free)
     assert reach._search_budget(1 << (n if semantics == "async" else 2 * n)) == 64
     assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1)) == ReachResult("unreachable", size)
+    assert built == ([] if semantics == "async" else [list(range(1, 1 + free))])
 
 
 @pytest.mark.parametrize("semantics,n", [("async", 21), ("mp", 11)])
 def test_no_sets_past_2_to_the_20_states(semantics, n, monkeypatch):
-    """One component more and the BFS alone answers, to the cap: no set of
-    states is built, no truth table made."""
+    """One component more and no set of the whole space is built, no truth
+    table made.  Under async the BFS alone answers, to the cap.  Under mp
+    the 20-bit limit reads the start's trap space: y and the z stay, and
+    the sets of the five x (2^10 states) answer, with no BFS."""
     monkeypatch.setattr(reach, "_set_closure", _refuse)
     monkeypatch.setattr(DiagramManager, "_truth_tables", _refuse)
+    built = _trap_spy(monkeypatch)
+    if semantics == "mp":
+        monkeypatch.setattr(reach, "_bfs", _refuse)
     net = parse_bnet("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(5))
                      + "".join(f"z{k}, z{k}\n" for k in range(n - 6)))
     size = 1 << (5 if semantics == "async" else 10)
     assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1)) == ReachResult("unreachable", size)
     assert reaches(net, semantics, "0" * n, "1" + "*" * (n - 1), cap=7) == ReachResult("cap-exceeded", 7)
+    assert built == ([] if semantics == "async" else [list(range(1, 6))] * 2)
+
+
+@pytest.mark.parametrize("n", [11, 30])
+def test_a_small_trap_space_past_2_to_the_20_states(n, monkeypatch):
+    """Past 2^20 mp states, with a trap space of 2^10: y and the z never
+    move from 0...0, five x flip.  A target that asks y or a z to move is
+    settled on the trap space's sets, caps below, at and above its 1024
+    states included; one the x alone can meet goes to the BFS.  Every
+    answer is the BFS's."""
+    net = parse_bnet("y, y\n" + "".join(f"x{k}, !x{k}\n" for k in range(5))
+                     + "".join(f"z{k}, z{k}\n" for k in range(n - 6)))
+    zeros = "0" * n
+    settled = ["1" + "*" * (n - 1), "*" * (n - 1) + "i", "0didid" + "*" * (n - 7) + "1"]
+    queries = [(net, "mp", zeros, t, cap) for t in settled for cap in (7, 1023, 1024, 10**6)]
+    queries += [(net, "mp", zeros, "0" + "d" * 5 + "*" * (n - 6), cap) for cap in (7, 10**6)]
+    alone = _bfs_alone(queries)
+    with monkeypatch.context() as patch:
+        patch.setattr(reach, "_bfs", _refuse)
+        for query, expected in zip(queries[:12], alone):
+            assert reaches(*query) == expected, query[3:]
+    assert alone[:4] == [ReachResult("cap-exceeded", 7), ReachResult("cap-exceeded", 1023),
+                         ReachResult("unreachable", 1024), ReachResult("unreachable", 1024)]
+    assert [reaches(*query) for query in queries[12:]] == alone[12:]
+    assert alone[-1].verdict == "reachable"
+
+
+def _trap_spaces(net):
+    """Every distinct (components, levels) pair _mp_moves is given for net:
+    the whole space, and the trap space of each mp state."""
+    ev, n = net.evaluator, net.n
+    spaces = {(tuple(range(n)), 0)}
+    for x in range(1 << 2 * n):
+        free = reach._free_set(ev, x)
+        components = tuple(j for j in range(n) if free >> n - 1 - j & 1)
+        spaces.add((components, x >> n & ~free))
+    return sorted(spaces)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_set_moves_take_each_state_to_its_successors(n):
     """The moves on sets applied to each one-state set {x}: their union is
     the set of x's successors by the step on single states, under async on
-    all 2^n states and, up to n = 4, under mp on all 4^n states."""
+    all 2^n states and, up to n = 4, under mp on each state of the whole
+    space and of every trap space that some mp state starts in, read back
+    into the whole space (fixed components at their levels)."""
     from mpunfold.bdd import _var_masks
 
     for regulators, seed in product((1, 2, 3), range(2)):
         net = random_network(RandomNetSpec(n=n, seed=seed, max_regulators=regulators))
-        cases = [(_async, n, reach._async_moves(net.manager._truth_tables(net.nodes)))]
-        if n <= 4:
-            cases.append((_mp, 2 * n, reach._mp_moves(net.manager, net.nodes, _var_masks(2 * n))))
-        for step, width, moves in cases:
-            for x in range(1 << width):
+        moves = reach._async_moves(net.manager._truth_tables(net.nodes))
+        for x in range(1 << n):
+            taken = 0
+            for bit, down, up in moves:
+                taken |= (1 << x & down) >> bit | (1 << x & up) << bit
+            assert taken == sum(1 << t for t in set(_async(net.evaluator, x))), (regulators, seed, x)
+        for components, levels in _trap_spaces(net) if n <= 4 else ():
+            k = len(components)
+            moves = reach._mp_moves(net.manager, net.nodes, components, levels, _var_masks(2 * k))
+
+            def whole(y):  # a state of the trap space as one of the whole space
+                val, free = levels, 0
+                for p, j in enumerate(components):
+                    val |= (y >> 2 * k - 1 - p & 1) << n - 1 - j
+                    free |= (y >> k - 1 - p & 1) << n - 1 - j
+                return val << n | free
+
+            for y in range(1 << 2 * k):
                 taken = 0
                 for bit, down, up in moves:
-                    taken |= (1 << x & down) >> bit | (1 << x & up) << bit
-                expected = sum(1 << t for t in set(step(net.evaluator, x)))
-                assert taken == expected, (step.__name__, regulators, seed, x)
+                    taken |= (1 << y & down) >> bit | (1 << y & up) << bit
+                taken = {whole(t) for t in reach._members(taken)}
+                assert taken == set(_mp(net.evaluator, whole(y))), (regulators, seed, components, y)
+
+
+def _and_net(n):
+    """Every rule the conjunction of all components: 0...0 and 1...1 are
+    mp fixed points, whose trap spaces free no component."""
+    names = [f"x{k}" for k in range(n)]
+    return parse_bnet("".join(f"{x}, {' & '.join(names)}\n" for x in names))
+
+
+def _agreement_nets(n):
+    return [random_network(RandomNetSpec(n=n, seed=0, max_regulators=r)) for r in (1, 2, 3)] + [_and_net(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mp_reaches_agrees_with_bfs_alone_everywhere(n):
+    """Under mp, reaches gives the BFS alone's verdict, states_explored and
+    witness for every start over 0id1 and every target over 0id1*, at
+    caps 5, 40 and 10^6; and from every start the trap space's closure has
+    as many states as reachable_set finds.  A fixed point frees no
+    component, and its closure is itself."""
+    starts = ["".join(s) for s in product("0id1", repeat=n)]
+    targets = ["".join(t) for t in product("0id1*", repeat=n)]
+    for net in _agreement_nets(n):
+        for start in starts:
+            x = net.evaluator.mp_encode(start)
+            reached = reach._trap_closure(net, x, reach._free_set(net.evaluator, x))
+            assert reached.bit_count() == len(reachable_set(net, "mp", start).nodes), start
+        queries = [(net, "mp", s, t, cap) for s in starts for t in targets for cap in (5, 40, 10**6)]
+        assert [reaches(*query) for query in queries] == _bfs_alone(queries)
+    fixed = _and_net(n)
+    assert reach._free_set(fixed.evaluator, 0) == 0
+    assert reach._trap_closure(fixed, 0, 0) == 1
+    assert reaches(fixed, "mp", "0" * n, "*" * (n - 1) + "i") == ReachResult("unreachable", 1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_mp_reaches_agrees_with_bfs_alone_on_a_sample(n):
+    """As above on 50 random starts and targets per network, with i, d and
+    *, at the same three caps, and the closures of the first 10 starts."""
+    rng = random.Random(n)
+    for net in _agreement_nets(n):
+        pairs = [("".join(rng.choices("0id1", k=n)), "".join(rng.choices("0id1*", k=n)))
+                 for _ in range(50)]
+        for start, _ in pairs[:10]:
+            x = net.evaluator.mp_encode(start)
+            reached = reach._trap_closure(net, x, reach._free_set(net.evaluator, x))
+            assert reached.bit_count() == len(reachable_set(net, "mp", start).nodes), start
+        queries = [(net, "mp", s, t, cap) for s, t in pairs for cap in (5, 40, 10**6)]
+        assert [reaches(*query) for query in queries] == _bfs_alone(queries)
 
 
 # --- attractors --------------------------------------------------------------
