@@ -17,7 +17,8 @@ exact conditions) is a loop over postorder, which finishes the low child
 before the high child, as _apply builds the low branch first: that fixes
 the numbering of new nodes.  paths makes each path to 1 with a caller's
 builders; from_paths, its inverse, makes a decision tree's diagram from its
-paths with mk alone, for the .bnet reader, undone if they are no tree's.
+paths with mk alone, for the .bnet reader, checking the variable order as
+it makes each node, undone if they are no ordered tree's.
 build is the one diagram builder of every walk (see expr), a tree's or a
 rule body's, and join the one place that orders a chain of & or |, from
 the bottom up.  build's five builders also make both sides of unfold's
@@ -231,37 +232,53 @@ class DiagramManager:
         return values
 
     def from_paths(self, paths) -> int | None:
-        """The function whose paths to 1 are paths: a sorted list, each path
-        a list of (var, bit) with increasing variables, as self.paths lists
-        them with list literals (TRUE's empty path as []).  One loop walks
-        the paths' trie: where a path parts from the one before, at one
-        variable, 0 then 1, it makes that one's nodes below the parting, one
-        mk per trie node.  Paths parting otherwise, or a prefix of the next,
-        give None, and the nodes made so far are removed."""
+        """The function whose paths to 1 are paths, each a list of (var,
+        bit), as self.paths lists them with list literals (TRUE's empty
+        path as []): the paths of a decision tree, low branch first.  One
+        loop walks the tree: where a path parts from the one before, at one
+        variable, 0 then 1, it makes the previous path's nodes below the
+        parting, one mk per tree node, and checks, as it makes each node,
+        that its variable lies above both children's in the tree and below
+        nvars.  Paths parting otherwise, or a prefix of the next, a
+        variable that falls or repeats, and a root that is no variable
+        ((-1, -1), the path reader's non-literal) give None, and the nodes
+        made so far are removed."""
         if not paths:
             return FALSE
-        triples, mk, made = self._triples, self.mk, len(self._triples)
-        prev = paths[0]
-        lows = [FALSE] * len(prev)  # per literal of prev: its node's low child
-        for path in paths[1:]:
-            end = min(len(prev), len(path))
-            d = 0  # where path parts from prev
-            while d < end and prev[d] == path[d]:
-                d += 1
-            if d == end or prev[d] != (path[d][0], 0):
-                for key in triples[made:]:
-                    del self._unique[key]
-                del triples[made:]
-                return None
-            u = TRUE
-            for (var, bit), low in zip(prev[:d:-1], lows[:d:-1]):
-                u = mk(var, low, u) if bit else mk(var, u, FALSE)
-            lows[d:] = [u] + [FALSE] * (len(path) - d - 1)
-            prev = path
-        u = TRUE
-        for (var, bit), low in zip(reversed(prev), reversed(lows)):
-            u = mk(var, low, u) if bit else mk(var, u, FALSE)
-        return u
+        triples, mk, nvars, made = self._triples, self.mk, self.nvars, len(self._triples)
+        lows = [FALSE] * max(map(len, paths))  # per depth: the low child of prev's node there
+        prev, last = paths[0], len(paths)
+        for k in range(1, last + 1):
+            d = -1  # where the next path parts from prev: above the root past the last
+            if k < last:
+                path, d = paths[k], 0
+                end = min(len(prev), len(path))
+                while d < end and prev[d] == path[d]:
+                    d += 1
+                if d == end or prev[d] != (path[d][0], 0):
+                    break
+            u, below = TRUE, nvars  # the node made last, and its tree node's variable
+            for i in range(len(prev) - 1, d, -1):
+                var, bit = prev[i]
+                if var >= below:  # not above its child in the tree
+                    break
+                if bit:
+                    u, lows[i] = mk(var, lows[i], u), FALSE
+                else:
+                    u = mk(var, u, FALSE)
+                below = var
+            else:
+                if d < 0:
+                    if below >= 0:  # the root is a variable
+                        return u
+                elif prev[d][0] < below:  # the parting node lies above its low child
+                    lows[d], prev = u, path
+                    continue
+            break  # declined
+        for key in triples[made:]:
+            del self._unique[key]
+        del triples[made:]
+        return None
 
     def join(self, op: int, operands) -> int:
         """The conjunction (op _AND) or disjunction (op _OR) of operands,

@@ -7,7 +7,9 @@ partial(_parse, body, ...), the grammar below, one loop over the body's
 tokens that reports every error and builds no tree.  A body shaped as
 print_bnet writes it, the paths of a decision tree with no "(", is read
 into its diagram by _read_paths instead: one lookup per literal in its
-file's memo, one mk per node; it declines any other body, making no node.
+file's memo, one mk per node, the products taken as written and sorted
+only if they are out of the tree's order; it declines any other body,
+leaving no node made.
 Grammar:
     expr := conj {"|" conj}
     conj := lit {"&" lit}
@@ -262,22 +264,23 @@ class _Literals(dict):
 
 def _read_paths(text: str, literals: _Literals, manager) -> int | None:
     """The diagram of a body that is a sum of the paths of a decision tree:
-    no "(", and every operand of "&" an optional "!" then a declared name,
-    on distinct variables within its product, the products parting as
-    manager.from_paths requires.  Such a body, print_bnet's output, is
-    split on "|" and "&", with one lookup in literals per operand and one
-    mk per node of the tree.  Any other body gives None, no node made."""
+    no "(", and every operand of "&" an optional "!" then a declared name.
+    The body is split on "|" and "&", with one lookup in literals per
+    operand, and its products go to manager.from_paths as written, which
+    checks the tree as it makes one mk per node: print_bnet writes its
+    literals in variable order and its products in the tree's order, low
+    branch first, as "!" sorts before every name.  A body from_paths
+    declines is sorted, its literals and then its products, and read once
+    more if that moved any of them; that finds every tree the sorted
+    reading finds, with the same nodes.  Any other body gives None, with
+    no node left made."""
     if "(" in text:
         return None
     read = literals.__getitem__
-    paths = []
-    for product in text.split("|"):
-        path = list(map(read, product.split("&")))
-        path.sort()
-        if len(dict(path)) != len(path):  # a variable twice
-            return None
-        paths.append(path)
-    paths.sort()
-    if paths[0][0][0] < 0:  # an operand that is no literal, sorted first
-        return None
-    return manager.from_paths(paths)
+    paths = [list(map(read, product.split("&"))) for product in text.split("|")]
+    u = manager.from_paths(paths)
+    if u is None:
+        ordered = sorted(map(sorted, paths))
+        if ordered != paths:
+            u = manager.from_paths(ordered)
+    return u

@@ -155,7 +155,7 @@ def _space(
     if ev is None:
         ev = net.evaluator
     # top: the level coded with every bit of its component set
-    if step is _mp:
+    if semantics == "mp":
         codec = ev.mp_encode, ev.mp_decode, check_mp_state, "01id*", "i"
     else:
         codec = ev.encode, ev.decode, check_bool_state, "01*", "1"

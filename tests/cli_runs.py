@@ -2,7 +2,8 @@
 one process through cli.main: on the bundled models, and on the size
 ladder's shapes at 300 and TOP less the cells that shapes.FAILS names.
 Also reach past the budget of its breadth-first search, where sets of
-states answer, and mp reach that the start's trap space settles.  Prints
+states answer, mp reach that the start's trap space settles, and a model
+whose path-shaped bodies are written out of order.  Prints
 each run's argv, exit code and stdout, and the bytes unfold -o wrote,
 with paths relative to its own temporary directory; tests/test_processes.py
 compares the prints under two hash seeds.  Cross-checks between runs are
@@ -136,6 +137,31 @@ def in_the_trap_space():
             "--cap", cap, codes=(code,))
 
 
+def shuffled_paths():
+    """A model whose bodies are the paths of decision trees, as print_bnet
+    writes them but with their products and literals out of order: the path
+    reader takes them on its sorted retry.  fixpoints and async reach read
+    them as they read the same bodies in the tree's order."""
+    ordered = {
+        "a": "!b & !c & d | !b & c | b & !d",
+        "b": "!a & c | a & !c | a & c & !d",
+        "c": "!a & b | a & !b",
+        "d": "!a & !b | a & c",
+    }
+    shuffled = {
+        "a": "!d & b | c & !b | d & !c & !b",
+        "b": "!d & c & a | c & !a | !c & a",
+        "c": "!b & a | b & !a",
+        "d": "c & a | !b & !a",
+    }
+    for name, rules in (("ordered.bnet", ordered), ("shuffled.bnet", shuffled)):
+        Path(name).write_text("".join(f"{k}, {body}\n" for k, body in rules.items()))
+    run("show", "shuffled.bnet")
+    for command in (("fixpoints",), ("reach", "--semantics", "async", "--from", "0000", "--to", "1**1")):
+        assert run(command[0], "shuffled.bnet", *command[1:], codes=(0, 1))[1] == \
+            run(command[0], "ordered.bnet", *command[1:], codes=(0, 1))[1]
+
+
 if __name__ == "__main__":
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,6 +174,7 @@ if __name__ == "__main__":
             dynamics(model, len(names))
         past_the_budget()
         in_the_trap_space()
+        shuffled_paths()
         for shape, n in product(SHAPES, (300, TOP)):
             path = f"{shape}.{n}.bnet"
             Path(path).write_text(SHAPES[shape](n))

@@ -88,12 +88,12 @@ MUTANTS = [
         "1",
         ("tests/test_expr.py::test_path_reader_takes_the_sums_of_paths_and_only_those",),
     ),
-    # a declined list of paths keeps the nodes made before the pair that declines
+    # a declined list of paths keeps the nodes made before it declines
     Mutant(
         "declined-paths-keep-their-nodes",
         "bdd.py",
-        "for key in triples[made:]:\n                    del self._unique[key]\n"
-        "                del triples[made:]\n",
+        "        for key in triples[made:]:\n            del self._unique[key]\n"
+        "        del triples[made:]\n",
         "",
         ("tests/test_bdd.py::test_from_paths_declines_what_is_no_decision_tree",),
     ),
@@ -101,9 +101,33 @@ MUTANTS = [
     Mutant(
         "parting-depth-off-by-one",
         "bdd.py",
-        "d = 0  # where path parts from prev",
-        "d = 1  # where path parts from prev",
+        "path, d = paths[k], 0",
+        "path, d = paths[k], 1",
         ("tests/test_bdd.py::test_from_paths_rebuilds_every_rule_diagram_from_its_cubes",),
+    ),
+    # a parting node's variable is not checked against its low child's
+    Mutant(
+        "order-checked-against-the-high-child-only",
+        "bdd.py",
+        "elif prev[d][0] < below:",
+        "else:",
+        ("tests/test_bdd.py::test_from_paths_declines_what_is_no_decision_tree[falling-below-a-low-branch]",),
+    ),
+    # a root that is no variable, the reader's non-literal, makes a node
+    Mutant(
+        "non-literal-root-taken",
+        "bdd.py",
+        "if below >= 0:  # the root is a variable",
+        "if True:",
+        ("tests/test_bdd.py::test_from_paths_declines_what_is_no_decision_tree[non-literal-root]",),
+    ),
+    # a body whose products are out of the tree's order falls to the grammar
+    Mutant(
+        "sorted-retry-dropped",
+        "expr.py",
+        "u = manager.from_paths(ordered)",
+        "pass",
+        ("tests/test_expr.py::test_path_reader_takes_the_sums_of_paths_and_only_those",),
     ),
     # a chain of the other operator extends the chain as if it were of op
     Mutant(

@@ -204,16 +204,26 @@ def test_from_paths_of_no_path_and_of_the_empty_path():
         [[(0, 0), (1, 0)], [(0, 0), (2, 1)]],
         [[(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 1)], [(0, 0), (1, 1)]],
         [[(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 1)], [(1, 1)]],
+        [[(1, 1), (0, 1)]],
+        [[(1, 0), (0, 1)], [(1, 1)]],
+        [[(0, 0), (1, 1)], [(0, 1), (2, 1), (2, 1)]],
+        [[(0, 0)], [(0, 1), (-1, -1)]],
+        [[(-1, -1), (0, 1)]],
+        [[(0, 0)], [(0, 1), (3, 1)]],
     ],
     ids=[
         "duplicate", "duplicate-below-a-split", "empty-prefix", "prefix",
         "prefix-after-a-split", "siblings-on-two-variables",
         "deeper-siblings-on-two-variables", "low-siblings-on-two-variables",
         "duplicate-after-a-node", "siblings-after-a-node",
+        "falling", "falling-below-a-low-branch", "repeated-in-the-last-path",
+        "non-literal-ending-a-later-path", "non-literal-root", "variable-past-nvars",
     ],
 )
 def test_from_paths_declines_what_is_no_decision_tree(paths):
-    # the last two make a node for x2 before the pair that declines
+    # from_paths takes the paths of a tree, low branch first, each path's
+    # variables rising from the root's, a variable, to below nvars; several
+    # of these make nodes before the literal or pair that declines
     m = DiagramManager(3)
     assert m.from_paths(paths) is None
     assert m._triples == [] and m._unique == {}

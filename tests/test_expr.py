@@ -1,5 +1,6 @@
 """Expression and .bnet parsing."""
 import json
+import random
 from itertools import product
 from pathlib import Path
 
@@ -524,6 +525,38 @@ def test_unfolded_files_read_back_with_only_the_reachable_nodes():
         for body in _bodies(text):
             if body.strip() not in ("0", "1"):
                 assert ex._read_paths(body, literals, probe) is not None, body
+
+
+def test_a_shuffled_print_bnet_body_is_read_after_sorting(monkeypatch):
+    """print_bnet's bodies go to from_paths as written; with its products
+    and their literals permuted, from_paths declines a body, and the sorted
+    retry makes the as-written body's nodes in the same order."""
+    net = unfold(parse_bnet_file(str(MODELS / "signal.bnet")), UnfoldSpec(mode="exact"))
+    literals = ex._Literals({name: j for j, name in enumerate(net.names)})
+    results = []
+    from_paths = DiagramManager.from_paths
+    monkeypatch.setattr(
+        DiagramManager, "from_paths",
+        lambda self, paths: results.append(from_paths(self, paths)) or results[-1],
+    )
+    rng = random.Random(5)
+    shuffled = 0
+    for body in _bodies(print_bnet(net)):
+        products = [term.split("&") for term in body.split("|")]
+        for term in products:
+            rng.shuffle(term)
+        rng.shuffle(products)
+        permuted = "|".join(map("&".join, products))
+        as_written, after = DiagramManager(net.n), DiagramManager(net.n)
+        results.clear()
+        u = ex._read_paths(body, literals, as_written)
+        assert u is not None and results == [u], body
+        results.clear()
+        assert ex._read_paths(permuted, literals, after) == u
+        assert after._triples == as_written._triples
+        assert results == ([u] if permuted.replace(" ", "") == body.replace(" ", "") else [None, u])
+        shuffled += len(results) == 2
+    assert shuffled >= 5
 
 
 def test_path_reader_keeps_one_memo_per_file():

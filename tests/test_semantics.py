@@ -15,6 +15,7 @@ from mpunfold import (
     signal_model,
     sync_successor,
 )
+from mpunfold import semantics
 from table1 import SYNC_IMAGES
 
 
@@ -113,6 +114,21 @@ def test_mp_one_step_subsumption():
             mid = s[:j] + ("i" if t[j] == "1" else "d") + s[j + 1 :]
             assert mid in mp_successors(net, s)
             assert t in mp_successors(net, mid)
+
+
+def test_a_wrapped_mp_step_keeps_the_mp_codec(monkeypatch):
+    """The codec follows the semantics' name, not its step: a test that
+    wraps SEMANTICS["mp"] to count steps still encodes i/d states."""
+    net = example_a()
+    plain = semantics._space(net, "mp")
+    step = semantics.SEMANTICS["mp"]
+    stepped = []
+    monkeypatch.setitem(semantics.SEMANTICS, "mp", lambda ev, x: stepped.append(x) or step(ev, x))
+    wrapped = semantics._space(net, "mp")
+    x = wrapped.encode("i00")
+    assert x == plain.encode("i00") and wrapped.decode(x) == "i00"
+    assert wrapped.successors(x) == plain.successors(x) and stepped == [x]
+    assert wrapped.match("i**")(x) and not wrapped.match("1**")(x)
 
 
 def test_state_validation():
