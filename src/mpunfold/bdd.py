@@ -12,10 +12,11 @@ No complement edges; the node-wise transforms in unfold.py rely on plain
 conj, disj and equiv share one recursion, _apply, which is handed its
 operation's own memo (and, or, xor: one dict each, keyed (u, v) with u < v).
 It is the one method that recurses, one frame per diagram level.  Every pass
-over a whole diagram (neg, restrict, support, the truth tables and unfold's
-exact conditions) is a loop over postorder, which finishes the low child
-before the high child, as _apply builds the low branch first: that fixes
-the numbering of new nodes.  paths makes each path to 1 with a caller's
+over a whole diagram (neg, restrict, support, the truth tables and
+_may_read, which gives unfold's exact conditions and the mp moves on sets
+of states) is a loop over postorder, which finishes the low child before
+the high child, as _apply builds the low branch first: that fixes the
+numbering of new nodes.  paths makes each path to 1 with a caller's
 builders; from_paths, its inverse, makes a decision tree's diagram from its
 paths with mk alone, for the .bnet reader, checking the variable order as
 it makes each node, undone if they are no ordered tree's.
@@ -23,10 +24,16 @@ build is the one diagram builder of every walk (see expr), a tree's or a
 rule body's, and join the one place that orders a chain of & or |, from
 the bottom up.  build's five builders also make both sides of unfold's
 syntactic condition pairs.
+
+_MaskAlgebra has the members of a manager that unfold's construction and
+_may_read call, on truth tables in truth_table's layout instead of nodes:
+the theorem check builds the unfolded rules in it, straight as the tables
+it reads.
 """
 from __future__ import annotations
 
-from functools import partialmethod
+import operator
+from functools import cached_property, partialmethod
 
 from . import expr as ex
 
@@ -37,6 +44,8 @@ _AND, _OR, _XOR = 0, 1, 2
 
 
 class DiagramManager:
+    false, true = FALSE, TRUE  # the constants, as _MaskAlgebra names its own
+
     def __init__(self, nvars: int):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
@@ -187,6 +196,28 @@ class DiagramManager:
                 ones, zeros = halves[var]
                 memo[w] = ones & memo[high] | zeros & memo[low]
         return [memo[u] for u in nodes]
+
+    def _may_read(self, u: int, reads, algebra) -> tuple:
+        """(can be 1, can be 0) of u's function when each variable var may
+        read as 1 where reads[var][0] holds and as 0 where reads[var][1]
+        does, both functions of algebra: this manager's nodes, or another
+        manager's, or a _MaskAlgebra's tables.  One postorder pass: at a
+        node on var, can be v is (may read 1 & its high child can be v) |
+        (may read 0 & its low child can be v), by algebra's conj and disj,
+        in that order, target 1 first.  With gamma-readings this is
+        mp_values on sets (Pauleve et al., Nat. Commun. 2020)."""
+        conj, disj, triples = algebra.conj, algebra.disj, self._triples
+        false, true = algebra.false, algebra.true
+        can = {FALSE: (false, true), TRUE: (true, false)}
+        for w in self.postorder(u):
+            var, low, high = triples[w - 2]
+            one, zero = reads[var]
+            (high1, high0), (low1, low0) = can[high], can[low]
+            can[w] = (
+                disj(conj(one, high1), conj(zero, low1)),
+                disj(conj(one, high0), conj(zero, low0)),
+            )
+        return can[u]
 
     def iter_models(self, u: int):
         """Satisfying assignments as 0/1 tuples over all variables, in
@@ -367,6 +398,52 @@ def _var_masks(n: int) -> list[int]:
 
 def _const(c) -> int:
     return TRUE if c else FALSE
+
+
+class _MaskAlgebra:
+    """Functions of nvars variables as their truth tables, 2^nvars-bit ints
+    in _var_masks' layout, with the members of a DiagramManager that
+    unfold's construction and _may_read call, each a bit operation: a table
+    is its own node, neg is full ^ u, conj and disj are & and |, join is a
+    fold, and the five build builders make tables."""
+
+    false = 0
+    conj = _and = staticmethod(operator.and_)
+    disj = _or = staticmethod(operator.or_)
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.true = (1 << (1 << nvars)) - 1
+
+    @cached_property
+    def masks(self) -> list[int]:
+        return _var_masks(self.nvars)
+
+    def var_node(self, var: int) -> int:
+        return self.masks[var]
+
+    _lit = var_node
+
+    def neg(self, u: int) -> int:
+        return self.true ^ u
+
+    _not = neg
+
+    @staticmethod
+    def _node(v: int) -> int:
+        return v
+
+    def join(self, op: int, operands) -> int:
+        """The conjunction (op _AND) or disjunction (op _OR) of operands,
+        each a table or a literal (var, bit), in their order."""
+        meet = self.conj if op == _AND else self.disj
+        u = self.true if op == _AND else self.false
+        for v in operands:
+            if type(v) is tuple:
+                var, bit = v
+                v = self.masks[var] if bit else self.true ^ self.masks[var]
+            u = meet(u, v)
+        return u
 
 
 class FunctionRep:

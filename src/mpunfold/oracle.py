@@ -20,28 +20,31 @@ side gives every Boolean source's reachable Boolean states as a bit mask:
                    of all 2^n readings built once per check, in one pass of
                    the explorers' component routine, reach._condense, which
                    expands only the states the sources reach, each once;
-    unfolded side  the asynchronous graph of the rule diagrams of unfold's
-                   _Unfolding, from unfold._encode_state's encodings of the
-                   2^n Boolean states, on sets of states (_set_reach): each
-                   a 2^(3n)-bit int, moved by reach._closure with the moves
-                   reach._async_moves reads off the diagrams' truth tables,
-                   which an _ImageTable reads once, so no unfolded network
-                   and no rule tree is built and no state is stepped.
+    unfolded side  the asynchronous graph of the rules of unfold's
+                   _Unfolding, built in a bdd._MaskAlgebra straight as
+                   their truth tables over the 3n unfolded variables, from
+                   unfold._encode_state's encodings of the 2^n Boolean
+                   states, on sets of states (_set_reach): each a
+                   2^(3n)-bit int, moved by reach._closure with the moves
+                   reach._async_moves reads off those tables, so no
+                   unfolded network, no diagram over its variables and no
+                   rule tree is built, and no state is stepped.
 
 The mp side stays on the rules' walks, the network's stored syntax from
 which its trees are made too, on the oracle's own builders and on
-_condense, so a fault in the diagrams, in semantics.py or in the sets of
-states cannot hide on both sides at once.  mp reachability is reflexive
+_condense, so a fault in the unfolding's construction (its _may_read pass
+included, which reach's mp moves share), in semantics.py or in the sets
+of states cannot hide on both sides at once.  mp reachability is reflexive
 and transitive, so asynchronous runs of the input stay within it iff each
 asynchronous step does: the subsumption check steps each Boolean state
 once, on an _ImageTable of the input's rules, the one image table an ok
 check makes.  Only a source with a mismatch gets a breadth-first search,
 reach._bfs, for its witness and the report's order: the mp step, or the
-asynchronous step on the image table that the unfolding's _ImageTable
-makes on first use, behind functools.cache, so a state any of these
-searches meets again is stepped once.  Every source gets one on the
-input's asynchronous graph, for its violations, only when some step
-leaves mp reachability.  mp witnesses are decoded to level strings only
+asynchronous step on the image table that network._transpose makes from
+the unfolding's tables on first use, behind functools.cache, so a state
+any of these searches meets again is stepped once.  Every source gets one
+on the input's asynchronous graph, for its violations, only when some
+step leaves mp reachability.  mp witnesses are decoded to level strings only
 then.
 The tests check both routines against searches of their own.
 """
@@ -53,10 +56,11 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 from itertools import count, product
+from types import SimpleNamespace
 
 from . import expr as ex
-from .bdd import FALSE, TRUE
-from .network import BooleanNetwork, _ImageTable
+from .bdd import FALSE, TRUE, _MaskAlgebra
+from .network import BooleanNetwork, _ImageTable, _transpose
 from .reach import (
     _async_moves, _bfs as _search, _closure, _condense, _path, _reverse_moves,
 )
@@ -291,10 +295,11 @@ def check_equivalence(
     pair of Boolean states, both directions.  Also checks that plain
     asynchronous reachability is subsumed by most permissive reachability.
 
-    The unfolded side reads the truth tables of the rule diagrams that
-    unfold would give its output (_Unfolding.rule_nodes), without building
-    that network, and takes its reachable sets on sets of states
-    (_set_reach); the mp side steps each state it reaches once.  Plain
+    The unfolded side builds the rules that unfold would give its output
+    (_Unfolding.rule_nodes) as truth tables, in a _MaskAlgebra, without
+    building that network or any diagram over its variables, and takes its
+    reachable sets on sets of states (_set_reach); the mp side steps each
+    state it reaches once.  Plain
     asynchronous runs stay within mp reachability iff each of their steps
     does, so the subsumption check steps each Boolean state once.
     Witnesses and violations come from breadth-first searches, whose order
@@ -312,20 +317,23 @@ def check_equivalence(
     mp_step = partial(_mp_step, values, n)
     mp_src = [_encode(x) for x in bool_states]
     mp_reach = _reach(mp_step, mp_src)
-    # unfolded side: the asynchronous graph of the unfolding's rule diagrams,
-    # expanded from the encoded Boolean states only as far as they reach
-    ctx = _Unfolding(net, spec)
-    ev = _ImageTable(ctx.manager, ctx.rule_nodes())
-    unf_step = partial(_async, ev)
+    # unfolded side: the asynchronous graph of the unfolding's rules, built
+    # as truth tables, on sets of states from the encoded Boolean states
+    ctx = _Unfolding(net, spec, _MaskAlgebra)
+    tables = ctx.rule_nodes()
     enc = [int(_encode_state(x, ctx.slots), 2) for x in bool_states]
-    unf_reach = _set_reach(ev.tables, enc)
+    unf_reach = _set_reach(tables, enc)
     report = EquivalenceReport(
         label=label or ",".join(net.names), mode=mode, pairs_checked=len(bool_states) ** 2
     )
     # witnesses: shortest paths, in sorted mp successor order on the mp
-    # side, over steps cached only for these searches
+    # side, over steps cached only for these searches; the unfolded step
+    # looks up the image table that the first one makes from the tables
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in _decode(n, s))
-    mp_adj, unf_adj = cache(lambda x: sorted(mp_step(x), key=order)), cache(unf_step)
+    images = cache(partial(_transpose, tables))
+    unfolded = SimpleNamespace(image=lambda s: images()[s])
+    mp_adj = cache(lambda x: sorted(mp_step(x), key=order))
+    unf_adj = cache(partial(_async, unfolded))
     for k, x in enumerate(bool_states):
         a_set, b_set = mp_reach[k], unf_reach[k]
         if a_set == b_set:
@@ -342,7 +350,7 @@ def check_equivalence(
             if a:
                 witness = [_decode(n, s) for s in _path(mp_parents, mp_src[i])]
             else:
-                witness = [ev.decode(t) for t in _path(unf_parents, enc[i])]
+                witness = [format(t, f"0{3 * n}b") for t in _path(unf_parents, enc[i])]
             report.mismatches.append(Mismatch(x, y, a, b, witness))
     # async runs of the input stay within most permissive reachability iff
     # each async step does, since that is reflexive and transitive; integer

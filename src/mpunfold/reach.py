@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
-from .bdd import _AND, FALSE, TRUE, _var_masks
+from .bdd import _AND, _MaskAlgebra, _var_masks
 from .network import (
     _DIGIT_BYTES, _MP_FREE, _MP_VAL, BooleanNetwork, RegGraph, _ImageTable,
     check_bool_state,
@@ -477,36 +477,27 @@ def _mp_moves(manager, nodes, components, levels, masks) -> list[tuple[int, int,
     component as the constant of its level, and a fixed component makes no
     move: in a trap space none can.
 
-    Where rule j can be 1 (can1) and 0 (can0) on gamma(x) comes from one
-    postorder pass over its diagram, mp_values on sets: a node can be v
-    where its variable may read 1 (its level is not 0) and its high child
-    can be v, or may read 0 (its level is not 1) and its low child can.
-    The p-th component, at val bit V and free bit F, makes up to four moves
-    (shift, down, up):
+    Where rule j can be 1 (can1) and 0 (can0) on gamma(x) comes from
+    manager._may_read over a _MaskAlgebra of these sets, the pass that
+    builds unfold's exact conditions: a variable may read 1 where its level
+    is not 0, and 0 where it is not 1.  The p-th component, at val bit V
+    and free bit F, makes up to four moves (shift, down, up):
 
         (V, i & can0, d & can1)    i -> d, d -> i
         (V + F, none, 0 & can1)    0 -> i
         (V - F, 1 & can0, none)    1 -> d
         (F, i | d, none)           i -> 1, d -> 0"""
     n, k = len(nodes), len(components)
-    full = (1 << (1 << 2 * k)) - 1
+    sets = _MaskAlgebra(2 * k)
+    full = sets.true
     halves = list(zip(masks, masks[k:]))  # per free component: its (val, free) bits
     # per variable: the states where it may read 1, and 0
     reads = [(full, 0) if levels >> n - 1 - var & 1 else (0, full) for var in range(n)]
     for j, (val, free) in zip(components, halves):
         reads[j] = val | free, full ^ val | free
-    triples = manager._triples
     moves = []
     for p, (j, (val, free)) in enumerate(zip(components, halves)):
-        u = nodes[j]
-        # node -> (can be 1, can be 0); one memo per rule holds one rule's sets
-        can = {FALSE: (0, full), TRUE: (full, 0)}
-        for w in manager.postorder(u, can):
-            var, low, high = triples[w - 2]
-            one, zero = reads[var]
-            (high1, high0), (low1, low0) = can[high], can[low]
-            can[w] = one & high1 | zero & low1, one & high0 | zero & low0
-        can1, can0 = can[u]
+        can1, can0 = manager._may_read(nodes[j], reads, sets)
         v, f = 1 << 2 * k - 1 - p, 1 << k - 1 - p
         moves += [
             (v, can0 & val & free, can1 & free & ~val),

@@ -12,8 +12,8 @@ and as inactivatable iff b = 0.
 Each rule of the unfolded network is one bit of a component's synchronous
 image, and the per-letter table _LETTER_RULES is the one definition of that
 image.  _setter_values is its one reading: triplet_step applies it to
-Booleans, and _Unfolding.rule_nodes to diagrams, building all bits of a
-component in one pass.  The image is driven by two conditions per
+Booleans, and _Unfolding.rule_nodes to diagrams or truth tables, building
+all bits of a component in one pass.  The image is driven by two conditions per
 component j:
 
     plus_j   "f_j can evaluate to 1 given what each regulator may read as"
@@ -33,13 +33,23 @@ construction modes are provided:
                single polarity, an over-approximation otherwise.
 
 Either mode builds plus_j and minus_j together, in one walk of rule j's
-diagram or of its syntax (the network's walk of rule j, see expr).
-Syntactic mode builds no tree: its walk makes the pair (plus, must), must =
-!minus, each side with the diagram manager's build builders.  A variable k
-gives (x_kc, x_kb), a constant is the same on both sides, a negation maps
-(P, Q) to (!Q, !P), and & and | act on each side, so a product or a sum of
-literals is one chain, one mk per literal, on either side.  Negated
-conditions are the complements of the built ones in both modes.
+diagram or of its syntax (the network's walk of rule j, see expr).  The
+exact transform is the diagram manager's _may_read pass, which also gives
+the mp moves on sets of states (reach._mp_moves).  Syntactic mode builds no
+tree: its walk makes the pair (plus, must), must = !minus, each side with
+the algebra's build builders.  A variable k gives (x_kc, x_kb), a constant
+is the same on both sides, a negation maps (P, Q) to (!Q, !P), and & and |
+act on each side, so a product or a sum of literals is one chain, one mk
+per literal, on either side.  Negated conditions are the complements of
+the built ones in both modes.
+
+One construction, _Unfolding, builds the rules in either of two algebras
+over the output's variables, with the same calls in the same order: the
+unfolding's DiagramManager, whose nodes unfold and build_condition hand
+out, and bdd._MaskAlgebra, whose nodes are truth tables in _var_masks'
+layout (a literal is its variable's mask or that mask's complement,
+negation full ^ u, conj and disj & and |, join a fold), which the theorem
+check reads with no diagram over the unfolded variables.
 
 Exact mode promises nothing at artifact triplets, which are unreachable
 from encoded states.  An artifact reads as neither value, and the transform
@@ -84,8 +94,8 @@ MODES = ("exact", "syntactic")
 # pattern (a triplet, or a plain component's bit) sets its bit p: never (0),
 # always (1), or when a condition holds, plus (+) or minus (-), or when it
 # fails (!+, !-).  _setter_values is the one reading of these setters, for
-# Booleans (triplet_step) and for diagrams (_Unfolding.rule_nodes).  Read
-# per letter, this is
+# Booleans (triplet_step) and for diagrams or truth tables
+# (_Unfolding.rule_nodes).  Read per letter, this is
 #     rule_a = own{011,110,111} | own 001 & minus | own 101 & !plus
 #     rule_b = own{001,011,110} | own 111 & !minus
 #     rule_c = own{001,011,110,111} | own 000 & plus
@@ -157,9 +167,12 @@ def unfolded_names(net: BooleanNetwork, spec: UnfoldSpec | None = None) -> list[
 
 
 class _Unfolding:
-    """Shared construction state for one (network, spec) pair."""
+    """Shared construction state for one (network, spec) pair, built in
+    algebra over the output's variables: a DiagramManager (None), whose
+    nodes unfold and build_condition hand out, or a _MaskAlgebra, whose
+    nodes are the truth tables that the theorem check reads."""
 
-    def __init__(self, net: BooleanNetwork, spec: UnfoldSpec):
+    def __init__(self, net: BooleanNetwork, spec: UnfoldSpec, algebra=None):
         self.net = net
         self.spec = spec
         self.slots = _slots(net, spec)
@@ -170,40 +183,30 @@ class _Unfolding:
             raise ValueError(
                 f"unfolding produces colliding component names: {', '.join(dupes)}"
             )
-        self.manager = DiagramManager(len(self.out_names))
+        self.manager = (algebra or DiagramManager)(len(self.out_names))
         m = self.manager
         # k may read as 1 iff its last slot (c, or its plain bit) is set, and
         # as 0 iff its middle slot (b, or its plain bit) is clear
         self.c_slot = [slots[-1] for slots in self.slots]
         self.b_slot = [slots[len(slots) // 2] for slots in self.slots]
-        self.allow1 = list(map(m.var_node, self.c_slot))
-        self.allow0 = [m.neg(m.var_node(b)) for b in self.b_slot]
+        # per k: (may read 1, may read 0); the may-read-1 nodes are all
+        # made first, which fixes the diagram's node numbering
+        allow1 = list(map(m.var_node, self.c_slot))
+        self.reads = list(zip(allow1, [m.neg(m.var_node(b)) for b in self.b_slot]))
 
     def conditions(self, j: int) -> tuple[int, int]:
         """(plus_j, minus_j), built together in the spec's mode."""
         return self._exact(j) if self.spec.mode == "exact" else self._syntactic(j)
 
     def _exact(self, j: int) -> tuple[int, int]:
-        src = self.net.manager
-        m = self.manager
-        # u -> (image of u for target 1, image for target 0)
-        memo: dict[int, tuple[int, int]] = {TRUE: (TRUE, FALSE), FALSE: (FALSE, TRUE)}
-        root = self.net.nodes[j]
-        for u in src.postorder(root):
-            k, low, high = src.triple(u)
-            allow1, allow0 = self.allow1[k], self.allow0[k]
-            memo[u] = tuple(
-                m.disj(m.conj(allow1, hi), m.conj(allow0, lo))
-                for hi, lo in zip(memo[high], memo[low])
-            )
-        return memo[root]
+        return self.net.manager._may_read(self.net.nodes[j], self.reads, self.manager)
 
     def _syntactic(self, j: int) -> tuple[int, int]:
         # (plus, must = !minus), as the module docstring says
         m = self.manager
         plus, must = self.net._walks[j](
             lambda k: (m._lit(self.c_slot[k]), m._lit(self.b_slot[k])),
-            lambda c: (TRUE, TRUE) if c else (FALSE, FALSE),
+            lambda c: (m.true, m.true) if c else (m.false, m.false),
             lambda v: (m._not(v[1]), m._not(v[0])),
             lambda v, w: (m._and(v[0], w[0]), m._and(v[1], w[1])),
             lambda v, w: (m._or(v[0], w[0]), m._or(v[1], w[1])),
@@ -212,7 +215,8 @@ class _Unfolding:
 
     def rule_nodes(self) -> list[int]:
         """Every output's rule node, in output order: the rules that unfold
-        gives its network and that the theorem check evaluates.  One pass
+        gives its network, or, in a _MaskAlgebra, their truth tables, which
+        the theorem check reads.  One pass
         per component k builds its conditions and joins the literals of each
         own pattern of its width into its cube once; bit p of k's image is
         the join of | over those patterns of cube & the value of the
@@ -222,7 +226,7 @@ class _Unfolding:
         m = self.manager
         nodes = []
         for k, slots in enumerate(self.slots):
-            value = _setter_values(FALSE, TRUE, *self.conditions(k), m.neg)
+            value = _setter_values(m.false, m.true, *self.conditions(k), m.neg)
             own = [
                 (m.join(_AND, zip(slots, map(int, pattern))), setters)
                 for pattern, setters in _LETTER_RULES.items()

@@ -3,7 +3,9 @@ one process through cli.main: on the bundled models, and on the size
 ladder's shapes at 300 and TOP less the cells that shapes.FAILS names.
 Also reach past the budget of its breadth-first search, where sets of
 states answer, mp reach that the start's trap space settles, and a model
-whose path-shaped bodies are written out of order.  Prints
+whose path-shaped bodies are written out of order, and verify on the
+widest random nets, where the unfolded side's sets of states are
+2^18 and 2^15 bits.  Prints
 each run's argv, exit code and stdout, and the bytes unfold -o wrote,
 with paths relative to its own temporary directory; tests/test_processes.py
 compares the prints under two hash seeds.  Cross-checks between runs are
@@ -162,6 +164,14 @@ def shuffled_paths():
             run(command[0], "ordered.bnet", *command[1:], codes=(0, 1))[1]
 
 
+def widest_verify():
+    """verify at the largest n: exact mode at n = 6 (every check ok), and
+    syntactic mode at n = 5, whose mismatches carry witnesses."""
+    model = MODELS[[m.name for m in MODELS].index("example_a.bnet")].name
+    run("verify", model, "--mode", "exact", "--n", "6", "--seeds", "3")
+    run("verify", model, "--mode", "syntactic", "--n", "5", "--seeds", "2", codes=(1,))
+
+
 if __name__ == "__main__":
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -175,6 +185,7 @@ if __name__ == "__main__":
         past_the_budget()
         in_the_trap_space()
         shuffled_paths()
+        widest_verify()
         for shape, n in product(SHAPES, (300, TOP)):
             path = f"{shape}.{n}.bnet"
             Path(path).write_text(SHAPES[shape](n))

@@ -276,8 +276,8 @@ MUTANTS = [
     Mutant(
         "oracle-unfolded-witnesses-reversed",
         "oracle.py",
-        "witness = [ev.decode(t) for t in _path(unf_parents, enc[i])]",
-        "witness = [ev.decode(t) for t in _path(unf_parents, enc[i])][::-1]",
+        'witness = [format(t, f"0{3 * n}b") for t in _path(unf_parents, enc[i])]',
+        'witness = [format(t, f"0{3 * n}b") for t in _path(unf_parents, enc[i])][::-1]',
         ("tests/test_oracle.py::test_equivalence_detects_syntactic_overreach",),
     ),
     # the oracle's mp step never settles a d level
@@ -312,7 +312,7 @@ MUTANTS = [
         "oracle-plain-async-closes-over-the-unfolding",
         "oracle.py",
         "async_step = partial(_async, _ImageTable(net.manager, net.nodes))",
-        "async_step = partial(_async, ev)",
+        "async_step = partial(_async, unfolded)",
         (
             "tests/test_oracle.py::test_check_steps_each_state_once_per_side[3]",
             "tests/test_oracle.py::test_report_on_broken_sides_equals_per_source_searches",
@@ -322,8 +322,8 @@ MUTANTS = [
     Mutant(
         "mp-sets-can0-can1-swapped",
         "reach.py",
-        "can1, can0 = can[u]",
-        "can0, can1 = can[u]",
+        "can1, can0 = manager._may_read(nodes[j], reads, sets)",
+        "can0, can1 = manager._may_read(nodes[j], reads, sets)",
         ("tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",),
     ),
     # the mp moves on sets never settle an i or d level
@@ -405,6 +405,35 @@ MUTANTS = [
         "if asked & ~free:",
         "if asked:",
         ("tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",),
+    ),
+    # the tables' negation leaves the 2^n bits of a table: ~u for full ^ u
+    Mutant(
+        "mask-neg-unbounded",
+        "bdd.py",
+        "        return self.true ^ u\n",
+        "        return ~u\n",
+        ("tests/test_unfold.py::test_mask_tables_are_the_rule_diagrams_truth_tables[2-syntactic]",),
+    ),
+    # a literal of the tables reads bit 1 as its variable's complement
+    Mutant(
+        "mask-literal-complement-for-bit-1",
+        "bdd.py",
+        "v = self.masks[var] if bit else self.true ^ self.masks[var]",
+        "v = self.true ^ self.masks[var] if bit else self.masks[var]",
+        ("tests/test_unfold.py::test_mask_tables_are_the_rule_diagrams_truth_tables[2-exact]",),
+    ),
+    # the may-read pass takes a variable's reading as 0 to its high child:
+    # both algebras share it, so the theorem check's own mp side and the mp
+    # BFS catch it, not the tables' test
+    Mutant(
+        "may-read-zero-reads-high",
+        "bdd.py",
+        "disj(conj(one, high1), conj(zero, low1))",
+        "disj(conj(one, high1), conj(zero, high1))",
+        (
+            "tests/test_oracle.py::test_equivalence_example_a_both_modes",
+            "tests/test_reach.py::test_mp_reaches_agrees_with_bfs_alone_everywhere[2]",
+        ),
     ),
     # the theorem check starts each mp search from the reversed state
     Mutant(

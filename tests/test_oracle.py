@@ -183,9 +183,14 @@ def test_equivalence_signal_model():
 
 
 def test_equivalence_builds_no_unfolded_network(monkeypatch):
-    """The unfolded side evaluates the unfolding's rule diagrams: neither
-    unfold nor the sum-of-products trees of its output are built."""
+    """The unfolded side builds the unfolding's rules as truth tables:
+    neither unfold nor the sum-of-products trees of its output are built,
+    no diagram manager over its 3n variables is made, and the only truth
+    tables read off diagrams are the input's, for the plain side's one
+    image table."""
     import importlib
+
+    from mpunfold.bdd import DiagramManager
 
     def no_network(*args):
         raise AssertionError("the check built the unfolded network")
@@ -194,8 +199,20 @@ def test_equivalence_builds_no_unfolded_network(monkeypatch):
     unfold_module = importlib.import_module("mpunfold.unfold")
     monkeypatch.setattr(unfold_module, "unfold", no_network)
     monkeypatch.setattr(unfold_module, "_node_to_expr", no_network)
+    made, read = [], []  # the managers' widths; (manager, nodes) of every table pass
+    init, tables = DiagramManager.__init__, DiagramManager._truth_tables
+    monkeypatch.setattr(
+        DiagramManager, "__init__", lambda m, nvars: made.append(nvars) or init(m, nvars)
+    )
+    monkeypatch.setattr(
+        DiagramManager,
+        "_truth_tables",
+        lambda m, nodes: read.append((m, list(nodes))) or tables(m, nodes),
+    )
     for net, pairs in ((example_a(), 64), (signal_model(), 256)):
         for mode in ("exact", "syntactic"):
+            made.clear()
+            read.clear()
             assert check_equivalence(net, mode=mode).as_dict() == {
                 "label": ",".join(net.names),
                 "mode": mode,
@@ -204,6 +221,8 @@ def test_equivalence_builds_no_unfolded_network(monkeypatch):
                 "subsumption_violations": [],
                 "ok": True,
             }
+            assert 3 * net.n not in made, mode
+            assert read == [(net.manager, list(net.nodes))], mode
 
 
 def test_equivalence_detects_syntactic_overreach():
@@ -383,14 +402,16 @@ def test_check_steps_each_state_once_per_side(monkeypatch, n):
 def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     """Witnesses on the mp side and subsumption violations appear only when
     a side is wrong: break the truth tables that both the sets of states and
-    the witness steps read, of the unfolding and of the input, and compare
-    the report with one breadth-first search per Boolean source."""
+    the witness steps read, the unfolding's (its rules built as tables) and
+    the input's (its _ImageTable), and compare the report with one
+    breadth-first search per Boolean source."""
     from itertools import product
 
     import mpunfold.oracle as oracle
     from mpunfold.network import _ImageTable, _transpose
     from mpunfold.oracle import _LEVEL_ORDER, Mismatch, _path, naive_mp_successors
     from mpunfold.semantics import _async
+    from mpunfold.unfold import _Unfolding
 
     def lossy(ev, s):  # the unfolded side keeps only its first move
         return _async(ev, s)[:1]
@@ -398,23 +419,30 @@ def test_report_on_broken_sides_equals_per_source_searches(monkeypatch):
     def jumpy(x):  # plain async flips every component at every state
         return [x[:j] + "10"[int(c)] + x[j + 1:] for j, c in enumerate(x)]
 
-    class Broken(_ImageTable):
-        """lossy on the unfolding, jumpy on the input's n components"""
+    def tables_of(images, m):  # the truth tables of m rules with these images
+        return [
+            sum((image >> m - 1 - j & 1) << s for s, image in enumerate(images))
+            for j in range(m)
+        ]
+
+    class Lossy(_Unfolding):
+        """lossy: each state flips only the top bit of its flips"""
+
+        def rule_nodes(self):
+            tables = super().rule_nodes()
+            flips = [image ^ s for s, image in enumerate(_transpose(tables))]
+            images = [s ^ (1 << d.bit_length() >> 1) for s, d in enumerate(flips)]
+            return tables_of(images, len(tables))
+
+    class Jumpy(_ImageTable):
+        """jumpy on the input's n components"""
 
         def __init__(self, manager, nodes):
             super().__init__(manager, nodes)
-            m = self.n
-            if m > n:  # each state flips only the top bit of its flips
-                flips = [image ^ s for s, image in enumerate(_transpose(self.tables))]
-                images = [s ^ (1 << d.bit_length() >> 1) for s, d in enumerate(flips)]
-            else:
-                images = [~s & ~(-1 << m) for s in range(1 << m)]
-            self.tables = [
-                sum((image >> m - 1 - j & 1) << s for s, image in enumerate(images))
-                for j in range(m)
-            ]
+            self.tables = tables_of([~s & ~(-1 << n) for s in range(1 << n)], n)
 
-    monkeypatch.setattr(oracle, "_ImageTable", Broken)
+    monkeypatch.setattr(oracle, "_Unfolding", Lossy)
+    monkeypatch.setattr(oracle, "_ImageTable", Jumpy)
     order = lambda s: tuple(_LEVEL_ORDER[c] for c in s)
     mp_witnesses = violations = 0
     for n in (2, 3):
@@ -472,7 +500,7 @@ def test_set_reach_agrees_with_condense_on_unfoldings(n, mode):
     its states."""
     from itertools import product
 
-    from mpunfold.network import _ImageTable
+    from mpunfold.bdd import _MaskAlgebra
     from mpunfold.oracle import _set_reach
     from mpunfold.unfold import _Unfolding
 
@@ -481,8 +509,7 @@ def test_set_reach_agrees_with_condense_on_unfoldings(n, mode):
     nets = [random_network(RandomNetSpec(n=n, seed=seed)) for seed in range(4)]
     nets.append(parse_bnet(gray_counter(n)))
     for net in nets:
-        ctx = _Unfolding(net, UnfoldSpec(mode=mode))
-        tables = _ImageTable(ctx.manager, ctx.rule_nodes()).tables
+        tables = _Unfolding(net, UnfoldSpec(mode=mode), _MaskAlgebra).rule_nodes()
         enc = [int(encode_state(net, "".join(t)), 2) for t in product("01", repeat=n)]
         assert _set_reach(tables, enc) == _condense_reach(tables, enc), net.names
 
@@ -586,8 +613,7 @@ def test_each_rule_is_walked_once(monkeypatch):
     """The check calls every rule's walk once, over all 2^n readings at
     once; naive_mp_successors calls each once over x's own completions.
     Syntactic mode's conditions call each walk once more, with pairs of the
-    diagram manager's build builders."""
-    from mpunfold.bdd import TRUE
+    build builders of the tables over the unfolding's 3n variables."""
     from mpunfold.oracle import naive_mp_successors
 
     calls = []  # (j, full) of every walk
@@ -601,7 +627,8 @@ def test_each_rule_is_walked_once(monkeypatch):
             assert calls == [(j, full) for j in range(n)], (n, seed)
             calls.clear()
             check_equivalence(net, mode="syntactic")
-            conditions = [(j, (TRUE, TRUE)) for j in range(n)]  # (plus, !minus) of 1
+            every = (1 << 2 ** (3 * n)) - 1  # the table of 1 on the unfolding
+            conditions = [(j, (every, every)) for j in range(n)]  # (plus, !minus) of 1
             assert calls == [(j, full) for j in range(n)] + conditions, (n, seed)
     net = random_network(RandomNetSpec(n=10, seed=0))
     _count_walks(monkeypatch, net, calls)

@@ -1,5 +1,6 @@
 """Triplet encoding, condition construction, unfolding, translation."""
 import importlib
+import itertools
 import random
 from itertools import product
 
@@ -838,3 +839,51 @@ def test_rule_nodes_evaluate_as_the_unfolded_network(mode):
                     assert ev.image(s) == ext.evaluator.image(s) == int(tree_image, 2), (
                         n, seed, components, s,
                     )
+
+
+# --- the unfolding built as truth tables ---------------------------------------
+
+# two regulators of w, x with both signs: syntactic mode over-approximates
+DIVERGENT = "x, !x\ny, y\nz, z\nw, (x | y) & (!x | z)\n"
+
+
+def _assert_masks_are_the_diagrams_tables(net, spec):
+    """The unfolding built in a _MaskAlgebra gives, for every condition and
+    every rule, the truth table of the diagram that the DiagramManager
+    construction builds."""
+    from mpunfold.bdd import _MaskAlgebra
+
+    masks, diagrams = _Unfolding(net, spec, _MaskAlgebra), _Unfolding(net, spec)
+    conditions = [c for j in range(net.n) for c in diagrams.conditions(j)]
+    want = diagrams.manager._truth_tables(conditions + diagrams.rule_nodes())
+    got = [c for j in range(net.n) for c in masks.conditions(j)] + masks.rule_nodes()
+    assert got == want, (spec, net.names)
+
+
+def _subsets(names):
+    return [c for r in range(len(names) + 1) for c in itertools.combinations(names, r)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_tables_are_the_rule_diagrams_truth_tables(n, mode):
+    """On random nets of 1 to 6 components with 1 to 3 regulators a rule,
+    unfolded whole, and in every partial unfolding up to 4 components."""
+    for seed in range(6):
+        for regulators in (1, 2, 3):
+            net = random_network(RandomNetSpec(n=n, max_regulators=regulators, seed=seed))
+            for components in _subsets(net.names) if n <= 4 else [None]:
+                _assert_masks_are_the_diagrams_tables(net, UnfoldSpec(components, mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mask_tables_are_the_rule_diagrams_truth_tables_on_models(mode):
+    from pathlib import Path
+
+    from mpunfold import parse_bnet_file
+
+    models = sorted(Path(__file__).resolve().parent.parent.glob("models/*.bnet"))
+    nets = [parse_bnet_file(str(path)) for path in models] + [parse_bnet(DIVERGENT)]
+    for net in nets:
+        for components in _subsets(net.names):
+            _assert_masks_are_the_diagrams_tables(net, UnfoldSpec(components, mode))
